@@ -189,25 +189,24 @@ def _dispatch(args) -> int:
             subset = [int(x) for x in args.subset.replace(",", " ").split()]
         if args.method == "chebyshev":
             r = transversal.chebyshev_line(fan, subset=subset, tol=tol)
-            line, value = r.line, r.value
+            line = r.line
         elif args.method == "browder":
             idx = tuple(subset) if subset else (0, 1, 2, 3)
             br = transversal.browder_four_sections(fan, idx, tol=tol)
+            r = br.line
             if not br.converged:
-                r = transversal.chebyshev_line(fan, subset=subset, tol=tol)
-                line, value = r.line, r.value
+                r = transversal.chebyshev_line(fan, subset=list(idx), tol=tol)
                 print("note=fixed-point iteration did not converge; fell back "
                       "to the minimax solver")
-            else:
-                line, value = br.line.line, br.line.value
+            line = r.line
         else:  # dual route
             dual = dualize.l_dual(fan, tol=tol)
             r = transversal.chebyshev_line(dual, tol=tol)
             line = dualize.dual_of_found_line(r.line, dual.frame, tol)
-            value = r.value
         cert = transversal.certify_line(fan, line, tol=tol)
-        _emit([("max_residual", format(value, ".17g")),
-               ("contained", str(cert.contained).lower())])
+        _emit([("max_residual", format(r.value, ".17g")),
+               ("contained", str(cert.contained).lower()),
+               ("depth", format(r.depth, ".17g"))])
         for row in line.span:
             print("generator=%s" % " ".join(format(x, ".17g") for x in row))
         return 0

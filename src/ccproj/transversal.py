@@ -2,11 +2,15 @@
 
 A candidate line is parameterized by its intersections with two reference
 planes of the pencil, giving a 4-dimensional affine space of lines disjoint
-from L.  The minimax objective (largest distance from the line's hit point
-to the corresponding section) is convex in this parameterization, and its
-global minimizer is found with a cutting-plane method driven by
-subgradients of point-to-polygon distances.  A residual of zero certifies a
-common transversal.
+from L.  Every hit point is linear in these parameters, so "the line meets
+every selected section" is one polyhedral feasibility problem: the depth LP
+minimizes t subject to n·x_i(q) - c <= t over the edge half-planes of every
+section.  t <= 0 certifies a common transversal and -t is its interior
+depth.  When t > 0 the minimax objective (largest Euclidean distance from a
+hit point to its section), convex in this parameterization, is minimized
+by a cutting-plane method driven by subgradients of point-to-polygon
+distances, seeded at the LP point.  A residual of zero certifies a common
+transversal.
 
 Also here: the exhaustive 5-subset consistency check, the four-section
 set-valued fixed-point iteration, containment certificates, and the
@@ -79,6 +83,15 @@ class SolverChart:
         b = self.betas()[:, None]
         return (1.0 - b) * q[None, 0:2] + b * q[None, 2:4]
 
+    def depth(self, q: np.ndarray) -> float:
+        """Least interior margin of the hit points over the sections.
+
+        Positive when the line passes through the interior of every
+        section; zero or negative otherwise.
+        """
+        xs = self.hit_points(q)
+        return min(planar.interior_margin(p, x) for p, x in zip(self.polys, xs))
+
     def lift(self, y1: float, y2: float, y3: float) -> np.ndarray:
         """Homogeneous 4-vector of the chart point (y1, y2, y3)."""
         f = self.frame
@@ -105,10 +118,18 @@ class SolverChart:
 
 
 def build_solver_chart(fan: SectionFan, subset=None) -> SolverChart:
-    """Solver chart for a fan restricted to a sample subset."""
+    """Solver chart for a fan restricted to a sample subset.
+
+    Raises ValueError for an index outside [0, fan.k) or a repeated index.
+    """
     if subset is None:
         subset = list(range(fan.k))
     subset = sorted(int(i) for i in subset)
+    bad = [i for i in subset if not 0 <= i < fan.k]
+    if bad:
+        raise ValueError("section index %d outside [0, %d)" % (bad[0], fan.k))
+    if len(set(subset)) != len(subset):
+        raise ValueError("repeated section index in subset")
     if len(subset) < 2:
         raise DegenerateInput("need at least 2 sections")
     th = fan.thetas[subset]
@@ -195,6 +216,8 @@ class TransversalLine:
     residuals are distances in the solver chart between the line's hit
     points and the selected sections; value is their maximum at the
     solution, gap the final optimality gap of the cutting-plane method.
+    depth is the least interior margin of the hit points (SolverChart.depth):
+    positive for a line through the interiors of all selected sections.
     """
 
     line: ProjLine
@@ -206,43 +229,83 @@ class TransversalLine:
     gap: float
     iterations: int
     q: np.ndarray
+    depth: float
 
 
-def _initial_points(problem: MinimaxProblem, seed: int, n_extra: int):
+def _depth_rows(poly: ConvexPolygon):
+    """Unit normals n and offsets c whose half-planes {x : n·x <= c}
+    intersect exactly in poly.
+
+    A polygon gives its outward edge normals (zero-length edges skipped).
+    A segment gives its two normals and two end caps, a point four axis
+    caps.
+    """
+    e = poly.edges()
+    nrm = np.stack([e[:, 1], -e[:, 0]], axis=1)
+    if poly.n <= 2:
+        caps = e[:1] if poly.n == 2 and np.any(e[0]) else np.eye(2)
+        nrm = np.vstack([nrm, caps, -caps])
+    ln = np.linalg.norm(nrm, axis=1)
+    nrm = nrm[ln > 0] / ln[ln > 0, None]
+    return nrm, poly.support(nrm)
+
+
+def _deepest_point(problem: MinimaxProblem):
+    """Depth LP: minimize t over (q, t) subject to n·x_i(q) - c <= t for
+    every row of every section, q inside the search box.
+
+    Returns q, or None when the LP fails.  t <= 0 certifies a common
+    transversal, and -t is its depth when every section is a polygon.
+    """
+    from scipy.optimize import linprog
+
     chart = problem.chart
-    cents = np.array([chebyshev_center(p) for p in chart.polys])
-    b = chart.betas()
-    # least-squares line through the section centers: xy(h) affine in beta
-    A = np.stack([1.0 - b, b], axis=1)
-    sol, *_ = np.linalg.lstsq(A, cents, rcond=None)
-    q0 = np.array([sol[0, 0], sol[0, 1], sol[1, 0], sol[1, 1]])
-    pts = [q0]
-    rng = np.random.default_rng(seed)
-    for _ in range(n_extra):
-        pts.append(problem.box[:, 0] + rng.random(4) * (problem.box[:, 1] - problem.box[:, 0]))
-    return pts
+    a_ub, b_ub = [], []
+    for b, poly in zip(chart.betas(), chart.polys):
+        nrm, c = _depth_rows(poly)
+        a_ub.append(np.hstack([(1.0 - b) * nrm, b * nrm, -np.ones((len(c), 1))]))
+        b_ub.append(c)
+    bounds = [tuple(problem.box[i]) for i in range(4)] + [(None, None)]
+    res = linprog(np.array([0.0, 0.0, 0.0, 0.0, 1.0]), A_ub=np.vstack(a_ub),
+                  b_ub=np.concatenate(b_ub), bounds=bounds, method="highs")
+    if not res.success:
+        return None
+    return np.array(res.x[:4])
 
 
 def solve_minimax(problem: MinimaxProblem, tol_solver: float = None,
                   target: float = None, seed: int = 0, max_iter: int = 400,
                   n_seed_points: int = 3, tol: Tolerances = DEFAULT_TOL):
-    """Kelley cutting-plane minimization of the minimax objective.
+    """Minimizer of the minimax objective: the depth LP, then Kelley.
 
-    Stops when the optimality gap drops below tol_solver * scale, when the
-    incumbent value reaches target, or at the iteration cap.  Returns
-    (q_best, value, gap, iterations).
+    The depth LP's point is evaluated first; when its Euclidean value is 0
+    or at most target it is returned with one iteration.  Otherwise (the LP
+    failed or found t > 0) Kelley's cutting-plane method runs from the LP
+    point plus n_seed_points random points of the box.  It stops when the
+    optimality gap drops below tol_solver * scale, when the incumbent value
+    reaches target, or at the iteration cap.  Returns (q_best, value, gap,
+    iterations).
     """
     from scipy.optimize import linprog
 
+    deep = _deepest_point(problem)
+    if deep is not None:
+        f0 = problem.objective(deep)
+        if f0 == 0.0 or (target is not None and f0 <= target):
+            return deep, f0, f0, 1
     scale = problem.chart.scale()
     if tol_solver is None:
         tol_solver = tol.tol_solver
     stop_gap = tol_solver * scale
+    lo, hi = problem.box[:, 0], problem.box[:, 1]
+    starts = [deep if deep is not None else (lo + hi) / 2.0]
+    rng = np.random.default_rng(seed)
+    starts += [lo + rng.random(4) * (hi - lo) for _ in range(n_seed_points)]
     rows = []
     rhs = []
     best_q = None
     best_f = np.inf
-    for p in _initial_points(problem, seed, n_seed_points):
+    for p in starts:
         f, g = problem.objective_grad(p)
         rows.append(np.concatenate([g, [-1.0]]))
         rhs.append(float(g @ p - f))
@@ -277,10 +340,13 @@ def chebyshev_line(fan: SectionFan, subset=None, tol: Tolerances = DEFAULT_TOL,
                    max_iter: int = 400) -> TransversalLine:
     """Global minimizer of the maximum line-to-section distance.
 
-    At a positive optimum the maximum is attained by at least two sections
-    (the discrete form of the equal-distance property); a residual of zero
-    certifies a common transversal of the selected sections.  If the
-    minimizer lands on the search box (a near-reference-parallel line), the
+    The depth LP runs first: when the selected sections have a common
+    transversal it returns the deepest one (largest least interior margin)
+    with residual zero, in a single LP.  Only when it finds none does the
+    cutting-plane fallback minimize the Euclidean objective.  At a positive
+    optimum the maximum is attained by at least two sections (the discrete
+    form of the equal-distance property).  If the minimizer lands on the
+    search box (a near-reference-parallel line) with a nonzero value, the
     solve is retried with an enlarged box.
     """
     problem = minimax_problem(fan, subset)
@@ -291,7 +357,8 @@ def chebyshev_line(fan: SectionFan, subset=None, tol: Tolerances = DEFAULT_TOL,
         width = problem.box[:, 1] - problem.box[:, 0]
         on_edge = np.any((q - problem.box[:, 0] < 1e-6 * width)
                          | (problem.box[:, 1] - q < 1e-6 * width))
-        if not on_edge or (target is not None and f <= target):
+        # a zero value is the global optimum wherever it lies
+        if not on_edge or f == 0.0 or (target is not None and f <= target):
             break
         grown = np.stack([problem.box[:, 0] - 1.5 * width,
                           problem.box[:, 1] + 1.5 * width], axis=1)
@@ -303,7 +370,8 @@ def chebyshev_line(fan: SectionFan, subset=None, tol: Tolerances = DEFAULT_TOL,
         chart=chart.chart(),
         theta_inf=chart.theta_inf,
         subset=tuple(range(fan.k)) if subset is None else tuple(subset),
-        value=f, gap=gap, iterations=it, q=np.asarray(q, dtype=float))
+        value=f, gap=gap, iterations=it, q=np.asarray(q, dtype=float),
+        depth=chart.depth(q))
 
 
 # ---------------------------------------------------------------------------
@@ -375,8 +443,8 @@ def browder_four_sections(fan: SectionFan, indices=(0, 1, 2, 3),
     the return point converges; non-convergence is a legal outcome and the
     caller falls back to chebyshev_line.
     """
-    if len(set(indices)) != 4:
-        raise DegenerateInput("need four distinct section indices")
+    if len(indices) != 4:
+        raise ValueError("need four section indices")
     chart = build_solver_chart(fan, list(indices))
     h = chart.heights
     A1, A2, A3, A4 = chart.polys
@@ -420,7 +488,8 @@ def browder_four_sections(fan: SectionFan, indices=(0, 1, 2, 3),
     tl = TransversalLine(
         line=chart.line_of(q), residuals=res, chart=chart.chart(),
         theta_inf=chart.theta_inf, subset=tuple(indices),
-        value=float(np.max(res)), gap=0.0, iterations=it, q=q)
+        value=float(np.max(res)), gap=0.0, iterations=it, q=q,
+        depth=chart.depth(q))
     return BrowderResult(True, it, step, tl)
 
 

@@ -127,6 +127,9 @@ def test_cli_find_line_and_chi(tmp_path):
     vals = dict(l.split("=", 1) for l in r.stdout.splitlines() if "=" in l)
     assert float(vals["max_residual"]) <= 1e-6
     assert vals["contained"] == "true"
+    assert float(vals["depth"]) > 0
+    keys = [l.split("=", 1)[0] for l in r.stdout.splitlines()]
+    assert keys.index("depth") == keys.index("contained") + 1
     r = run_cli(["chi", "--in", str(scene_path), "--plane", "1 0 -10 0"])
     assert r.returncode == 0
     assert "chi=1" in r.stdout and "member=false" in r.stdout
@@ -139,6 +142,40 @@ def test_cli_find_line_dual_and_browder(tmp_path):
         r = run_cli(["find-line", "--in", str(scene_path), "--method", method])
         assert r.returncode == 0
         assert "contained=true" in r.stdout
+
+
+def test_cli_find_line_bad_subset(tmp_path):
+    scene_path = tmp_path / "r.json"
+    scene_path.write_text(serialize(gen_random_fan(0, k=10, complexity=2)))
+    assert parse(scene_path.read_text()).fan.k == 6
+    for extra in (["--method", "browder", "--subset", "0,2,4,6"],
+                  ["--subset", "0,2,40"], ["--subset=-1,2,3"],
+                  ["--subset", "0,0,1"],
+                  ["--method", "browder", "--subset", "0,0,1,2"],
+                  ["--method", "browder", "--subset", "0,1,2"]):
+        r = run_cli(["find-line", "--in", str(scene_path), *extra])
+        assert r.returncode == 2
+        assert "Traceback" not in r.stderr and "error=" in r.stderr
+
+
+def test_cli_browder_fallback_keeps_its_sections(tmp_path, monkeypatch, capsys):
+    from ccproj import cli, transversal
+    scene_path = tmp_path / "q.json"
+    scene_path.write_text(serialize(gen_quadric(8, 24)))
+    monkeypatch.setattr(transversal, "browder_four_sections",
+                        lambda fan, idx, tol: transversal.BrowderResult(
+                            False, 500, 1.0, None))
+    subsets = []
+    chebyshev_line = transversal.chebyshev_line
+    monkeypatch.setattr(transversal, "chebyshev_line",
+                        lambda fan, subset, tol: subsets.append(subset)
+                        or chebyshev_line(fan, subset=subset, tol=tol))
+    rc = cli.main(["find-line", "--in", str(scene_path), "--method", "browder"])
+    assert rc == 0
+    assert subsets == [[0, 1, 2, 3]]
+    out = capsys.readouterr().out
+    assert "note=fixed-point iteration did not converge" in out
+    assert "contained=true" in out
 
 
 def test_cli_surgery_and_section(tmp_path):
