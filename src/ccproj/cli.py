@@ -9,6 +9,7 @@ precedence: --tol flag > CCPROJ_TOL environment > scene file > default.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -63,7 +64,10 @@ def _emit(pairs):
         print("%s=%s" % (k, v))
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parse_args keeps no
+    state between calls."""
     ap = argparse.ArgumentParser(prog="ccproj",
                                  description="convex-concave fans over a line "
                                              "pencil: duality, surgeries, and "
@@ -105,8 +109,11 @@ def main(argv=None) -> int:
         g.add_argument("--in", dest="infile", default="-")
         for flag, kw in extra:
             g.add_argument(flag, **kw)
+    return ap
 
-    args = ap.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
 
     try:
         return _dispatch(args)

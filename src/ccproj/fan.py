@@ -201,10 +201,6 @@ class ProjectionProfile:
     def k(self) -> int:
         return len(self.thetas)
 
-    def interval_unwrapped(self, j: int, wrapped: bool):
-        lo, hi = self.w_intervals[j]
-        return (-hi, -lo) if wrapped else (lo, hi)
-
     def interval_at(self, theta: float):
         """Interpolated (min, max) of the w functional at any theta (mod pi)."""
         lo, hi = interval_at_many(self, np.array([theta]))
@@ -218,10 +214,6 @@ class ProjectionProfile:
             for w in self.w_intervals[i]:
                 pts.append(d[i] / w)
         return np.array(pts)
-
-    def segment_contains(self, theta: float, w_value: float, eps: float = 0.0) -> bool:
-        lo, hi = self.interval_at(theta)
-        return lo - eps <= w_value <= hi + eps
 
     def straddles(self, eps: float) -> bool:
         """True when every sample interval has endpoints on both sides of c."""

@@ -57,8 +57,31 @@ def _as_angle(d) -> float:
 # Convex polygons
 # ---------------------------------------------------------------------------
 
-def _cross2(a, b):
-    return a[0] * b[1] - a[1] * b[0]
+def _chord_distances(cycle: np.ndarray) -> np.ndarray:
+    """Distance of every vertex of a cycle to the chord of its two neighbors.
+
+    The true point-to-chord distance |e x (v - u)| / |e| with e = w - u (the
+    distance to u when the chord has zero length), immune to the
+    near-collinear cross-product pitfall."""
+    u = np.roll(cycle, 1, axis=0)
+    e = np.roll(cycle, -1, axis=0) - u
+    d = cycle - u
+    ln = np.hypot(e[:, 0], e[:, 1])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dist = np.abs(e[:, 0] * d[:, 1] - e[:, 1] * d[:, 0]) / ln
+    zero = ln == 0.0
+    dist[zero] = np.hypot(d[zero, 0], d[zero, 1])
+    return dist
+
+
+def _chord_distance(u, v, w) -> float:
+    """`_chord_distances` for one vertex v, in the same float operations."""
+    e0, e1 = w[0] - u[0], w[1] - u[1]
+    d0, d1 = v[0] - u[0], v[1] - u[1]
+    ln = float(np.hypot(e0, e1))
+    if ln == 0.0:
+        return float(np.hypot(d0, d1))
+    return abs(e0 * d1 - e1 * d0) / ln
 
 
 def _merge_collinear(cycle: np.ndarray, eps: float) -> np.ndarray:
@@ -66,27 +89,51 @@ def _merge_collinear(cycle: np.ndarray, eps: float) -> np.ndarray:
 
     Safe simplification: for a (near-)convex cycle this moves the boundary
     inward by at most eps, and never discards a vertex that genuinely
-    sticks out (the guard is a true point-to-chord distance, immune to the
-    near-collinear cross-product pitfall)."""
-    pts = list(cycle)
-    changed = True
-    while changed and len(pts) > 2:
-        changed = False
-        for i in range(len(pts)):
-            u = pts[(i - 1) % len(pts)]
-            v = pts[i]
-            w = pts[(i + 1) % len(pts)]
-            e = w - u
-            ln = float(np.hypot(e[0], e[1]))
-            if ln == 0.0:
-                dist = float(np.hypot(*(v - u)))
-            else:
-                dist = abs(_cross2(e, v - u)) / ln
-            if dist <= eps:
-                pts.pop(i)
-                changed = True
-                break
+    sticks out (the guard is a true point-to-chord distance).
+
+    The result is that of repeatedly popping the first vertex within eps
+    of its chord, rescanning from index 0 after every pop.  Popping index i
+    changes only the triples now at i-1 and i, plus the triple at 0 when
+    the last vertex pops, so the scan resumes at i-1 (at 0 when i was 0 or
+    the last index) and makes the same pops in the same order with
+    O(n + pops) distance evaluations instead of O(n * pops).  A cycle with
+    no vertex within eps, the common case, is screened in one numpy pass
+    and returned unchanged."""
+    cand = np.flatnonzero(_chord_distances(cycle) <= eps)
+    if len(cand) == 0:
+        return cycle
+    pts = cycle.tolist()
+    i = int(cand[0])
+    while len(pts) > 2 and i < len(pts):
+        if _chord_distance(pts[i - 1], pts[i], pts[(i + 1) % len(pts)]) <= eps:
+            last = len(pts) - 1
+            pts.pop(i)
+            i = i - 1 if 0 < i < last else 0
+        else:
+            i += 1
     return np.array(pts)
+
+
+def _chain(pts: list) -> list:
+    """One monotone chain: pops while cross(b - a, p - a) <= 0 for the last
+    two kept points a, b."""
+    out = []
+    for p in pts:
+        px, py = p
+        while len(out) >= 2:
+            (ax, ay), (bx, by) = out[-2], out[-1]
+            if (bx - ax) * (py - ay) - (by - ay) * (px - ax) <= 0.0:
+                out.pop()
+            else:
+                break
+        out.append(p)
+    return out
+
+
+def _roll_to_min(v: np.ndarray) -> np.ndarray:
+    """The cycle rotated to start at its lexicographic minimum."""
+    start = int(np.lexsort((v[:, 1], v[:, 0]))[0])
+    return np.roll(v, -start, axis=0)
 
 
 def _hull_cycle(points: np.ndarray, eps: float) -> np.ndarray:
@@ -94,35 +141,25 @@ def _hull_cycle(points: np.ndarray, eps: float) -> np.ndarray:
 
     The chain pops on exact cross <= 0 (never discarding a point that
     strictly sticks out, however slightly); near-collinear survivors are
-    merged afterwards under a point-to-chord distance guard."""
-    pts = points[np.lexsort((points[:, 1], points[:, 0]))]
+    merged afterwards under a point-to-chord distance guard.  The scans run
+    on Python floats, in the same IEEE operations as the numpy formulas."""
+    pts = points[np.lexsort((points[:, 1], points[:, 0]))].tolist()
     keep = [pts[0]]
     for p in pts[1:]:
-        if max(abs(p[0] - keep[-1][0]), abs(p[1] - keep[-1][1])) > eps:
+        q = keep[-1]
+        if max(abs(p[0] - q[0]), abs(p[1] - q[1])) > eps:
             keep.append(p)
-    pts = np.array(keep)
-    if len(pts) <= 2:
-        return pts
-
-    def chain(seq):
-        out = []
-        for p in seq:
-            while len(out) >= 2 and _cross2(out[-1] - out[-2], p - out[-2]) <= 0.0:
-                out.pop()
-            out.append(p)
-        return out
-
-    lower = chain(pts)
-    upper = chain(pts[::-1])
+    if len(keep) <= 2:
+        return np.array(keep)
+    lower = _chain(keep)
+    upper = _chain(keep[::-1])
     cycle = lower[:-1] + upper[:-1]
     if len(cycle) < 3:
-        return np.array([lower[0], lower[-1]]) if len(lower) >= 2 else np.array(lower)
+        return np.array([lower[0], lower[-1]])
     out = _merge_collinear(np.array(cycle), eps)
     if len(out) < 3:
         return out
-    # canonical start at the lexicographic minimum
-    start = int(np.lexsort((out[:, 1], out[:, 0]))[0])
-    return np.roll(out, -start, axis=0)
+    return _roll_to_min(out)
 
 
 @dataclass(frozen=True)
@@ -185,7 +222,9 @@ class ConvexPolygon:
         return ConvexPolygon(self.vertices * float(factor), degenerate=self.degenerate)
 
     def negated(self) -> "ConvexPolygon":
-        return convex_hull(-self.vertices)
+        """Point reflection through the origin, rotated back to start at
+        the lexicographic minimum (a half-turn keeps ccw order)."""
+        return ConvexPolygon(_roll_to_min(-self.vertices), degenerate=self.degenerate)
 
     def __repr__(self):
         return "ConvexPolygon(n=%d%s)" % (self.n, ", degenerate" if self.degenerate else "")
@@ -199,10 +238,6 @@ def convex_hull(points, tol: Tolerances = DEFAULT_TOL) -> ConvexPolygon:
     scale = max(1.0, float(np.max(np.abs(pts))))
     cycle = _hull_cycle(pts, tol.eps_convex * scale)
     return ConvexPolygon(cycle)
-
-
-def canonicalize_polygon(poly: ConvexPolygon, tol: Tolerances = DEFAULT_TOL) -> ConvexPolygon:
-    return convex_hull(poly.vertices, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -222,9 +257,6 @@ class SupportLines:
     c_low: float
     c_high: float
     degenerate: bool
-
-    def lines(self):
-        return (self.normal, self.c_low), (self.normal, self.c_high)
 
 
 def support_lines_through(poly: ConvexPolygon, d, tol: Tolerances = DEFAULT_TOL,

@@ -20,8 +20,8 @@ import numpy as np
 
 from .fan import SectionFan, validate
 from .planar import ConvexPolygon, convex_hull
-from .projcore import (PI, DEFAULT_TOL, ArcSegment, GeometryError, PencilFrame,
-                       Tolerances)
+from .projcore import (PI, DEFAULT_TOL, ArcSegment, DegenerateInput, GeometryError,
+                       PencilFrame, Tolerances)
 
 
 class SceneFormatError(GeometryError):
@@ -101,12 +101,27 @@ def serialize(scene: Scene) -> str:
 
 
 def parse(text: str) -> Scene:
+    """Scene from its JSON text.
+
+    Total: any document that is not a scene (bad JSON, a missing key, a
+    value of the wrong type or shape, fewer than 3 samples, a sample that
+    is not a strictly convex counterclockwise polygon, a non-orthonormal
+    frame) raises SceneFormatError."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SceneFormatError("not valid JSON: %s" % exc) from exc
     if not isinstance(doc, dict) or doc.get("format") != "ccproj-scene":
         raise SceneFormatError("missing ccproj-scene format marker")
+    try:
+        return _scene_from_doc(doc)
+    except KeyError as exc:
+        raise SceneFormatError("missing key %s" % exc) from exc
+    except (TypeError, ValueError, DegenerateInput) as exc:
+        raise SceneFormatError("malformed scene: %s" % exc) from exc
+
+
+def _scene_from_doc(doc: dict) -> Scene:
     fr = doc["frame"]
     frame = PencilFrame(np.array(fr["g0"]), np.array(fr["g1"]),
                         np.array(fr["h2"]), np.array(fr["h3"]),
@@ -125,8 +140,8 @@ def parse(text: str) -> Scene:
         samples.append((float(s["theta"]), poly))
     fan = SectionFan.create(frame, samples, validated=bool(doc.get("validated", False)))
     seed = doc.get("seed")
-    return Scene(fan, dict(doc.get("tolerances", {})),
-                 None if seed is None else int(seed))
+    tolerances = {k: float(v) for k, v in dict(doc.get("tolerances", {})).items()}
+    return Scene(fan, tolerances, None if seed is None else int(seed))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ccproj import planar
 from ccproj import (ConvexPolygon, DirPoint, RefNotInterior, chebyshev_center,
                     convex_hull, distance, hausdorff, minkowski_combine,
                     minkowski_scaled_sum, nearest_point, polar_dual,
@@ -204,3 +207,163 @@ def test_tangent_quadrangle_corner_selection():
     corners2, _ = tangent_quadrangle_corners(disk, np.pi / 2, 0.0)
     got2 = sorted(map(tuple, np.round(corners2, 9)))
     assert got2 == [(-1.0, 1.0), (1.0, -1.0)]
+
+
+# ---------------------------------------------------------------------------
+# Reference hull kernel: the restart-from-0 merge and the numpy-row monotone
+# chain that planar._merge_collinear and planar._hull_cycle replace.  The
+# new kernel must reproduce them bit for bit.
+# ---------------------------------------------------------------------------
+
+def _cross2(a, b):
+    return a[0] * b[1] - a[1] * b[0]
+
+
+def ref_merge_collinear(cycle, eps):
+    pts = list(cycle)
+    changed = True
+    while changed and len(pts) > 2:
+        changed = False
+        for i in range(len(pts)):
+            u = pts[(i - 1) % len(pts)]
+            v = pts[i]
+            w = pts[(i + 1) % len(pts)]
+            e = w - u
+            ln = float(np.hypot(e[0], e[1]))
+            if ln == 0.0:
+                dist = float(np.hypot(*(v - u)))
+            else:
+                dist = abs(_cross2(e, v - u)) / ln
+            if dist <= eps:
+                pts.pop(i)
+                changed = True
+                break
+    return np.array(pts)
+
+
+def ref_hull_cycle(points, eps):
+    pts = points[np.lexsort((points[:, 1], points[:, 0]))]
+    keep = [pts[0]]
+    for p in pts[1:]:
+        if max(abs(p[0] - keep[-1][0]), abs(p[1] - keep[-1][1])) > eps:
+            keep.append(p)
+    pts = np.array(keep)
+    if len(pts) <= 2:
+        return pts
+
+    def chain(seq):
+        out = []
+        for p in seq:
+            while len(out) >= 2 and _cross2(out[-1] - out[-2], p - out[-2]) <= 0.0:
+                out.pop()
+            out.append(p)
+        return out
+
+    lower = chain(pts)
+    upper = chain(pts[::-1])
+    cycle = lower[:-1] + upper[:-1]
+    if len(cycle) < 3:
+        return np.array([lower[0], lower[-1]]) if len(lower) >= 2 else np.array(lower)
+    out = ref_merge_collinear(np.array(cycle), eps)
+    if len(out) < 3:
+        return out
+    start = int(np.lexsort((out[:, 1], out[:, 0]))[0])
+    return np.roll(out, -start, axis=0)
+
+
+coord = st.floats(-50.0, 50.0, allow_nan=False, allow_infinity=False)
+point = st.tuples(coord, coord)
+# the hull tolerance factor: convex_hull's eps_convex, and coarser ones that
+# force many merge pops
+eps_factor = st.sampled_from([1e-9, 1e-6, 1e-3, 0.05])
+
+
+@st.composite
+def clouds(draw):
+    """Point clouds mixing random points, near-duplicates within eps,
+    exactly and nearly collinear runs, single points and segments."""
+    base = draw(st.lists(point, min_size=1, max_size=24))
+    pts = [np.array(p, dtype=float) for p in base]
+    scale = max(1.0, max(float(np.max(np.abs(p))) for p in pts))
+    unit = 1e-9 * scale
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(["dup", "line", "near-line"]))
+        p0 = pts[draw(st.integers(0, len(pts) - 1))]
+        if kind == "dup":
+            for _ in range(draw(st.integers(1, 4))):
+                off = draw(st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)))
+                pts.append(p0 + unit * draw(st.sampled_from([1.0, 1e3, 1e6]))
+                           * np.array(off))
+        else:
+            d = np.array(draw(point))
+            n = np.array([-d[1], d[0]])
+            for t in draw(st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=8)):
+                q = p0 + t * d
+                if kind == "near-line":
+                    q = q + draw(st.floats(-3.0, 3.0)) * unit * n
+                pts.append(q)
+    return np.array(pts, dtype=float)
+
+
+def _hull_eps(pts, factor):
+    return factor * max(1.0, float(np.max(np.abs(pts))))
+
+
+@settings(max_examples=400, deadline=None)
+@given(clouds(), eps_factor)
+def test_hull_cycle_matches_reference(pts, factor):
+    eps = _hull_eps(pts, factor)
+    assert np.array_equal(planar._hull_cycle(pts, eps), ref_hull_cycle(pts, eps))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(point, min_size=3, max_size=40), eps_factor)
+def test_merge_collinear_matches_reference_on_any_cycle(pts, factor):
+    # arbitrary cycles, convex or not: the resumed scan must make the
+    # restart scan's pops in the same order
+    cycle = np.array(pts, dtype=float)
+    eps = _hull_eps(cycle, factor)
+    assert np.array_equal(planar._merge_collinear(cycle, eps),
+                          ref_merge_collinear(cycle, eps))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(3, 64), st.floats(0.0, 2.0 * np.pi), st.floats(0.05, 5.0),
+       st.floats(0.05, 5.0), st.floats(0.0, 1.0), st.tuples(coord, coord))
+def test_hull_cycle_matches_reference_on_minkowski_sums(m, phase, r1, r2, t, center):
+    # same-phase regular m-gons have pairwise parallel edges: the summed
+    # edge chain has m collinear midpoints, the many-pop case
+    P, Q = mgon(r1, m, center, phase), mgon(r2, m, (0.0, 0.0), phase)
+    seen = []
+    real = planar._hull_cycle
+
+    def spy(points, eps):
+        seen.append((points.copy(), eps))
+        return real(points, eps)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(planar, "_hull_cycle", spy)
+        minkowski_combine(t, P, Q)
+    for points, eps in seen:
+        assert np.array_equal(real(points, eps), ref_hull_cycle(points, eps))
+
+
+@settings(max_examples=300, deadline=None)
+@given(clouds())
+def test_negated_matches_hull_of_negation(pts):
+    P = convex_hull(pts)
+    N = P.negated()
+    H = convex_hull(-P.vertices)
+    assert np.array_equal(N.vertices, H.vertices)
+    assert N.degenerate == H.degenerate
+
+
+def test_merge_collinear_rechecks_first_vertex_after_last_pops():
+    # popping the last vertex changes vertex 0's chord: (5, 0) lies on the
+    # chord from (-2, 0) to (0, 0), and once it is gone (0, 0) is within
+    # eps of the chord from (-2, 0) to (1, 0.12), though not of the chord
+    # from (5, 0) to (1, 0.12)
+    cycle = np.array([[0.0, 0.0], [1.0, 0.12], [-2.0, 0.0], [5.0, 0.0]])
+    out = planar._merge_collinear(cycle, 0.1)
+    assert np.array_equal(out, ref_merge_collinear(cycle, 0.1))
+    assert np.array_equal(out, [[1.0, 0.12], [-2.0, 0.0]])

@@ -43,6 +43,49 @@ def test_parse_rejects_nonconvex_sample():
         parse(json.dumps(doc))
 
 
+def _drop(doc, *path):
+    *head, last = path
+    for key in head:
+        doc = doc[key]
+    del doc[last]
+
+
+def _put(doc, value, *path):
+    *head, last = path
+    for key in head:
+        doc = doc[key]
+    doc[last] = value
+
+
+@pytest.mark.parametrize("edit", [
+    lambda d: _drop(d, "frame"),
+    lambda d: _drop(d, "samples"),
+    lambda d: _drop(d, "samples", 0, "theta"),
+    lambda d: _drop(d, "samples", 0, "vertices"),
+    lambda d: _put(d, 5, "samples"),
+    lambda d: _put(d, d["samples"][:2], "samples"),
+    lambda d: _put(d, [], "samples", 0, "vertices"),
+    lambda d: _put(d, 3, "frame"),
+    lambda d: _put(d, 7, "samples", 0),
+    lambda d: _put(d, [1.0, 0.0], "frame", "g0"),
+    lambda d: _put(d, 3, "tolerances"),
+    lambda d: _put(d, {"eps_convex": "x"}, "tolerances"),
+], ids=["no-frame", "no-samples", "no-theta", "no-vertices", "samples-int",
+        "two-samples", "empty-vertices", "frame-int", "sample-int", "short-g0",
+        "tolerances-int", "tolerance-str"])
+def test_malformed_scene_exits_2(edit, monkeypatch, capsys):
+    import io
+    from ccproj import cli
+    doc = json.loads(serialize(gen_quadric(6, 16)))
+    edit(doc)
+    text = json.dumps(doc)
+    with pytest.raises(SceneFormatError):
+        parse(text)
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    assert cli.main(["validate", "--in", "-"]) == 2
+    assert capsys.readouterr().err.startswith("error=")
+
+
 def test_gen_quadric_validates_and_modes():
     ins = gen_quadric(8, 32, "inscribed")
     out = gen_quadric(8, 32, "circumscribed")
