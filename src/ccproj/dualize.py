@@ -15,16 +15,14 @@ ordered deterministically by parameter.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import planar
-from .fan import (SectionFan, THETA_EPS, hull_slice, is_pointed, project_from,
-                  section_at, validate)
+from .fan import (SectionFan, THETA_EPS, hull_slice, is_pointed, plane_margins,
+                  project_from, section_at, validate)
 from .planar import ConvexPolygon, convex_hull, hausdorff, polar_dual
 from .projcore import (PI, DEFAULT_TOL, ArcSegment, GeometryError, PencilFrame,
-                       ProjLine, Tolerances, dual_arc, dual_line, wrap_angle)
+                       ProjLine, Tolerances, dual_arc, dual_line)
 
 
 class InvalidInput(GeometryError):
@@ -33,29 +31,6 @@ class InvalidInput(GeometryError):
 
 class IntersectsDualL(GeometryError):
     """Line meets the dual pencil line L*, so it has no transversal dual."""
-
-
-@dataclass(frozen=True)
-class DualCorrespondence:
-    """Parameter bookkeeping between a pencil frame and its dual.
-
-    Points t on L at angle psi correspond to the dual pencil planes at the
-    same angle, and pencil planes at theta correspond to points of L* at
-    theta.  Composing both maps with double duality is the identity.
-    """
-
-    source: PencilFrame
-    target: PencilFrame
-
-    @staticmethod
-    def of(frame: PencilFrame) -> "DualCorrespondence":
-        return DualCorrespondence(frame, frame.dual())
-
-    def center_to_dual_plane(self, psi: float) -> float:
-        return wrap_angle(psi)
-
-    def plane_to_dual_center(self, theta: float) -> float:
-        return wrap_angle(theta)
 
 
 # ---------------------------------------------------------------------------
@@ -160,30 +135,19 @@ def point_in_fan(fan: SectionFan, x, tol: Tolerances = DEFAULT_TOL):
     return True, max(planar.interior_margin(section, p), 0.0), theta
 
 
-def plane_meets_all_sections(fan: SectionFan, covector, tol: Tolerances = DEFAULT_TOL,
-                             n_grid: int = 256):
+MEET_GRID = 256
+
+
+def plane_meets_all_sections(fan: SectionFan, covector, tol: Tolerances = DEFAULT_TOL):
     """Direct check that a plane meets every section of the denoted body.
 
     Returns (meets_all, worst_margin) where worst_margin < 0 reports the
-    deepest emptiness margin found on the theta grid and samples.
+    deepest emptiness margin found on a MEET_GRID-point theta grid and the
+    samples.
     """
     xi = np.asarray(covector, dtype=float)
-    frame = fan.frame
-    nu = np.array([float(np.dot(xi, frame.g0)), float(np.dot(xi, frame.g1))])
-    thetas = np.sort(np.concatenate([np.arange(n_grid) * PI / n_grid, fan.thetas]))
-    from .fan import interval_at_many, ProjectionProfile
-    # offsets xi . o(theta) and section support intervals of nu
-    offs = (-np.sin(thetas) * float(np.dot(xi, frame.h2))
-            + np.cos(thetas) * float(np.dot(xi, frame.h3)))
-    intervals = np.empty((fan.k, 2))
-    for i, s in enumerate(fan.sections):
-        vals = s.vertices @ nu
-        intervals[i] = (float(np.min(vals)), float(np.max(vals)))
-    prof = ProjectionProfile(frame, 0.0, fan.thetas, intervals)
-    lo, hi = interval_at_many(prof, thetas)
-    lo = lo + offs
-    hi = hi + offs
-    margin = np.minimum(-lo, hi)  # >= 0 iff 0 in [lo, hi]
+    thetas = np.sort(np.concatenate([np.arange(MEET_GRID) * PI / MEET_GRID, fan.thetas]))
+    margin = -plane_margins(fan, xi)(thetas)  # >= 0 iff the plane meets the section
     return bool(np.all(margin >= -tol.eps_incid)), float(np.min(margin))
 
 

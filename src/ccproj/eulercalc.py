@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dualize import l_dual, point_in_fan
-from .fan import ProjectionProfile, SectionFan, interval_at_many
+from .fan import SectionFan, plane_margins
 from .projcore import (PI, DEFAULT_TOL, ArcSegment, GeometryError, HPlane,
                        Tolerances)
 
@@ -35,39 +35,18 @@ class ChiReport:
     pencil_plane: bool = False
 
 
-def _margin_data(fan: SectionFan, xi: np.ndarray):
-    """Per-sample support intervals of the plane functional, plus the
-    theta-dependent offset coefficients."""
-    frame = fan.frame
-    nu = np.array([float(xi @ frame.g0), float(xi @ frame.g1)])
-    c2 = float(xi @ frame.h2)
-    c3 = float(xi @ frame.h3)
-    intervals = np.empty((fan.k, 2))
-    for i, s in enumerate(fan.sections):
-        vals = s.vertices @ nu
-        intervals[i] = (float(np.min(vals)), float(np.max(vals)))
-    prof = ProjectionProfile(frame, 0.0, fan.thetas, intervals)
-    return prof, nu, c2, c3
+CHI_GRID = 512
+CHI_REFINE = 1e-9
 
 
-def _empty_margins(prof, c2, c3, thetas):
-    """Emptiness margin at each theta: positive iff the plane misses the
-    section there.  Periodic with period pi."""
-    th = np.asarray(thetas, dtype=float) % PI
-    lo, hi = interval_at_many(prof, th)
-    offs = -np.sin(th) * c2 + np.cos(th) * c3
-    return np.maximum(lo + offs, -(hi + offs))
-
-
-def chi_section(fan: SectionFan, pi, tol: Tolerances = DEFAULT_TOL,
-                n_grid: int = 512, refine: float = 1e-9) -> ChiReport:
+def chi_section(fan: SectionFan, pi, tol: Tolerances = DEFAULT_TOL) -> ChiReport:
     """Euler characteristic of the plane section of the denoted body.
 
-    Scans the emptiness pattern of the per-parameter fiber on a theta grid
-    (plus the sample parameters), requiring the empty set to be a single
-    open arc or empty; arc endpoints are refined by bisection.  Raises
-    NonIntervalEmptySet when more than one empty arc is found, which
-    signals an invalid fan.
+    Scans the emptiness pattern of the per-parameter fiber on a CHI_GRID-point
+    theta grid (plus the sample parameters), requiring the empty set to be a
+    single open arc or empty; arc endpoints are refined by bisection to
+    CHI_REFINE.  Raises NonIntervalEmptySet when more than one empty arc is
+    found, which signals an invalid fan.
     """
     xi = pi.coeffs if isinstance(pi, HPlane) else np.asarray(pi, dtype=float)
     frame = fan.frame
@@ -75,9 +54,9 @@ def chi_section(fan: SectionFan, pi, tol: Tolerances = DEFAULT_TOL,
     if nu_norm <= tol.eps_incid * float(np.max(np.abs(xi))):
         return ChiReport(chi=1, empty_arc=None, membership=False, pencil_plane=True)
 
-    prof, nu, c2, c3 = _margin_data(fan, xi)
-    grid = np.sort(np.concatenate([np.arange(n_grid) * PI / n_grid, fan.thetas]))
-    marg = _empty_margins(prof, c2, c3, grid)
+    margins = plane_margins(fan, xi)
+    grid = np.sort(np.concatenate([np.arange(CHI_GRID) * PI / CHI_GRID, fan.thetas]))
+    marg = margins(grid)
     scale = max(float(np.max(np.abs(marg))), 1e-30)
     eps = 1e-12 * scale
     empty = marg > eps
@@ -113,7 +92,7 @@ def chi_section(fan: SectionFan, pi, tol: Tolerances = DEFAULT_TOL,
         e += 1
     # bisection refinement of the two sign changes
     def margin_of(theta: float) -> float:
-        return float(_empty_margins(prof, c2, c3, np.array([theta]))[0])
+        return float(margins(np.array([theta]))[0])
 
     def bisect(t_out: float, t_in: float) -> float:
         # margin(t_out) <= 0 < margin(t_in)
@@ -123,7 +102,7 @@ def chi_section(fan: SectionFan, pi, tol: Tolerances = DEFAULT_TOL,
                 t_in = mid
             else:
                 t_out = mid
-            if abs(t_in - t_out) <= refine:
+            if abs(t_in - t_out) <= CHI_REFINE:
                 break
         return 0.5 * (t_out + t_in)
 

@@ -14,6 +14,13 @@ which is the slice of the hull of S_i and S_j taken in any affine chart
 whose infinity plane is a pencil plane outside the gap (the coefficients
 contain no chart parameter, so the hull is chart-independent).
 
+The same weights make validation exact.  Seen from a center t on L, the
+covered part of the ray at angle phi starts at radius 1/upper(phi), and
+inside a gap r * upper(phi) is a linear function of the chart point, since
+kappa equals the constant sin(theta_j - theta_i) there.  So the closure of
+the projection complement is the star polygon through the 2k profile
+endpoints, and validate decides its convexity vertex by vertex.
+
 Fans are immutable; all functions are pure and safe to call concurrently.
 """
 
@@ -197,23 +204,13 @@ class ProjectionProfile:
     thetas: np.ndarray
     w_intervals: np.ndarray
 
-    @property
-    def k(self) -> int:
-        return len(self.thetas)
-
-    def interval_at(self, theta: float):
-        """Interpolated (min, max) of the w functional at any theta (mod pi)."""
-        lo, hi = interval_at_many(self, np.array([theta]))
-        return float(lo[0]), float(hi[0])
-
     def endpoints(self) -> np.ndarray:
-        """All profile-segment endpoints as chart points (2k, 2)."""
+        """Vertices of the profile star polygon in angular order, (2k, 2):
+        d(theta_i)/max_i for every sample, then d(theta_i)/min_i.  When the
+        profile straddles c, this polygon is the closure of the projection
+        complement (see the module docstring)."""
         d = np.stack([-np.sin(self.thetas), np.cos(self.thetas)], axis=1)
-        pts = []
-        for i in range(self.k):
-            for w in self.w_intervals[i]:
-                pts.append(d[i] / w)
-        return np.array(pts)
+        return np.concatenate([d / self.w_intervals[:, 1:], d / self.w_intervals[:, :1]])
 
     def straddles(self, eps: float) -> bool:
         """True when every sample interval has endpoints on both sides of c."""
@@ -221,11 +218,12 @@ class ProjectionProfile:
                     and np.all(self.w_intervals[:, 1] > eps))
 
 
-def interval_at_many(profile: ProjectionProfile, thetas: np.ndarray):
-    """Vectorized interpolated w-intervals (support intervals are
+def interval_at_many(sample_thetas: np.ndarray, intervals: np.ndarray, thetas):
+    """Interpolated (min, max) of a linear functional at any thetas (mod pi),
+    from its per-sample support intervals (support intervals are
     Minkowski-linear across hull-interpolated gaps)."""
     th = np.asarray(thetas, dtype=float) % PI
-    ts = profile.thetas
+    ts = sample_thetas
     k = len(ts)
     lo = np.empty_like(th)
     hi = np.empty_like(th)
@@ -234,8 +232,8 @@ def interval_at_many(profile: ProjectionProfile, thetas: np.ndarray):
     for j in (idx - 1) % k, idx % k:
         d = np.abs(ts[j] - th)
         m = np.minimum(d, PI - d) <= THETA_EPS * 10
-        lo[m & ~exact] = profile.w_intervals[j[m & ~exact], 0]
-        hi[m & ~exact] = profile.w_intervals[j[m & ~exact], 1]
+        lo[m & ~exact] = intervals[j[m & ~exact], 0]
+        hi[m & ~exact] = intervals[j[m & ~exact], 1]
         exact |= m
     rest = ~exact
     if np.any(rest):
@@ -248,10 +246,10 @@ def interval_at_many(profile: ProjectionProfile, thetas: np.ndarray):
         tj = ts[j] + np.where(wrap, PI, 0.0)
         tu = t + np.where(wrap & (t < ts[0]), PI, 0.0)
         a, b = gap_coefficients(ti, tj, tu)
-        li = profile.w_intervals[i, 0]
-        hi_i = profile.w_intervals[i, 1]
-        lj = np.where(wrap, -profile.w_intervals[j, 1], profile.w_intervals[j, 0])
-        hj = np.where(wrap, -profile.w_intervals[j, 0], profile.w_intervals[j, 1])
+        li = intervals[i, 0]
+        hi_i = intervals[i, 1]
+        lj = np.where(wrap, -intervals[j, 1], intervals[j, 0])
+        hj = np.where(wrap, -intervals[j, 0], intervals[j, 1])
         lo_g = a * li + b * lj
         hi_g = a * hi_i + b * hj
         flip = tu >= PI
@@ -275,11 +273,33 @@ def project_from(fan: SectionFan, t, tol: Tolerances = DEFAULT_TOL) -> Projectio
             raise CenterNotOnL("projection center must lie on L")
         psi = frame.angle_of_l_point(coords)
     func = np.array([-np.sin(psi), np.cos(psi)])
-    intervals = np.empty((fan.k, 2))
-    for i, s in enumerate(fan.sections):
-        vals = s.vertices @ func
-        intervals[i] = (float(np.min(vals)), float(np.max(vals)))
-    return ProjectionProfile(frame, psi, fan.thetas, intervals)
+    return ProjectionProfile(frame, psi, fan.thetas, support_intervals(fan, func))
+
+
+def support_intervals(fan: SectionFan, func) -> np.ndarray:
+    """(k, 2) array: (min, max) of the linear functional func on each section."""
+    return np.array([s.support_interval(func) for s in fan.sections])
+
+
+def plane_margins(fan: SectionFan, xi):
+    """Emptiness margin of the plane with covector xi, as a function of theta.
+
+    The returned function maps parameters to margins that are positive
+    exactly where the plane misses the section of the denoted body;
+    it is periodic with period pi.
+    """
+    frame = fan.frame
+    nu = np.array([float(xi @ frame.g0), float(xi @ frame.g1)])
+    c2 = float(xi @ frame.h2)
+    c3 = float(xi @ frame.h3)
+    intervals = support_intervals(fan, nu)
+
+    def margins(thetas) -> np.ndarray:
+        th = np.asarray(thetas, dtype=float) % PI
+        lo, hi = interval_at_many(fan.thetas, intervals, th)
+        offs = -np.sin(th) * c2 + np.cos(th) * c3
+        return np.maximum(lo + offs, -(hi + offs))
+    return margins
 
 
 # ---------------------------------------------------------------------------
@@ -320,8 +340,21 @@ class ValidationReport:
             flag, self.sections_ok, self.disjoint_ok, self.concave_ok)
 
 
-def _check_center(fan: SectionFan, psi: float, tol: Tolerances,
-                  n_probe: int) -> CenterCheck:
+N_CENTERS = 16
+
+
+def _check_center(fan: SectionFan, psi: float, tol: Tolerances) -> CenterCheck:
+    """Convexity of the projection complement from the center at psi.
+
+    The closure of the complement is the star polygon p = profile.endpoints()
+    around the marked point.  The chord from p[i-1] to p[i+1] crosses the
+    ray of p[i] at s * p[i], with s = (p[i-1] x e) / (p[i] x e) and
+    e = p[i+1] - p[i-1].  Along that chord r * upper - 1 is piecewise linear
+    and zero at both ends, so s - 1 is its maximum: the violation of p[i],
+    positive exactly when the polygon turns reflexly there.  A star polygon
+    with k >= 3 samples that turns convexly at every vertex is convex, so
+    neighbouring chords suffice and the test is exact.
+    """
     profile = project_from(fan, psi, tol)
     wscale = float(np.max(np.abs(profile.w_intervals)))
     eps_w = tol.eps_convex * max(wscale, 1e-30)
@@ -333,39 +366,26 @@ def _check_center(fan: SectionFan, psi: float, tol: Tolerances,
     margin = planar.interior_margin(hull, np.zeros(2))
     marked_ok = margin > tol.eps_convex * hull.scale
 
-    # Pairwise endpoint-segment probe: every chord between profile endpoints,
-    # traversed on the marked-point side, must stay outside the open covered
-    # segments.  Probes are tested against the exact interpolated profile.
-    m = len(pts)
-    ii, jj = np.triu_indices(m, k=1)
-    fr = (np.arange(n_probe) + 1.0) / (n_probe + 1.0)
-    z = (pts[ii][:, None, :] * (1.0 - fr)[None, :, None]
-         + pts[jj][:, None, :] * fr[None, :, None]).reshape(-1, 2)
-    r = np.linalg.norm(z, axis=1)
-    pos = r > 1e-14
-    z, r = z[pos], r[pos]
-    phi = np.arctan2(-z[:, 0], z[:, 1])  # z = |z| * (-sin(phi), cos(phi))
-    theta = phi % PI
-    lo, hi = interval_at_many(profile, theta)
-    upper = np.where(phi >= 0, hi, -lo)  # ray-oriented outer support value
-    # covered part of the ray starts at radius 1/upper
-    viol = r * upper - 1.0
-    worst = float(np.max(viol)) if len(viol) else 0.0
+    prev = np.roll(pts, 1, axis=0)
+    e = np.roll(pts, -1, axis=0) - prev
+    s = ((prev[:, 0] * e[:, 1] - prev[:, 1] * e[:, 0])
+         / (pts[:, 0] * e[:, 1] - pts[:, 1] * e[:, 0]))
+    worst = float(np.max(s)) - 1.0
     seg_ok = worst <= 1e-9 + tol.eps_convex * 10.0
     return CenterCheck(psi, True, marked_ok, seg_ok, worst)
 
 
-def validate(fan: SectionFan, tol: Tolerances = DEFAULT_TOL, n_centers: int = 16,
-             n_probe: int = 64) -> ValidationReport:
+def validate(fan: SectionFan, tol: Tolerances = DEFAULT_TOL) -> ValidationReport:
     """Check the three convex-concavity clauses on the denoted body.
 
     (a) every section is a convex polygon in its plane (by construction of
     ConvexPolygon; degeneracy is counted), (b) the body stays away from L
     (finite vertex magnitudes below the radius cap; the interpolating hulls
-    avoid L by construction), (c) for sampled centers t on L the complement
-    of the projection is an open convex set containing the marked point
-    pi(L).  Concavity is probed with the pairwise endpoint-segment test at
-    n_probe points per segment against the exact interpolated profile.
+    avoid L by construction), (c) for N_CENTERS fixed centers t on L the
+    complement of the projection is an open convex set containing the
+    marked point pi(L).  Clause (c) is tested exactly on the profile star
+    polygon: each vertex's violation is how far the chord between its two
+    neighbours passes beyond it (see _check_center).
 
     Fans whose projection complement is unbounded in the canonical chart
     (some section's shadow fails to straddle the marked point's parallel
@@ -388,11 +408,11 @@ def validate(fan: SectionFan, tol: Tolerances = DEFAULT_TOL, n_centers: int = 16
         messages.append("section vertices reach %.3g chart units; the body "
                         "is not separated from L at tolerance" % vmax)
 
-    psis = (np.arange(n_centers) + 0.37) * PI / n_centers
+    psis = (np.arange(N_CENTERS) + 0.37) * PI / N_CENTERS
     centers = []
     concave_ok = True
     for psi in psis:
-        chk = _check_center(fan, float(psi), tol, n_probe)
+        chk = _check_center(fan, float(psi), tol)
         centers.append(chk)
         if not chk.ok:
             concave_ok = False

@@ -103,10 +103,10 @@ def serialize(scene: Scene) -> str:
 def parse(text: str) -> Scene:
     """Scene from its JSON text.
 
-    Total: any document that is not a scene (bad JSON, a missing key, a
-    value of the wrong type or shape, fewer than 3 samples, a sample that
-    is not a strictly convex counterclockwise polygon, a non-orthonormal
-    frame) raises SceneFormatError."""
+    Total: any document that is not a scene (bad JSON, a NaN or infinite
+    number, a missing key, a value of the wrong type or shape, fewer than 3
+    samples, a sample that is not a strictly convex counterclockwise
+    polygon, a non-orthonormal frame) raises SceneFormatError."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -117,30 +117,38 @@ def parse(text: str) -> Scene:
         return _scene_from_doc(doc)
     except KeyError as exc:
         raise SceneFormatError("missing key %s" % exc) from exc
-    except (TypeError, ValueError, DegenerateInput) as exc:
+    except (TypeError, ValueError, OverflowError, DegenerateInput) as exc:
         raise SceneFormatError("malformed scene: %s" % exc) from exc
+
+
+def _numbers(x, ndim: int) -> np.ndarray:
+    """x as a float array of ndim dimensions; only finite JSON numbers pass
+    (Python's json reads NaN, Infinity and 1e999 as floats)."""
+    arr = np.asarray(x)
+    if arr.ndim != ndim or arr.dtype.kind not in "iuf" or not np.all(np.isfinite(arr)):
+        raise SceneFormatError("expected finite numbers of rank %d, got %s"
+                               % (ndim, json.dumps(x)[:80]))
+    return arr.astype(float)
 
 
 def _scene_from_doc(doc: dict) -> Scene:
     fr = doc["frame"]
-    frame = PencilFrame(np.array(fr["g0"]), np.array(fr["g1"]),
-                        np.array(fr["h2"]), np.array(fr["h3"]),
+    frame = PencilFrame(*(_numbers(fr[key], 1) for key in ("g0", "g1", "h2", "h3")),
                         fr.get("space", "primal"))
     samples = []
     for s in doc["samples"]:
-        verts = np.array(s["vertices"], dtype=float)
-        poly = ConvexPolygon(verts)
-        if len(verts) >= 3:
-            hull = convex_hull(verts)
-            if hull.n != len(verts):
-                raise SceneFormatError(
-                    "sample at theta=%s: vertices are not in strictly convex "
-                    "counterclockwise position" % s["theta"])
-            poly = hull
-        samples.append((float(s["theta"]), poly))
+        theta = float(_numbers(s["theta"], 0))
+        verts = _numbers(s["vertices"], 2)
+        poly = convex_hull(verts)
+        if verts.shape[1] != 2 or poly.n != len(verts):
+            raise SceneFormatError(
+                "sample at theta=%s: vertices are not (u, v) pairs in strictly "
+                "convex counterclockwise position" % theta)
+        samples.append((theta, poly))
     fan = SectionFan.create(frame, samples, validated=bool(doc.get("validated", False)))
     seed = doc.get("seed")
-    tolerances = {k: float(v) for k, v in dict(doc.get("tolerances", {})).items()}
+    tolerances = {k: float(_numbers(v, 0))
+                  for k, v in dict(doc.get("tolerances", {})).items()}
     return Scene(fan, tolerances, None if seed is None else int(seed))
 
 

@@ -7,7 +7,7 @@ from ccproj import (ArcSegment, InvalidInput, IntersectsDualL, ProjLine,
                     involution_residual, l_dual, plane_meets_all_sections,
                     point_in_fan, pointedness_duality_check, polar_dual,
                     project_from, section_at)
-from ccproj.dualize import DualCorrespondence, default_dual_params
+from ccproj.dualize import default_dual_params
 from ccproj.projcore import PI
 from conftest import mark_validated, mgon, quadric_fan
 
@@ -175,13 +175,6 @@ def test_pointedness_duality_octagon(oct_fan, oct_dirs):
     agree, rows = pointedness_duality_check(fan, arc)
     assert agree
     assert all(p is True and a is True for p, a in rows)
-
-
-def test_dual_correspondence_roundtrip(quad12):
-    corr = DualCorrespondence.of(quad12.frame)
-    assert corr.target.space == "dual"
-    assert corr.center_to_dual_plane(1.3) == pytest.approx(1.3)
-    assert corr.target.dual().line.same_as(quad12.frame.line)
 
 
 def test_dual_of_found_line(quad12):

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from ccproj import (NonIntervalEmptySet, SectionFan, chi_dual_crosscheck,
-                    chi_section, l_dual)
+                    chi_section, gen_random_fan, l_dual,
+                    plane_meets_all_sections)
 from ccproj.projcore import PI
 from conftest import mark_validated, mgon
 
@@ -94,10 +95,23 @@ def test_non_interval_empty_set_on_invalid_fan(frame):
 
 
 def test_never_non_interval_on_valid_fans():
-    from ccproj import gen_random_fan
     rng = np.random.default_rng(4)
     for seed in range(3):
         fan = gen_random_fan(seed + 500, k=8, complexity=1, m=32).fan
         for _ in range(60):
             rep = chi_section(fan, rng.normal(size=4))
             assert rep.chi in (0, 1)
+
+
+def test_chi_membership_matches_plane_meets_all_sections():
+    # both read the emptiness margins of fan.plane_margins, on different grids
+    rng = np.random.default_rng(11)
+    planes = rng.normal(size=(100, 4))
+    members = 0
+    for seed in range(5):
+        fan = gen_random_fan(seed).fan
+        for xi in planes:
+            meets = plane_meets_all_sections(fan, xi)[0]
+            assert chi_section(fan, xi).membership == meets
+            members += meets
+    assert 0 < members < 500

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from ccproj import (ArcSegment, CenterNotOnL, SectionFan, convex_hull,
-                    hausdorff, is_pointed, project_from, section_at, validate)
+from ccproj import (DEFAULT_TOL, ArcSegment, CenterNotOnL, SectionFan,
+                    convex_hull, gen_random_fan, hausdorff, interior_margin,
+                    is_pointed, project_from, section_at, validate)
 from ccproj.fan import gap_coefficients, interval_at_many
 from ccproj.planar import contains_polygon, tangent_quadrangle_corners
 from ccproj.projcore import PI, DegenerateInput
-from conftest import mgon
+from conftest import mgon, quadric_fan
 
 
 def theta_of_w(w):
@@ -114,7 +115,7 @@ def test_project_from_degenerate_points(frame):
 def test_interval_interpolation_matches_sections(quad12):
     prof = project_from(quad12, 1.1)
     thetas = np.array([0.4, 1.0, 2.0, 3.0])
-    lo, hi = interval_at_many(prof, thetas)
+    lo, hi = interval_at_many(prof.thetas, prof.w_intervals, thetas)
     func = np.array([-np.sin(1.1), np.cos(1.1)])
     for t, l, h in zip(thetas, lo, hi):
         s = section_at(quad12, float(t))
@@ -158,6 +159,69 @@ def test_validate_envelope_failure(frame):
                                     for t in (0.4, 1.2, 2.0, 2.8)])
     rep = validate(fan)
     assert not rep.concave_ok
+
+
+def probe_center_ok(fan, psi, tol=DEFAULT_TOL, n_probe=64):
+    """Reference oracle for one validation center: the pairwise chord probe.
+
+    Every chord between two profile endpoints, sampled at n_probe interior
+    points, must stay outside the covered segments of the interpolated
+    profile, after the straddle and marked-point checks."""
+    profile = project_from(fan, psi, tol)
+    wscale = float(np.max(np.abs(profile.w_intervals)))
+    if not profile.straddles(tol.eps_convex * max(wscale, 1e-30)):
+        return False
+    d = np.stack([-np.sin(profile.thetas), np.cos(profile.thetas)], axis=1)
+    pts = np.array([d[i] / w for i, ws in enumerate(profile.w_intervals) for w in ws])
+    hull = convex_hull(pts, tol)
+    if not interior_margin(hull, np.zeros(2)) > tol.eps_convex * hull.scale:
+        return False
+    ii, jj = np.triu_indices(len(pts), k=1)
+    fr = (np.arange(n_probe) + 1.0) / (n_probe + 1.0)
+    z = (pts[ii][:, None, :] * (1.0 - fr)[None, :, None]
+         + pts[jj][:, None, :] * fr[None, :, None]).reshape(-1, 2)
+    r = np.linalg.norm(z, axis=1)
+    z, r = z[r > 1e-14], r[r > 1e-14]
+    phi = np.arctan2(-z[:, 0], z[:, 1])  # z = |z| * (-sin(phi), cos(phi))
+    lo, hi = interval_at_many(profile.thetas, profile.w_intervals, phi % PI)
+    upper = np.where(phi >= 0, hi, -lo)  # the covered ray starts at 1/upper
+    return float(np.max(r * upper - 1.0)) <= 1e-9 + tol.eps_convex * 10.0
+
+
+def test_validate_matches_probe_oracle():
+    fans = [gen_random_fan(s).fan for s in range(20)]
+    fans += [quadric_fan(12, 64), quadric_fan(5, 16)]
+    rng = np.random.default_rng(4)
+    scaled = []
+    for fan in fans:
+        secs = list(fan.sections)
+        i = int(rng.integers(fan.k))
+        secs[i] = secs[i].scaled(float(rng.uniform(0.3, 3.0)))
+        scaled.append(fan.with_sections(secs))
+    verdicts = []
+    for fan in fans + scaled:
+        rep = validate(fan)
+        assert [c.ok for c in rep.centers] == [probe_center_ok(fan, c.psi)
+                                              for c in rep.centers]
+        verdicts.append(rep.ok)
+    assert all(verdicts[:len(fans)]) and not all(verdicts[len(fans):])
+
+
+def test_validate_reflex_vertex_violation(frame):
+    # Centrally symmetric squares scaled by a_i give the star polygon with
+    # vertices +-d(theta_i)/a_i, up to a common factor, from every center.
+    # Doubling the section at pi/4 pulls its vertex d/2 in to radius 1/2;
+    # the chord between its neighbours d(0) = (0, 1) and d(pi/2) = (-1, 0)
+    # crosses that ray at radius 1/sqrt(2), so the violation is sqrt(2) - 1.
+    sq = convex_hull([[-1, -1], [1, -1], [1, 1], [-1, 1]])
+    fan = SectionFan.create(frame, [(t, sq.scaled(2.0 if t == PI / 4 else 1.0))
+                                    for t in (0.0, PI / 4, PI / 2, 3 * PI / 4)])
+    rep = validate(fan)
+    assert not rep.concave_ok
+    for c in rep.centers:
+        assert c.straddle_ok and c.marked_point_ok and not c.segments_ok
+        assert c.worst_violation == pytest.approx(np.sqrt(2.0) - 1.0, abs=1e-12)
+    assert "violation 0.414" in rep.messages[0]
 
 
 def test_quadric_ground_truth_band(quad12):

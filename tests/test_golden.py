@@ -1,8 +1,9 @@
 """Golden outputs: SHA-256 digests of scene text and CLI stdout.
 
 The digests pin every vertex the generators, surgeries, duality and the
-section evaluator produce, bit for bit, so a rewrite of a kernel underneath
-them (hulls, Minkowski sums, merges) must reproduce the old output exactly.
+section evaluator produce, bit for bit, and every `validate` verdict, so a
+rewrite of a kernel underneath them (hulls, Minkowski sums, merges, the
+convexity test) must reproduce the old output exactly.
 A digest that changes on purpose is recomputed with `golden_digests` and the
 reason goes into CHANGES.md.
 """
@@ -27,6 +28,7 @@ COMMANDS = {
     "dualize": ["dualize"],
     "roundtrip": ["roundtrip"],
     "chi": ["chi", "--plane", "0.3 -0.2 1 0.5"],
+    "validate": ["validate"],
 }
 
 GOLDEN = {
@@ -47,6 +49,8 @@ GOLDEN = {
             "0:9a8c81200d3627a0c52791af89404b8ecc311854991062d6c59712ba86c94b14",
         "chi":
             "0:0cd0bfec9e6d5d1b43d46a96335f30126e3432e3c67960c98f0859ffe39b1387",
+        "validate":
+            "0:f4d8ecca1d5ff3ffbee34fabdbb771c0984e8b3eeccf826514a1cbbaca252961",
     },
     "quadric-48-256": {
         "serialize":
@@ -65,6 +69,8 @@ GOLDEN = {
             "0:06eb75e1a88b31a0a86e222f65ccd5e014b09efea1ec8052d526cf59f5e6265c",
         "chi":
             "0:da853edc3625b6501a72fd1bed1d24dd55b8eec384de8122b09d2947d362de3a",
+        "validate":
+            "0:f4d8ecca1d5ff3ffbee34fabdbb771c0984e8b3eeccf826514a1cbbaca252961",
     },
     "random-0": {
         "serialize":
@@ -83,6 +89,8 @@ GOLDEN = {
             "0:113b17f2b3bf8b728ee50f1638a5ed09dadb244aaecee3a1117176ed54de4639",
         "chi":
             "0:a04da3ed69b7db1ab56a057a24b128f3c0b27d1863250d2dd8b43f723972df4b",
+        "validate":
+            "0:f4d8ecca1d5ff3ffbee34fabdbb771c0984e8b3eeccf826514a1cbbaca252961",
     },
     "random-1": {
         "serialize":
@@ -101,6 +109,8 @@ GOLDEN = {
             "0:2f310252812984a0801fb87358b097259558e51df662bddae67a621bee883b02",
         "chi":
             "0:fb77ab918425d29b7e72b15230c248b811e897f4bfff4dc51a6a9082bb0e3f1d",
+        "validate":
+            "0:f4d8ecca1d5ff3ffbee34fabdbb771c0984e8b3eeccf826514a1cbbaca252961",
     },
     "random-2": {
         "serialize":
@@ -119,6 +129,8 @@ GOLDEN = {
             "0:bd1cca621eec1f470b439771493b47d067e092ee67ec7dac05f5f5f1222613f6",
         "chi":
             "0:aa523d8014b7bba94fdaba4f1fe119f9b4ebeaf081f3127cb4a935596e855257",
+        "validate":
+            "0:f4d8ecca1d5ff3ffbee34fabdbb771c0984e8b3eeccf826514a1cbbaca252961",
     },
     "random-3": {
         "serialize":
@@ -137,6 +149,8 @@ GOLDEN = {
             "0:055c5dab59fc821c53a8c3ff07eaf3a211d71669d99f14591afc20aef54a662c",
         "chi":
             "0:7c0a0b4594a66b032068848b53b032972591d3121106836750c35a1dcdd21ccc",
+        "validate":
+            "0:f4d8ecca1d5ff3ffbee34fabdbb771c0984e8b3eeccf826514a1cbbaca252961",
     },
     "random-4": {
         "serialize":
@@ -155,6 +169,8 @@ GOLDEN = {
             "0:e558ad64138731fd9ff86f240684930c7a213446a0f552c1d052916c6fe7ad91",
         "chi":
             "0:c250f98d3da33a6f2bc3b2f41b09937900611ae3a66f3251d31f218e878dc8f9",
+        "validate":
+            "0:f4d8ecca1d5ff3ffbee34fabdbb771c0984e8b3eeccf826514a1cbbaca252961",
     },
 }
 

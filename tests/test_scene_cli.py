@@ -70,9 +70,19 @@ def _put(doc, value, *path):
     lambda d: _put(d, [1.0, 0.0], "frame", "g0"),
     lambda d: _put(d, 3, "tolerances"),
     lambda d: _put(d, {"eps_convex": "x"}, "tolerances"),
+    lambda d: _put(d, float("nan"), "samples", 0, "theta"),
+    lambda d: _put(d, "nan", "samples", 0, "theta"),
+    lambda d: _put(d, float("nan"), "samples", 0, "vertices", 3, 1),
+    lambda d: _put(d, [[float("nan"), 0.0]], "samples", 0, "vertices"),
+    lambda d: _put(d, float("inf"), "samples", 0, "vertices", 0, 0),
+    lambda d: _put(d, 10 ** 400, "samples", 0, "vertices", 0, 0),
+    lambda d: _put(d, float("-inf"), "frame", "h2", 0),
+    lambda d: _put(d, {"eps_convex": float("nan")}, "tolerances"),
 ], ids=["no-frame", "no-samples", "no-theta", "no-vertices", "samples-int",
         "two-samples", "empty-vertices", "frame-int", "sample-int", "short-g0",
-        "tolerances-int", "tolerance-str"])
+        "tolerances-int", "tolerance-str", "nan-theta", "nan-str-theta",
+        "nan-vertex", "nan-point", "inf-vertex", "overflow-vertex",
+        "minus-inf-frame", "nan-tolerance"])
 def test_malformed_scene_exits_2(edit, monkeypatch, capsys):
     import io
     from ccproj import cli
@@ -84,6 +94,21 @@ def test_malformed_scene_exits_2(edit, monkeypatch, capsys):
     monkeypatch.setattr("sys.stdin", io.StringIO(text))
     assert cli.main(["validate", "--in", "-"]) == 2
     assert capsys.readouterr().err.startswith("error=")
+
+
+def test_parse_orders_short_samples():
+    # 1- and 2-vertex samples pass the same hull as larger ones, so a
+    # reversed segment starts at its lexicographic minimum
+    doc = json.loads(serialize(gen_quadric(6, 16)))
+    doc["samples"][0]["vertices"] = [[1.0, 0.0], [0.0, 0.0]]
+    doc["samples"][1]["vertices"] = [[0.5, 0.25]]
+    fan = parse(json.dumps(doc)).fan
+    assert fan.sections[0].vertices.tolist() == [[0.0, 0.0], [1.0, 0.0]]
+    assert fan.sections[1].vertices.tolist() == [[0.5, 0.25]]
+    assert fan.sections[0].degenerate and fan.sections[1].degenerate
+    doc["samples"][0]["vertices"] = [[1.0, 0.0], [1.0, 0.0]]
+    with pytest.raises(SceneFormatError):
+        parse(json.dumps(doc))
 
 
 def test_gen_quadric_validates_and_modes():
