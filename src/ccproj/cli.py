@@ -17,7 +17,7 @@ import numpy as np
 from . import dualize, eulercalc, surgery, transversal
 from .fan import section_at, validate
 from .projcore import (PI, ArcSegment, GeometryError, ProjLine, Tolerances,
-                       tolerances_from_env)
+                       finite_float, tolerances_from_env)
 from .scene import (Scene, SceneFormatError, export_mesh, gen_quadric,
                     gen_random_fan, parse, serialize)
 
@@ -43,17 +43,22 @@ def _resolve_tol(args, scene: Scene | None) -> Tolerances:
         tol = scene.tol(tol)
     tol = tolerances_from_env(tol)
     if getattr(args, "tol", None):
-        tol = tol.with_base(float(args.tol))
+        tol = tol.with_base(args.tol)
     return tol
 
 
+def _numbers(text: str) -> list:
+    """Finite numbers separated by commas or whitespace."""
+    return [finite_float(x) for x in text.replace(",", " ").split()]
+
+
 def _parse_arc(text: str) -> ArcSegment:
-    a, b = (float(x) for x in text.split(","))
+    a, b = _numbers(text)
     return ArcSegment(a, b)
 
 
 def _parse_vec4(text: str) -> np.ndarray:
-    v = np.array([float(x) for x in text.replace(",", " ").split()])
+    v = np.array(_numbers(text))
     if len(v) != 4:
         raise ValueError("expected 4 numbers")
     return v
@@ -72,7 +77,7 @@ def _parser() -> argparse.ArgumentParser:
                                  description="convex-concave fans over a line "
                                              "pencil: duality, surgeries, and "
                                              "line transversals")
-    ap.add_argument("--tol", type=float, default=None,
+    ap.add_argument("--tol", type=finite_float, default=None,
                     help="base geometric tolerance override")
     sub = ap.add_subparsers(dest="cmd", required=True)
 
@@ -91,7 +96,7 @@ def _parser() -> argparse.ArgumentParser:
 
     for name, extra in [
         ("validate", []),
-        ("section", [("--theta", dict(type=float, required=True))]),
+        ("section", [("--theta", dict(type=finite_float, required=True))]),
         ("dualize", [("--out", dict(default=None))]),
         ("roundtrip", []),
         ("surgery-s", [("--arc", dict(required=True)), ("--out", dict(default=None))]),
@@ -184,7 +189,7 @@ def _dispatch(args) -> int:
         return 0
 
     if cmd == "octagonalize":
-        dirs = [float(x) for x in args.dirs.replace(",", " ").split()]
+        dirs = _numbers(args.dirs)
         out_fan = surgery.octagonalize(fan, dirs, tol)
         _write_text(args.out or "-", serialize(Scene(out_fan, scene.tolerances,
                                                      scene.seed)))

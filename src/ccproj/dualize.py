@@ -18,11 +18,14 @@ from __future__ import annotations
 import numpy as np
 
 from . import planar
-from .fan import (SectionFan, THETA_EPS, hull_slice, is_pointed, plane_margins,
+from .fan import (SectionFan, THETA_EPS, hull_slice, is_pointed, plane_margin,
                   project_from, section_at, validate)
 from .planar import ConvexPolygon, convex_hull, hausdorff, polar_dual
 from .projcore import (PI, DEFAULT_TOL, ArcSegment, GeometryError, PencilFrame,
                        ProjLine, Tolerances, dual_arc, dual_line)
+
+CLASS_CAP = 16  # most edge-direction classes default_dual_params adds
+N_CHECK = 8     # interior parameters affine_dependence_check compares
 
 
 class InvalidInput(GeometryError):
@@ -49,15 +52,14 @@ def _dual_section(fan: SectionFan, psi: float, tol: Tolerances) -> ConvexPolygon
     return dual.negated()
 
 
-def default_dual_params(fan: SectionFan, k_dual: int = None,
-                        extra=None, class_cap: int = 16) -> np.ndarray:
-    """Dual sampling parameters: a uniform grid augmented with the source
-    fan's edge-direction classes (the dual body's kink parameters) when
-    there are few of them, plus any explicitly requested values."""
-    k = k_dual if k_dual is not None else fan.k
-    params = [np.arange(k) * PI / k]
+def default_dual_params(fan: SectionFan, extra=None) -> np.ndarray:
+    """Dual sampling parameters: a uniform grid of fan.k values augmented
+    with the source fan's edge-direction classes (the dual body's kink
+    parameters) when there are at most CLASS_CAP of them, plus any
+    explicitly requested values."""
+    params = [np.arange(fan.k) * PI / fan.k]
     classes = fan.edge_direction_classes()
-    if 0 < len(classes) <= class_cap:
+    if 0 < len(classes) <= CLASS_CAP:
         params.append(classes)
     if extra is not None:
         params.append(np.asarray(extra, dtype=float) % PI)
@@ -135,20 +137,15 @@ def point_in_fan(fan: SectionFan, x, tol: Tolerances = DEFAULT_TOL):
     return True, max(planar.interior_margin(section, p), 0.0), theta
 
 
-MEET_GRID = 256
-
-
 def plane_meets_all_sections(fan: SectionFan, covector, tol: Tolerances = DEFAULT_TOL):
     """Direct check that a plane meets every section of the denoted body.
 
-    Returns (meets_all, worst_margin) where worst_margin < 0 reports the
-    deepest emptiness margin found on a MEET_GRID-point theta grid and the
-    samples.
+    Returns (meets_all, worst_margin) where worst_margin is minus the exact
+    maximum of the emptiness margin (fan.PlaneMargin) over all parameters,
+    negative when the plane misses some section.
     """
-    xi = np.asarray(covector, dtype=float)
-    thetas = np.sort(np.concatenate([np.arange(MEET_GRID) * PI / MEET_GRID, fan.thetas]))
-    margin = -plane_margins(fan, xi)(thetas)  # >= 0 iff the plane meets the section
-    return bool(np.all(margin >= -tol.eps_incid)), float(np.min(margin))
+    worst = -float(np.max(plane_margin(fan, np.asarray(covector, dtype=float)).peaks()))
+    return worst >= -tol.eps_incid, worst
 
 
 # ---------------------------------------------------------------------------
@@ -161,10 +158,10 @@ def _unwrapped_section(fan: SectionFan, theta_u: float, tol: Tolerances) -> Conv
 
 
 def affine_dependence_check(fan: SectionFan, arc: ArcSegment, t_dir=None,
-                            tol: Tolerances = DEFAULT_TOL, n_check: int = 8,
-                            eps: float = None) -> bool:
+                            tol: Tolerances = DEFAULT_TOL, eps: float = None) -> bool:
     """True when sections over the arc are the Minkowski interpolation of the
-    arc-endpoint sections.
+    arc-endpoint sections, compared at N_CHECK interior parameters and the
+    samples inside the arc.
 
     With t_dir (a point on L, as an angle or 4-vector), only the projection
     onto that direction is compared, realizing the one-dimensional reduction
@@ -179,7 +176,7 @@ def affine_dependence_check(fan: SectionFan, arc: ArcSegment, t_dir=None,
     tb = ta + arc.length
     Sa = _unwrapped_section(fan, ta, tol)
     Sb = _unwrapped_section(fan, tb, tol)
-    probes = list(arc.interior_points(n_check))
+    probes = list(arc.interior_points(N_CHECK))
     probes += [float(t) for t in fan.thetas if arc.contains(float(t), closed=False)]
     if t_dir is not None:
         psi = (float(t_dir) if isinstance(t_dir, (int, float))
@@ -201,8 +198,7 @@ def affine_dependence_check(fan: SectionFan, arc: ArcSegment, t_dir=None,
 
 
 def pointedness_duality_check(fan: SectionFan, arc: ArcSegment,
-                              tol: Tolerances = DEFAULT_TOL, n_check: int = 8,
-                              eps: float = None):
+                              tol: Tolerances = DEFAULT_TOL, eps: float = None):
     """Check that each section's pointedness w.r.t. the arc on L agrees with
     affine dependence of the dual fan over the dual arc, in the direction
     dual to that section's plane.
@@ -211,7 +207,7 @@ def pointedness_duality_check(fan: SectionFan, arc: ArcSegment,
     """
     _ensure_valid(fan, tol)
     darc = dual_arc(arc)
-    probes = darc.interior_points(n_check)
+    probes = darc.interior_points(N_CHECK)
     params = default_dual_params(fan, extra=np.concatenate(
         [probes, [darc.start, darc.end]]))
     dfan = l_dual(fan, dual_params=params, tol=tol, check_input=False)
@@ -220,7 +216,7 @@ def pointedness_duality_check(fan: SectionFan, arc: ArcSegment,
     for i in range(fan.k):
         pointed = is_pointed(fan.sections[i], arc, tol) is not None
         affine = affine_dependence_check(dfan, darc, t_dir=float(fan.thetas[i]),
-                                         tol=tol, n_check=n_check, eps=eps)
+                                         tol=tol, eps=eps)
         rows.append((pointed, affine))
         agree = agree and (pointed == affine)
     return agree, rows
@@ -251,12 +247,10 @@ def dual_of_found_line(l: ProjLine, dual_frame: PencilFrame = None,
 # Containment order
 # ---------------------------------------------------------------------------
 
-def fan_contains_sectionwise(outer: SectionFan, inner: SectionFan,
-                             eps: float, n_grid: int = 32) -> bool:
-    """True when every sampled section of inner sits inside outer's section
-    at the same parameter (both fans over the same frame)."""
-    thetas = np.concatenate([inner.thetas, outer.thetas,
-                             np.arange(n_grid) * PI / n_grid])
+def fan_contains_sectionwise(outer: SectionFan, inner: SectionFan, eps: float) -> bool:
+    """True when inner's section sits inside outer's at every sample of
+    either fan and at 32 uniform parameters (both fans over the same frame)."""
+    thetas = np.concatenate([inner.thetas, outer.thetas, np.arange(32) * PI / 32])
     for t in np.unique(thetas % PI):
         si = section_at(inner, float(t))
         so = section_at(outer, float(t))

@@ -6,7 +6,10 @@ the Euler characteristic of the whole section is 0 when no fiber is empty
 (a full circle of parameters) and 1 when the empty set is a single open
 arc.  The dichotomy doubles as a membership test for the dual body: chi = 0
 exactly when the plane belongs to it.  Planes through L are excluded from
-the dual by definition and always give chi = 1.
+the dual by definition and always give chi = 1.  The test is exact: in
+each sample gap the plane's emptiness margin is the larger of two
+sinusoids in theta (fan.PlaneMargin), so the empty arcs and their ends,
+the margin's zeros, have closed forms.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dualize import l_dual, point_in_fan
-from .fan import SectionFan, plane_margins
+from .fan import THETA_EPS, SectionFan, plane_margin
 from .projcore import (PI, DEFAULT_TOL, ArcSegment, GeometryError, HPlane,
                        Tolerances)
 
@@ -35,18 +38,16 @@ class ChiReport:
     pencil_plane: bool = False
 
 
-CHI_GRID = 512
-CHI_REFINE = 1e-9
-
-
 def chi_section(fan: SectionFan, pi, tol: Tolerances = DEFAULT_TOL) -> ChiReport:
     """Euler characteristic of the plane section of the denoted body.
 
-    Scans the emptiness pattern of the per-parameter fiber on a CHI_GRID-point
-    theta grid (plus the sample parameters), requiring the empty set to be a
-    single open arc or empty; arc endpoints are refined by bisection to
-    CHI_REFINE.  Raises NonIntervalEmptySet when more than one empty arc is
-    found, which signals an invalid fan.
+    The margin exceeds eps = 1e-12 * (largest |margin| at the samples and
+    branch peaks) on closed-form sub-arcs, at most one per branch and gap.
+    Sub-arcs that meet at a sample or across the wrap are joined; of
+    several arcs, those peaking within 1e3 * eps of zero are dropped as
+    noise.  The reported arc runs between the margin's zeros at its ends.
+    Raises NonIntervalEmptySet when more than one arc remains, which
+    signals an invalid fan, or when the plane misses every section.
     """
     xi = pi.coeffs if isinstance(pi, HPlane) else np.asarray(pi, dtype=float)
     frame = fan.frame
@@ -54,61 +55,39 @@ def chi_section(fan: SectionFan, pi, tol: Tolerances = DEFAULT_TOL) -> ChiReport
     if nu_norm <= tol.eps_incid * float(np.max(np.abs(xi))):
         return ChiReport(chi=1, empty_arc=None, membership=False, pencil_plane=True)
 
-    margins = plane_margins(fan, xi)
-    grid = np.sort(np.concatenate([np.arange(CHI_GRID) * PI / CHI_GRID, fan.thetas]))
-    marg = margins(grid)
-    scale = max(float(np.max(np.abs(marg))), 1e-30)
-    eps = 1e-12 * scale
-    empty = marg > eps
-    if not np.any(empty):
-        return ChiReport(chi=0, empty_arc=None, membership=True)
-    if np.all(empty):
+    m = plane_margin(fan, xi)
+    peaks = m.peaks()
+    eps = 1e-12 * max(float(np.max(np.abs(np.max(m.alpha, axis=1)))),
+                      float(np.max(peaks)), 1e-30)
+    g, b = np.nonzero(peaks > eps)
+    phase = m.phase[g, b]
+    half = np.arccos(eps / m.amp[g, b])
+    t0 = m.t0[g]
+    # one row per sub-arc: start, end, peak margin and the branch's crest,
+    # which has the zeros of the branch pi/2 before and after it
+    rows = np.stack([t0 + np.maximum(phase - half, 0.0),
+                     t0 + np.minimum(phase + half, m.span[g]),
+                     peaks[g, b], t0 + phase], axis=1)
+    arcs = []  # joined sub-arcs: [start, end, peak, first crest, last crest]
+    for start, end, peak, crest in rows[np.argsort(rows[:, 0])].tolist():
+        if arcs and start <= arcs[-1][1] + THETA_EPS:
+            arcs[-1][1:3] = [end, max(arcs[-1][2], peak)]
+            arcs[-1][4] = crest
+        else:
+            arcs.append([start, end, peak, crest, crest])
+    if len(arcs) == 1 and arcs[0][1] - arcs[0][0] >= PI - THETA_EPS:
         raise NonIntervalEmptySet("plane misses every section; the fan denotes "
                                   "no body over this pencil")
-
-    # circular runs of the empty mask
-    n = len(grid)
-    starts = [i for i in range(n) if empty[i] and not empty[i - 1]]
-    if len(starts) != 1:
-        # discard flicker runs whose peak margin is within noise of zero
-        real = []
-        for s in starts:
-            i = s
-            peak = -np.inf
-            while empty[i % n]:
-                peak = max(peak, marg[i % n])
-                i += 1
-            if peak > 1e3 * eps:
-                real.append(s)
-        starts = real
-    if len(starts) == 0:
+    if len(arcs) > 1 and arcs[0][0] + PI <= arcs[-1][1] + THETA_EPS:  # across the wrap
+        first = arcs.pop(0)
+        arcs[-1][2], arcs[-1][4] = max(arcs[-1][2], first[2]), first[4]
+    if len(arcs) > 1:
+        arcs = [a for a in arcs if a[2] > 1e3 * eps]
+    if len(arcs) == 0:
         return ChiReport(chi=0, empty_arc=None, membership=True)
-    if len(starts) > 1:
-        raise NonIntervalEmptySet("empty parameter set has %d arcs" % len(starts))
-
-    s = starts[0]
-    e = s
-    while empty[e % n]:
-        e += 1
-    # bisection refinement of the two sign changes
-    def margin_of(theta: float) -> float:
-        return float(margins(np.array([theta]))[0])
-
-    def bisect(t_out: float, t_in: float) -> float:
-        # margin(t_out) <= 0 < margin(t_in)
-        for _ in range(80):
-            mid = 0.5 * (t_out + t_in)
-            if margin_of(mid) > 0.0:
-                t_in = mid
-            else:
-                t_out = mid
-            if abs(t_in - t_out) <= CHI_REFINE:
-                break
-        return 0.5 * (t_out + t_in)
-
-    t_start = bisect(grid[s - 1] if s > 0 else grid[n - 1] - PI, grid[s])
-    t_end = bisect(grid[e % n] + (PI if e >= n else 0.0), grid[(e - 1) % n])
-    arc = ArcSegment(t_start, t_end)
+    if len(arcs) > 1:
+        raise NonIntervalEmptySet("empty parameter set has %d arcs" % len(arcs))
+    arc = ArcSegment(arcs[0][3] - 0.5 * PI, arcs[0][4] + 0.5 * PI)
     return ChiReport(chi=1, empty_arc=arc, membership=False)
 
 

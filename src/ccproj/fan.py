@@ -27,6 +27,7 @@ Fans are immutable; all functions are pure and safe to call concurrently.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -218,46 +219,6 @@ class ProjectionProfile:
                     and np.all(self.w_intervals[:, 1] > eps))
 
 
-def interval_at_many(sample_thetas: np.ndarray, intervals: np.ndarray, thetas):
-    """Interpolated (min, max) of a linear functional at any thetas (mod pi),
-    from its per-sample support intervals (support intervals are
-    Minkowski-linear across hull-interpolated gaps)."""
-    th = np.asarray(thetas, dtype=float) % PI
-    ts = sample_thetas
-    k = len(ts)
-    lo = np.empty_like(th)
-    hi = np.empty_like(th)
-    idx = np.searchsorted(ts, th)
-    exact = np.zeros(len(th), dtype=bool)
-    for j in (idx - 1) % k, idx % k:
-        d = np.abs(ts[j] - th)
-        m = np.minimum(d, PI - d) <= THETA_EPS * 10
-        lo[m & ~exact] = intervals[j[m & ~exact], 0]
-        hi[m & ~exact] = intervals[j[m & ~exact], 1]
-        exact |= m
-    rest = ~exact
-    if np.any(rest):
-        t = th[rest]
-        ix = np.searchsorted(ts, t)
-        wrap = (ix == 0) | (ix == k)
-        i = np.where(wrap, k - 1, ix - 1)
-        j = np.where(wrap, 0, ix % k)
-        ti = ts[i]
-        tj = ts[j] + np.where(wrap, PI, 0.0)
-        tu = t + np.where(wrap & (t < ts[0]), PI, 0.0)
-        a, b = gap_coefficients(ti, tj, tu)
-        li = intervals[i, 0]
-        hi_i = intervals[i, 1]
-        lj = np.where(wrap, -intervals[j, 1], intervals[j, 0])
-        hj = np.where(wrap, -intervals[j, 0], intervals[j, 1])
-        lo_g = a * li + b * lj
-        hi_g = a * hi_i + b * hj
-        flip = tu >= PI
-        lo[rest] = np.where(flip, -hi_g, lo_g)
-        hi[rest] = np.where(flip, -lo_g, hi_g)
-    return lo, hi
-
-
 def project_from(fan: SectionFan, t, tol: Tolerances = DEFAULT_TOL) -> ProjectionProfile:
     """Projection profile of the fan from a center t on L.
 
@@ -281,25 +242,63 @@ def support_intervals(fan: SectionFan, func) -> np.ndarray:
     return np.array([s.support_interval(func) for s in fan.sections])
 
 
-def plane_margins(fan: SectionFan, xi):
-    """Emptiness margin of the plane with covector xi, as a function of theta.
+@dataclass(frozen=True)
+class PlaneMargin:
+    """Emptiness margin of a plane over the fan, in closed form per gap.
 
-    The returned function maps parameters to margins that are positive
-    exactly where the plane misses the section of the denoted body;
-    it is periodic with period pi.
+    Gap g is theta = t0[g] + tau, 0 <= tau <= span[g] < pi, from sample g to
+    the next (theta_0 + pi for the wrap gap, whose far interval is negated
+    into the unwrapped chart).  As kappa is the constant sin(span) there,
+    the interpolated support interval (lo, hi) of the plane's normal and
+    its offset offs are sinusoids in tau, and so are both branches
+    alpha[g, b] cos(tau) + beta[g, b] sin(tau): b = 0 is lo + offs and
+    b = 1 is -(hi + offs).  The margin, the larger branch, is positive
+    exactly where the plane misses the section; as lo <= hi, at most one
+    branch is.  A branch is amp * cos(tau - phase), with the phase taken in
+    [span/2 - pi, span/2 + pi), so it exceeds e >= 0 exactly on
+    phase -/+ arccos(e / amp) clipped to [0, span].
     """
+
+    t0: np.ndarray
+    span: np.ndarray
+    alpha: np.ndarray
+    beta: np.ndarray
+
+    @cached_property
+    def amp(self) -> np.ndarray:
+        return np.hypot(self.alpha, self.beta)
+
+    @cached_property
+    def phase(self) -> np.ndarray:
+        mid = 0.5 * self.span[:, None]
+        return mid + (np.arctan2(self.beta, self.alpha) - mid + PI) % (2.0 * PI) - PI
+
+    def peaks(self) -> np.ndarray:
+        """(k, 2) maximum of each branch over its gap: amp when the phase
+        lies in the gap, else the value at the nearer gap end."""
+        ph = self.phase
+        dist = np.maximum(0.0, np.maximum(-ph, ph - self.span[:, None]))
+        return self.amp * np.cos(dist)
+
+
+def plane_margin(fan: SectionFan, xi) -> PlaneMargin:
+    """The emptiness margin of the plane with covector xi (see PlaneMargin)."""
     frame = fan.frame
     nu = np.array([float(xi @ frame.g0), float(xi @ frame.g1)])
-    c2 = float(xi @ frame.h2)
-    c3 = float(xi @ frame.h3)
-    intervals = support_intervals(fan, nu)
-
-    def margins(thetas) -> np.ndarray:
-        th = np.asarray(thetas, dtype=float) % PI
-        lo, hi = interval_at_many(fan.thetas, intervals, th)
-        offs = -np.sin(th) * c2 + np.cos(th) * c3
-        return np.maximum(lo + offs, -(hi + offs))
-    return margins
+    c2, c3 = float(xi @ frame.h2), float(xi @ frame.h3)
+    near = support_intervals(fan, nu)
+    far = np.roll(near, -1, axis=0)
+    far[-1] = -near[0, ::-1]
+    t0 = fan.thetas
+    span = np.diff(t0, append=t0[0] + PI)
+    # v(t0 + tau) = v_near cos(tau) + (v_far - v_near cos(span)) / sin(span) sin(tau)
+    slope = (far - near * np.cos(span)[:, None]) / np.sin(span)[:, None]
+    # offs(t0 + tau) = offs(t0) cos(tau) + offs'(t0) sin(tau)
+    offs = -np.sin(t0) * c2 + np.cos(t0) * c3
+    doffs = -np.cos(t0) * c2 - np.sin(t0) * c3
+    alpha = np.stack([near[:, 0] + offs, -(near[:, 1] + offs)], axis=1)
+    beta = np.stack([slope[:, 0] + doffs, -(slope[:, 1] + doffs)], axis=1)
+    return PlaneMargin(t0, span, alpha, beta)
 
 
 # ---------------------------------------------------------------------------

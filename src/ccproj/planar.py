@@ -155,8 +155,11 @@ def _hull_cycle(points: np.ndarray, eps: float) -> np.ndarray:
     upper = _chain(keep[::-1])
     cycle = lower[:-1] + upper[:-1]
     if len(cycle) < 3:
-        return np.array([lower[0], lower[-1]])
-    out = _merge_collinear(np.array(cycle), eps)
+        out = np.array([lower[0], lower[-1]])
+    else:
+        out = _merge_collinear(np.array(cycle), eps)
+    if len(out) == 2 and np.max(np.abs(out[1] - out[0])) <= eps:
+        return np.array([min(out.tolist())])  # a segment within eps is a point
     if len(out) < 3:
         return out
     return _roll_to_min(out)

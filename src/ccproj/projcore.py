@@ -11,6 +11,7 @@ sharing across threads is safe.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, replace
 
@@ -63,12 +64,20 @@ class Tolerances:
         return replace(self, eps_incid=base, eps_rank=base, eps_convex=base)
 
 
+def finite_float(text) -> float:
+    """float(text); ValueError unless the number is finite."""
+    x = float(text)
+    if not math.isfinite(x):
+        raise ValueError("not a finite number: %r" % text)
+    return x
+
+
 def tolerances_from_env(default: Tolerances | None = None) -> Tolerances:
     """Default policy, honoring the CCPROJ_TOL environment override."""
     tol = default if default is not None else Tolerances()
     raw = os.environ.get("CCPROJ_TOL")
     if raw:
-        tol = tol.with_base(float(raw))
+        tol = tol.with_base(finite_float(raw))
     return tol
 
 
@@ -282,7 +291,8 @@ class PencilFrame:
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         m = np.vstack([self.g0, self.g1, self.h2, self.h3])
-        if float(np.max(np.abs(m @ m.T - np.eye(4)))) > 1e-9:
+        if (not np.all(np.isfinite(m))
+                or float(np.max(np.abs(m @ m.T - np.eye(4)))) > 1e-9):
             raise DegenerateInput("pencil frame is not orthonormal")
 
     @staticmethod

@@ -106,7 +106,8 @@ def parse(text: str) -> Scene:
     Total: any document that is not a scene (bad JSON, a NaN or infinite
     number, a missing key, a value of the wrong type or shape, fewer than 3
     samples, a sample that is not a strictly convex counterclockwise
-    polygon, a non-orthonormal frame) raises SceneFormatError."""
+    polygon, a non-orthonormal frame) raises SceneFormatError.  validated
+    must be a JSON boolean and seed an integer or null."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -145,11 +146,16 @@ def _scene_from_doc(doc: dict) -> Scene:
                 "sample at theta=%s: vertices are not (u, v) pairs in strictly "
                 "convex counterclockwise position" % theta)
         samples.append((theta, poly))
-    fan = SectionFan.create(frame, samples, validated=bool(doc.get("validated", False)))
+    validated = doc.get("validated", False)
     seed = doc.get("seed")
+    if not isinstance(validated, bool):
+        raise SceneFormatError("validated must be true or false")
+    if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int)):
+        raise SceneFormatError("seed must be an integer or null")
+    fan = SectionFan.create(frame, samples, validated=validated)
     tolerances = {k: float(_numbers(v, 0))
                   for k, v in dict(doc.get("tolerances", {})).items()}
-    return Scene(fan, tolerances, None if seed is None else int(seed))
+    return Scene(fan, tolerances, seed)
 
 
 # ---------------------------------------------------------------------------

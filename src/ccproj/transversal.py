@@ -32,6 +32,11 @@ from .projcore import (PI, DEFAULT_TOL, Chart, DegenerateInput, GeometryError,
                        HPlane, HPoint, PencilFrame, ProjLine, Tolerances,
                        wrap_angle)
 
+MAX_ITER = 400          # Kelley iterations per solve_minimax call
+N_SEED_POINTS = 3       # random box points seeding Kelley besides the LP point
+BROWDER_MAX_ITER = 500  # fixed-point steps of browder_four_sections
+EPS_TOUCH = 1e-6        # how far (times the fan's scale) a supporting half-plane may miss
+
 
 class NoAdmissibleChart(GeometryError):
     """No pencil rotation makes all selected sections finite."""
@@ -193,13 +198,12 @@ class MinimaxProblem:
                          for i in range(self.chart.m)])
 
 
-def minimax_problem(fan: SectionFan, subset=None, box_pad: float = None) -> MinimaxProblem:
+def minimax_problem(fan: SectionFan, subset=None) -> MinimaxProblem:
     chart = build_solver_chart(fan, subset)
     all_v = np.vstack([p.vertices for p in chart.polys])
     lo = np.min(all_v, axis=0)
     hi = np.max(all_v, axis=0)
-    if box_pad is None:
-        box_pad = float(np.max(hi - lo)) + 1.0
+    box_pad = float(np.max(hi - lo)) + 1.0
     box = np.array([[lo[0] - box_pad, hi[0] + box_pad],
                     [lo[1] - box_pad, hi[1] + box_pad]] * 2)
     return MinimaxProblem(chart, box)
@@ -274,16 +278,15 @@ def _deepest_point(problem: MinimaxProblem):
 
 
 def solve_minimax(problem: MinimaxProblem, tol_solver: float = None,
-                  target: float = None, seed: int = 0, max_iter: int = 400,
-                  n_seed_points: int = 3, tol: Tolerances = DEFAULT_TOL):
+                  target: float = None, seed: int = 0, tol: Tolerances = DEFAULT_TOL):
     """Minimizer of the minimax objective: the depth LP, then Kelley.
 
     The depth LP's point is evaluated first; when its Euclidean value is 0
     or at most target it is returned with one iteration.  Otherwise (the LP
     failed or found t > 0) Kelley's cutting-plane method runs from the LP
-    point plus n_seed_points random points of the box.  It stops when the
+    point plus N_SEED_POINTS random points of the box.  It stops when the
     optimality gap drops below tol_solver * scale, when the incumbent value
-    reaches target, or at the iteration cap.  Returns (q_best, value, gap,
+    reaches target, or after MAX_ITER iterations.  Returns (q_best, value, gap,
     iterations).
     """
     from scipy.optimize import linprog
@@ -300,7 +303,7 @@ def solve_minimax(problem: MinimaxProblem, tol_solver: float = None,
     lo, hi = problem.box[:, 0], problem.box[:, 1]
     starts = [deep if deep is not None else (lo + hi) / 2.0]
     rng = np.random.default_rng(seed)
-    starts += [lo + rng.random(4) * (hi - lo) for _ in range(n_seed_points)]
+    starts += [lo + rng.random(4) * (hi - lo) for _ in range(N_SEED_POINTS)]
     rows = []
     rhs = []
     best_q = None
@@ -315,7 +318,7 @@ def solve_minimax(problem: MinimaxProblem, tol_solver: float = None,
     c = np.array([0.0, 0.0, 0.0, 0.0, 1.0])
     lb = 0.0
     it = 0
-    while it < max_iter:
+    while it < MAX_ITER:
         it += 1
         if target is not None and best_f <= target:
             break
@@ -336,8 +339,8 @@ def solve_minimax(problem: MinimaxProblem, tol_solver: float = None,
 
 
 def chebyshev_line(fan: SectionFan, subset=None, tol: Tolerances = DEFAULT_TOL,
-                   tol_solver: float = None, target: float = None, seed: int = 0,
-                   max_iter: int = 400) -> TransversalLine:
+                   tol_solver: float = None, target: float = None,
+                   seed: int = 0) -> TransversalLine:
     """Global minimizer of the maximum line-to-section distance.
 
     The depth LP runs first: when the selected sections have a common
@@ -352,8 +355,7 @@ def chebyshev_line(fan: SectionFan, subset=None, tol: Tolerances = DEFAULT_TOL,
     problem = minimax_problem(fan, subset)
     for attempt in range(3):
         q, f, gap, it = solve_minimax(problem, tol_solver=tol_solver,
-                                      target=target, seed=seed,
-                                      max_iter=max_iter, tol=tol)
+                                      target=target, seed=seed, tol=tol)
         width = problem.box[:, 1] - problem.box[:, 0]
         on_edge = np.any((q - problem.box[:, 0] < 1e-6 * width)
                          | (problem.box[:, 1] - q < 1e-6 * width))
@@ -432,16 +434,17 @@ class BrowderResult:
 
 
 def browder_four_sections(fan: SectionFan, indices=(0, 1, 2, 3),
-                          tol: Tolerances = DEFAULT_TOL, tol_fp: float = None,
-                          max_iter: int = 500) -> BrowderResult:
+                          tol: Tolerances = DEFAULT_TOL,
+                          tol_fp: float = None) -> BrowderResult:
     """Fixed-point search for a line meeting four sections.
 
     From a point a1 of the first section, choose the line through a1
     meeting sections 2 and 3 (selection: Chebyshev center of the admissible
     hit-point set), then the line through its third-section hit meeting
     sections 4 and 1 (selection: return point nearest to a1).  Stops when
-    the return point converges; non-convergence is a legal outcome and the
-    caller falls back to chebyshev_line.
+    the return point converges or after BROWDER_MAX_ITER steps;
+    non-convergence is a legal outcome and the caller falls back to
+    chebyshev_line.
     """
     if len(indices) != 4:
         raise ValueError("need four section indices")
@@ -454,7 +457,7 @@ def browder_four_sections(fan: SectionFan, indices=(0, 1, 2, 3),
     a1 = chebyshev_center(A1)
     step = np.inf
     x2s = None
-    for it in range(1, max_iter + 1):
+    for it in range(1, BROWDER_MAX_ITER + 1):
         r13 = (h[2] - h[0]) / (h[1] - h[0])
         pre3 = ConvexPolygon(a1[None, :] + (A3.vertices - a1[None, :]) / r13,
                              degenerate=A3.degenerate)
@@ -570,12 +573,12 @@ class HalfplaneTransversal:
 
 def support_halfplane_transversal(fan: SectionFan, halfplanes,
                                   tol: Tolerances = DEFAULT_TOL,
-                                  eps_touch: float = 1e-6,
                                   seed: int = 0) -> HalfplaneTransversal:
     """Find a line meeting every supplied supporting half-plane.
 
     halfplanes: iterable of (theta, normal, offset) with the section at
-    theta contained in {x : <normal, x> <= offset} and touching it.  The
+    theta contained in {x : <normal, x> <= offset} and touching it (within
+    EPS_TOUCH of the section's scale).  The
     boundary directions must span at most four classes; the pipeline pads
     to four, octagonalizes, finds a line in the dual of the octagon fan
     between the four distinguished dual sections, and maps it back.
@@ -593,7 +596,7 @@ def support_halfplane_transversal(fan: SectionFan, halfplanes,
         smax = float(np.max(s.vertices @ n))
         if smax > c + 1e-9 * scale:
             raise NotSupporting("half-plane cuts its section")
-        if c - smax > eps_touch * scale:
+        if c - smax > EPS_TOUCH * scale:
             raise NotSupporting("half-plane does not touch its section")
         alpha = float(np.arctan2(-n[0], n[1])) % PI
         entries.append((wrap_angle(float(theta)), n, c, alpha))

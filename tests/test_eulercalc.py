@@ -3,9 +3,9 @@ import pytest
 
 from ccproj import (NonIntervalEmptySet, SectionFan, chi_dual_crosscheck,
                     chi_section, gen_random_fan, l_dual,
-                    plane_meets_all_sections)
+                    plane_meets_all_sections, section_at)
 from ccproj.projcore import PI
-from conftest import mark_validated, mgon
+from conftest import mark_validated, mgon, quadric_fan
 
 
 def dual_quadric_sign(xi):
@@ -104,7 +104,8 @@ def test_never_non_interval_on_valid_fans():
 
 
 def test_chi_membership_matches_plane_meets_all_sections():
-    # both read the emptiness margins of fan.plane_margins, on different grids
+    # both read the emptiness margins of fan.plane_margin: chi_section its
+    # zeros, plane_meets_all_sections its maximum
     rng = np.random.default_rng(11)
     planes = rng.normal(size=(100, 4))
     members = 0
@@ -115,3 +116,48 @@ def test_chi_membership_matches_plane_meets_all_sections():
             assert chi_section(fan, xi).membership == meets
             members += meets
     assert 0 < members < 500
+
+
+def section_values(fan, xi, theta):
+    """The plane xi at the vertices of section_at(theta), as points of RP^3.
+    Independent of the closed-form margins: section_at builds the section
+    as a Minkowski sum."""
+    t = theta % PI
+    pts = [fan.frame.section_point(t, u, v) for u, v in section_at(fan, t).vertices]
+    return np.array(pts) @ xi
+
+
+def plane_misses_section(fan, xi, theta):
+    vals = section_values(fan, xi, theta)
+    return bool(np.min(vals) > 0.0 or np.max(vals) < 0.0)
+
+
+def test_empty_arcs_match_sections():
+    rng = np.random.default_rng(12)
+    delta = 1e-6
+    arcs = 0
+    for fan in [quadric_fan(12, 64)] + [gen_random_fan(s).fan for s in range(5)]:
+        for xi in rng.normal(size=(100, 4)):
+            arc = chi_section(fan, xi).empty_arc
+            if arc is None:
+                continue
+            arcs += 1
+            assert arc.length > 2.0 * delta
+            for theta, misses in ((arc.start + delta, True), (arc.end - delta, True),
+                                  (arc.start - delta, False), (arc.end + delta, False)):
+                assert plane_misses_section(fan, xi, theta) == misses
+    assert arcs > 100
+
+
+def test_worst_margin_is_the_exact_maximum():
+    # the emptiness margin max(min vals, -max vals) sampled on a fine grid
+    # plus the samples never exceeds the exact maximum, and comes within the
+    # grid's resolution of it
+    fan = gen_random_fan(1).fan
+    grid = np.sort(np.concatenate([np.arange(720) * PI / 720, fan.thetas]))
+    rng = np.random.default_rng(13)
+    for xi in rng.normal(size=(6, 4)):
+        sampled = max(max(np.min(v), -np.max(v))
+                      for v in (section_values(fan, xi, t) for t in grid))
+        worst = plane_meets_all_sections(fan, xi)[1]
+        assert sampled - 1e-12 <= -worst <= sampled + 1e-4

@@ -4,7 +4,7 @@ import pytest
 from ccproj import (DEFAULT_TOL, ArcSegment, CenterNotOnL, SectionFan,
                     convex_hull, gen_random_fan, hausdorff, interior_margin,
                     is_pointed, project_from, section_at, validate)
-from ccproj.fan import gap_coefficients, interval_at_many
+from ccproj.fan import gap_coefficients, plane_margin
 from ccproj.planar import contains_polygon, tangent_quadrangle_corners
 from ccproj.projcore import PI, DegenerateInput
 from conftest import mgon, quadric_fan
@@ -112,16 +112,35 @@ def test_project_from_degenerate_points(frame):
     assert np.max(np.abs(prof.w_intervals)) == 0.0
 
 
+def margin_branches(m, thetas):
+    """(lo + offs, -(hi + offs)) of a PlaneMargin at parameters mod pi, in
+    the canonical chart of each parameter.  A parameter before the first
+    sample lies in the wrap gap, pi later, where the chart is negated and
+    the two branches trade places."""
+    th = np.asarray(thetas, dtype=float) % PI
+    wrap = th < m.t0[0]
+    tu = th + np.where(wrap, PI, 0.0)
+    g = np.searchsorted(m.t0, tu, side="right") - 1
+    tau = tu - m.t0[g]
+    v = m.alpha[g] * np.cos(tau)[:, None] + m.beta[g] * np.sin(tau)[:, None]
+    return np.where(wrap[:, None], v[:, ::-1], v)
+
+
+def support_margin(fan, func):
+    """PlaneMargin of the covector (func, 0, 0): its branches are lo and -hi
+    of func's interpolated support interval."""
+    return plane_margin(fan, func[0] * fan.frame.g0 + func[1] * fan.frame.g1)
+
+
 def test_interval_interpolation_matches_sections(quad12):
-    prof = project_from(quad12, 1.1)
-    thetas = np.array([0.4, 1.0, 2.0, 3.0])
-    lo, hi = interval_at_many(prof.thetas, prof.w_intervals, thetas)
     func = np.array([-np.sin(1.1), np.cos(1.1)])
-    for t, l, h in zip(thetas, lo, hi):
-        s = section_at(quad12, float(t))
-        vals = s.vertices @ func
-        assert abs(l - np.min(vals)) < 1e-9
-        assert abs(h - np.max(vals)) < 1e-9
+    thetas = np.array([0.05, 0.4, 1.0, 2.0, 3.05])
+    assert thetas[0] < quad12.thetas[0] and thetas[-1] > quad12.thetas[-1]
+    v = margin_branches(support_margin(quad12, func), thetas)
+    for t, (lo, neg_hi) in zip(thetas, v):
+        vals = section_at(quad12, float(t)).vertices @ func
+        assert abs(lo - np.min(vals)) < 1e-9
+        assert abs(-neg_hi - np.max(vals)) < 1e-9
 
 
 def test_validate_quadric(quad12):
@@ -183,8 +202,8 @@ def probe_center_ok(fan, psi, tol=DEFAULT_TOL, n_probe=64):
     r = np.linalg.norm(z, axis=1)
     z, r = z[r > 1e-14], r[r > 1e-14]
     phi = np.arctan2(-z[:, 0], z[:, 1])  # z = |z| * (-sin(phi), cos(phi))
-    lo, hi = interval_at_many(profile.thetas, profile.w_intervals, phi % PI)
-    upper = np.where(phi >= 0, hi, -lo)  # the covered ray starts at 1/upper
+    v = margin_branches(support_margin(fan, np.array([-np.sin(psi), np.cos(psi)])), phi)
+    upper = np.where(phi >= 0, -v[:, 1], -v[:, 0])  # the covered ray starts at 1/upper
     return float(np.max(r * upper - 1.0)) <= 1e-9 + tol.eps_convex * 10.0
 
 

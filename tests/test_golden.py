@@ -48,7 +48,7 @@ GOLDEN = {
         "roundtrip":
             "0:9a8c81200d3627a0c52791af89404b8ecc311854991062d6c59712ba86c94b14",
         "chi":
-            "0:0cd0bfec9e6d5d1b43d46a96335f30126e3432e3c67960c98f0859ffe39b1387",
+            "0:75a212db998a170b78098b3eb7bb04ba8d2fdbf8b72b607f5057b50aa315b227",
         "validate":
             "0:f4d8ecca1d5ff3ffbee34fabdbb771c0984e8b3eeccf826514a1cbbaca252961",
     },
@@ -68,7 +68,7 @@ GOLDEN = {
         "roundtrip":
             "0:06eb75e1a88b31a0a86e222f65ccd5e014b09efea1ec8052d526cf59f5e6265c",
         "chi":
-            "0:da853edc3625b6501a72fd1bed1d24dd55b8eec384de8122b09d2947d362de3a",
+            "0:6c20342a123b75981686bbf09f7b4e18661f010ffce340b9dc2edd7bf54887d5",
         "validate":
             "0:f4d8ecca1d5ff3ffbee34fabdbb771c0984e8b3eeccf826514a1cbbaca252961",
     },
@@ -88,7 +88,7 @@ GOLDEN = {
         "roundtrip":
             "0:113b17f2b3bf8b728ee50f1638a5ed09dadb244aaecee3a1117176ed54de4639",
         "chi":
-            "0:a04da3ed69b7db1ab56a057a24b128f3c0b27d1863250d2dd8b43f723972df4b",
+            "0:bb8a8604b37cb08dfbfe8ae01516abcec24938f89fe720a94cc2b07627668b80",
         "validate":
             "0:f4d8ecca1d5ff3ffbee34fabdbb771c0984e8b3eeccf826514a1cbbaca252961",
     },
@@ -108,7 +108,7 @@ GOLDEN = {
         "roundtrip":
             "0:2f310252812984a0801fb87358b097259558e51df662bddae67a621bee883b02",
         "chi":
-            "0:fb77ab918425d29b7e72b15230c248b811e897f4bfff4dc51a6a9082bb0e3f1d",
+            "0:493f945bce431ca7ba5264a2fcadf730669e6f3acd8e96a4baa6cbc3b093beb8",
         "validate":
             "0:f4d8ecca1d5ff3ffbee34fabdbb771c0984e8b3eeccf826514a1cbbaca252961",
     },
@@ -148,7 +148,7 @@ GOLDEN = {
         "roundtrip":
             "0:055c5dab59fc821c53a8c3ff07eaf3a211d71669d99f14591afc20aef54a662c",
         "chi":
-            "0:7c0a0b4594a66b032068848b53b032972591d3121106836750c35a1dcdd21ccc",
+            "0:4b0fb17aeef44bd330a87a6d960169dd855236e9cb1879efe327f23a637241dd",
         "validate":
             "0:f4d8ecca1d5ff3ffbee34fabdbb771c0984e8b3eeccf826514a1cbbaca252961",
     },
@@ -168,7 +168,7 @@ GOLDEN = {
         "roundtrip":
             "0:e558ad64138731fd9ff86f240684930c7a213446a0f552c1d052916c6fe7ad91",
         "chi":
-            "0:c250f98d3da33a6f2bc3b2f41b09937900611ae3a66f3251d31f218e878dc8f9",
+            "0:70919e6895b14df45fec3725020df15bbb8047e82cb035130822507267ea8d7e",
         "validate":
             "0:f4d8ecca1d5ff3ffbee34fabdbb771c0984e8b3eeccf826514a1cbbaca252961",
     },

@@ -263,8 +263,11 @@ def ref_hull_cycle(points, eps):
     upper = chain(pts[::-1])
     cycle = lower[:-1] + upper[:-1]
     if len(cycle) < 3:
-        return np.array([lower[0], lower[-1]]) if len(lower) >= 2 else np.array(lower)
-    out = ref_merge_collinear(np.array(cycle), eps)
+        out = np.array([lower[0], lower[-1]]) if len(lower) >= 2 else np.array(lower)
+    else:
+        out = ref_merge_collinear(np.array(cycle), eps)
+    if len(out) == 2 and np.max(np.abs(out[1] - out[0])) <= eps:
+        return np.array([min(out.tolist())])
     if len(out) < 3:
         return out
     start = int(np.lexsort((out[:, 1], out[:, 0]))[0])
@@ -356,6 +359,18 @@ def test_negated_matches_hull_of_negation(pts):
     H = convex_hull(-P.vertices)
     assert np.array_equal(N.vertices, H.vertices)
     assert N.degenerate == H.degenerate
+
+
+def test_hull_collapses_segment_within_eps():
+    # the merge pops this thin cloud down to two points 1.5e-8 apart, less
+    # than eps = 1e-9 * 15: that is one point, as the hull of its negation
+    # (where the dedup meets them first) also finds
+    tiny = -1.7881393440000005e-15
+    pts = np.array([[0.0, 15.0]] * 4 + [[tiny, 15.0], [0.0, 15.000000178813934],
+                                        [tiny, 15.000000193715096]])
+    P = convex_hull(pts)
+    assert P.n == 1 and P.degenerate
+    assert np.array_equal(P.negated().vertices, convex_hull(-P.vertices).vertices)
 
 
 def test_merge_collinear_rechecks_first_vertex_after_last_pops():

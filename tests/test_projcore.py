@@ -150,6 +150,18 @@ def test_pencil_frame_from_line():
         assert fr.dual().dual().line.same_as(l)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_pencil_frame_rejects_non_finite(bad):
+    e = np.eye(4)
+    for i in range(4):
+        vecs = [e[j] for j in range(4)]
+        vecs[i] = np.array([bad, 0.0, 0.0, 0.0])
+        with pytest.raises(DegenerateInput):
+            PencilFrame(*vecs)
+    with pytest.raises(DegenerateInput):
+        PencilFrame(np.array([1.0, 0.0, 0.0, bad]), e[1], e[2], e[3])
+
+
 def test_arc_segment():
     arc = ArcSegment(3.0, 0.5)  # wraps through pi
     assert arc.contains(3.1)

@@ -78,11 +78,16 @@ def _put(doc, value, *path):
     lambda d: _put(d, 10 ** 400, "samples", 0, "vertices", 0, 0),
     lambda d: _put(d, float("-inf"), "frame", "h2", 0),
     lambda d: _put(d, {"eps_convex": float("nan")}, "tolerances"),
+    lambda d: _put(d, "false", "validated"),
+    lambda d: _put(d, 0, "validated"),
+    lambda d: _put(d, 2.7, "seed"),
+    lambda d: _put(d, "7", "seed"),
 ], ids=["no-frame", "no-samples", "no-theta", "no-vertices", "samples-int",
         "two-samples", "empty-vertices", "frame-int", "sample-int", "short-g0",
         "tolerances-int", "tolerance-str", "nan-theta", "nan-str-theta",
         "nan-vertex", "nan-point", "inf-vertex", "overflow-vertex",
-        "minus-inf-frame", "nan-tolerance"])
+        "minus-inf-frame", "nan-tolerance", "validated-str", "validated-int",
+        "seed-float", "seed-str"])
 def test_malformed_scene_exits_2(edit, monkeypatch, capsys):
     import io
     from ccproj import cli
@@ -94,6 +99,36 @@ def test_malformed_scene_exits_2(edit, monkeypatch, capsys):
     monkeypatch.setattr("sys.stdin", io.StringIO(text))
     assert cli.main(["validate", "--in", "-"]) == 2
     assert capsys.readouterr().err.startswith("error=")
+
+
+@pytest.mark.parametrize("argv,env", [
+    (["section", "--theta", "nan"], None),
+    (["section", "--theta", "inf"], None),
+    (["section", "--theta", "1e999"], None),
+    (["surgery-s", "--arc", "nan,1"], None),
+    (["surgery-p", "--arc", "0.2,-inf"], None),
+    (["octagonalize", "--dirs", "0 0.7854 nan 2.3562"], None),
+    (["chi", "--plane", "nan 0 0 0"], None),
+    (["certify", "--line", "0 0 1 0; 0 0 0 inf"], None),
+    (["--tol", "nan", "validate"], None),
+    (["validate"], "nan"),
+    (["validate"], "inf"),
+], ids=["theta-nan", "theta-inf", "theta-overflow", "arc-nan", "arc-minus-inf",
+        "dirs-nan", "plane-nan", "line-inf", "tol-nan", "env-tol-nan", "env-tol-inf"])
+def test_cli_rejects_non_finite_numbers(argv, env, tmp_path, monkeypatch, capsys):
+    from ccproj import cli
+    path = tmp_path / "q.json"
+    path.write_text(serialize(gen_quadric(6, 16)))
+    if env is not None:
+        monkeypatch.setenv("CCPROJ_TOL", env)
+    try:
+        rc = cli.main(argv + ["--in", str(path)])
+    except SystemExit as exc:  # argparse rejects --theta and --tol itself
+        rc = exc.code
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert "finite" in captured.err
 
 
 def test_parse_orders_short_samples():
