@@ -12,21 +12,25 @@ by a cutting-plane method driven by subgradients of point-to-polygon
 distances, seeded at the LP point.  A residual of zero certifies a common
 transversal.
 
-Also here: the exhaustive 5-subset consistency check, the four-section
-set-valued fixed-point iteration, containment certificates, and the
+Also here: the 5-subset consistency check, the four-section set-valued
+fixed-point iteration, containment certificates, and the
 supporting-half-plane pipeline that routes through octagonalization and
-duality.
+duality.  The 5-subset check solves the full fan first: a line through the
+interior of every section meets every subset, so the subsets are solved
+one by one only when the full fan has no such line.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
 from . import planar
 from .dualize import default_dual_params, dual_of_found_line, l_dual
-from .fan import SectionFan, section_at
+from .fan import SectionFan, section_at, validate
 from .planar import ConvexPolygon, chebyshev_center, distance, nearest_point
 from .projcore import (PI, DEFAULT_TOL, Chart, DegenerateInput, GeometryError,
                        HPlane, HPoint, PencilFrame, ProjLine, Tolerances,
@@ -65,7 +69,9 @@ class SolverChart:
     The infinity plane is the pencil plane at the midpoint of the largest
     sample gap, so all selected sections are finite.  Sections sit in
     parallel horizontal planes at heights cot(theta - theta_inf), scaled by
-    1/sin(theta - theta_inf) relative to their unit charts.
+    1/sin(theta - theta_inf) relative to their unit charts.  They are
+    ordered by height, which starts just after theta_inf: polys[j] is the
+    fan's section indices[j], not its j-th selected section.
     """
 
     frame: PencilFrame
@@ -74,6 +80,7 @@ class SolverChart:
     heights: np.ndarray
     scales: np.ndarray
     polys: tuple
+    indices: tuple
 
     @property
     def m(self) -> int:
@@ -156,7 +163,8 @@ def build_solver_chart(fan: SectionFan, subset=None) -> SolverChart:
         if th_u[j] >= PI:
             p = p.negated()
         polys.append(p.scaled(float(sig[j])))
-    return SolverChart(fan.frame, float(theta_inf), th_u, h, sig, tuple(polys))
+    return SolverChart(fan.frame, float(theta_inf), th_u, h, sig, tuple(polys),
+                       tuple(idx))
 
 
 # ---------------------------------------------------------------------------
@@ -192,10 +200,13 @@ class MinimaxProblem:
         return f, g
 
     def residuals(self, q) -> np.ndarray:
+        """Distance from each hit point to its section, in ascending order
+        of section index (not in the chart's height order)."""
         q = np.asarray(q, dtype=float)
         xs = self.chart.hit_points(q)
-        return np.array([distance(xs[i], self.chart.polys[i])
-                         for i in range(self.chart.m)])
+        d = np.array([distance(xs[i], self.chart.polys[i])
+                      for i in range(self.chart.m)])
+        return d[np.argsort(self.chart.indices)]
 
 
 def minimax_problem(fan: SectionFan, subset=None) -> MinimaxProblem:
@@ -217,9 +228,10 @@ def minimax_problem(fan: SectionFan, subset=None) -> MinimaxProblem:
 class TransversalLine:
     """A candidate transversal with its per-section residual certificate.
 
-    residuals are distances in the solver chart between the line's hit
-    points and the selected sections; value is their maximum at the
-    solution, gap the final optimality gap of the cutting-plane method.
+    subset holds the selected section indices in ascending order, and
+    residuals[j] is the distance in the solver chart between the line's hit
+    point and section subset[j]; value is their maximum at the solution,
+    gap the final optimality gap of the cutting-plane method.
     depth is the least interior margin of the hit points (SolverChart.depth):
     positive for a line through the interiors of all selected sections.
     """
@@ -371,7 +383,7 @@ def chebyshev_line(fan: SectionFan, subset=None, tol: Tolerances = DEFAULT_TOL,
         residuals=problem.residuals(q),
         chart=chart.chart(),
         theta_inf=chart.theta_inf,
-        subset=tuple(range(fan.k)) if subset is None else tuple(subset),
+        subset=tuple(sorted(chart.indices)),
         value=f, gap=gap, iterations=it, q=np.asarray(q, dtype=float),
         depth=chart.depth(q))
 
@@ -390,32 +402,64 @@ class HellyReport:
     in_scope: bool
 
 
+def _unrank_combination(rank: int, n: int, r: int) -> tuple:
+    """The r-subset of range(n) at position rank in lexicographic order,
+    the order of itertools.combinations."""
+    out = []
+    x = 0
+    for left in range(r, 0, -1):
+        # the subsets whose next element is x number comb(n - x - 1, left - 1)
+        while rank >= (c := math.comb(n - x - 1, left - 1)):
+            rank -= c
+            x += 1
+        out.append(x)
+        x += 1
+    return tuple(out)
+
+
+def _five_subsets(k: int, cap: int, seed: int) -> list:
+    """Every 5-subset of range(k) in lexicographic order or, when there are
+    more than cap, cap of them drawn by seeded rank without replacement.
+
+    Sampled subsets are unranked one by one, so the C(k, 5) subsets are
+    never built.
+    """
+    total = math.comb(k, 5)
+    if total <= cap:
+        return list(combinations(range(k), 5))
+    pick = np.random.default_rng(seed).choice(total, size=cap, replace=False)
+    return [_unrank_combination(int(i), k, 5) for i in pick]
+
+
 def helly_verify(fan: SectionFan, tol: Tolerances = DEFAULT_TOL,
                  tol_resid: float = 1e-6, subset_cap: int = 200,
                  seed: int = 0) -> HellyReport:
-    """Runs the minimax solver on every 5-subset of samples (or a seeded
-    sample of subsets above the cap) and on the full fan, and reports
-    whether subset feasibility is consistent with full feasibility."""
-    from itertools import combinations
+    """Checks that feasibility of the 5-subsets of samples is consistent
+    with feasibility of the full fan.
 
+    The subsets are every 5-subset, or a seeded sample of subset_cap of them
+    above the cap.  The minimax solver runs on the full fan first.  When its
+    deepest line has positive depth, it passes through the interior of every
+    section, so it meets every subset, and each subset's minimax value is
+    exactly 0: it is recorded without a solve.  Otherwise (no common
+    transversal, or only one through point or segment sections) the solver
+    runs on every subset.
+    """
     if fan.k < 5:
         raise DegenerateInput("helly check needs at least 5 samples")
-    subsets = list(combinations(range(fan.k), 5))
-    if len(subsets) > subset_cap:
-        rng = np.random.default_rng(seed)
-        pick = rng.choice(len(subsets), size=subset_cap, replace=False)
-        subsets = [subsets[i] for i in pick]
+    subsets = _five_subsets(fan.k, subset_cap, seed)
     scale = max(1.0, fan.diameter())
-    results = {}
-    for sub in subsets:
-        r = chebyshev_line(fan, subset=list(sub), tol=tol,
-                           target=0.25 * tol_resid * scale, seed=seed)
-        results[sub] = r.value
+    target = 0.25 * tol_resid * scale
+    full = chebyshev_line(fan, tol=tol, target=target, seed=seed)
+    if full.depth > 0.0:
+        results = dict.fromkeys(subsets, 0.0)
+    else:
+        results = {sub: chebyshev_line(fan, subset=list(sub), tol=tol,
+                                       target=target, seed=seed).value
+                   for sub in subsets}
     max_sub = max(results.values())
-    full = chebyshev_line(fan, tol=tol, target=0.25 * tol_resid * scale, seed=seed)
     thr = tol_resid * scale
     consistent = not (max_sub <= thr and full.value > thr)
-    from .fan import validate
     in_scope = fan.validated or validate(fan, tol).ok
     return HellyReport(results, float(max_sub), float(full.value), thr,
                        consistent, in_scope)
@@ -490,7 +534,7 @@ def browder_four_sections(fan: SectionFan, indices=(0, 1, 2, 3),
     res = problem.residuals(q)
     tl = TransversalLine(
         line=chart.line_of(q), residuals=res, chart=chart.chart(),
-        theta_inf=chart.theta_inf, subset=tuple(indices),
+        theta_inf=chart.theta_inf, subset=tuple(sorted(chart.indices)),
         value=float(np.max(res)), gap=0.0, iterations=it, q=q,
         depth=chart.depth(q))
     return BrowderResult(True, it, step, tl)

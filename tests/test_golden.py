@@ -1,9 +1,10 @@
 """Golden outputs: SHA-256 digests of scene text and CLI stdout.
 
 The digests pin every vertex the generators, surgeries, duality and the
-section evaluator produce, bit for bit, and every `validate` verdict, so a
-rewrite of a kernel underneath them (hulls, Minkowski sums, merges, the
-convexity test) must reproduce the old output exactly.
+section evaluator produce, bit for bit, and every `validate` verdict and
+`helly` report, so a rewrite of a kernel underneath them (hulls, Minkowski
+sums, merges, the convexity test, the Helly check) must reproduce the old
+output exactly.
 A digest that changes on purpose is recomputed with `golden_digests` and the
 reason goes into CHANGES.md.
 """
@@ -29,6 +30,7 @@ COMMANDS = {
     "roundtrip": ["roundtrip"],
     "chi": ["chi", "--plane", "0.3 -0.2 1 0.5"],
     "validate": ["validate"],
+    "helly": ["helly"],
 }
 
 GOLDEN = {
@@ -51,6 +53,8 @@ GOLDEN = {
             "0:75a212db998a170b78098b3eb7bb04ba8d2fdbf8b72b607f5057b50aa315b227",
         "validate":
             "0:f4d8ecca1d5ff3ffbee34fabdbb771c0984e8b3eeccf826514a1cbbaca252961",
+        "helly":
+            "0:e5a51fd2a0787351a0e58c00219133a4c495fd1a4b289ead07309af97f870b21",
     },
     "quadric-48-256": {
         "serialize":
@@ -71,6 +75,8 @@ GOLDEN = {
             "0:6c20342a123b75981686bbf09f7b4e18661f010ffce340b9dc2edd7bf54887d5",
         "validate":
             "0:f4d8ecca1d5ff3ffbee34fabdbb771c0984e8b3eeccf826514a1cbbaca252961",
+        "helly":
+            "0:e5a51fd2a0787351a0e58c00219133a4c495fd1a4b289ead07309af97f870b21",
     },
     "random-0": {
         "serialize":
@@ -91,6 +97,8 @@ GOLDEN = {
             "0:bb8a8604b37cb08dfbfe8ae01516abcec24938f89fe720a94cc2b07627668b80",
         "validate":
             "0:f4d8ecca1d5ff3ffbee34fabdbb771c0984e8b3eeccf826514a1cbbaca252961",
+        "helly":
+            "0:e5a51fd2a0787351a0e58c00219133a4c495fd1a4b289ead07309af97f870b21",
     },
     "random-1": {
         "serialize":
@@ -111,6 +119,8 @@ GOLDEN = {
             "0:493f945bce431ca7ba5264a2fcadf730669e6f3acd8e96a4baa6cbc3b093beb8",
         "validate":
             "0:f4d8ecca1d5ff3ffbee34fabdbb771c0984e8b3eeccf826514a1cbbaca252961",
+        "helly":
+            "0:6ea650e00b3e01d18d98994c1d7c1a2f8a144097432e4582d600a72be17cef6e",
     },
     "random-2": {
         "serialize":
@@ -131,6 +141,8 @@ GOLDEN = {
             "0:aa523d8014b7bba94fdaba4f1fe119f9b4ebeaf081f3127cb4a935596e855257",
         "validate":
             "0:f4d8ecca1d5ff3ffbee34fabdbb771c0984e8b3eeccf826514a1cbbaca252961",
+        "helly":
+            "0:e5a51fd2a0787351a0e58c00219133a4c495fd1a4b289ead07309af97f870b21",
     },
     "random-3": {
         "serialize":
@@ -151,6 +163,8 @@ GOLDEN = {
             "0:4b0fb17aeef44bd330a87a6d960169dd855236e9cb1879efe327f23a637241dd",
         "validate":
             "0:f4d8ecca1d5ff3ffbee34fabdbb771c0984e8b3eeccf826514a1cbbaca252961",
+        "helly":
+            "0:e5a51fd2a0787351a0e58c00219133a4c495fd1a4b289ead07309af97f870b21",
     },
     "random-4": {
         "serialize":
@@ -171,6 +185,8 @@ GOLDEN = {
             "0:70919e6895b14df45fec3725020df15bbb8047e82cb035130822507267ea8d7e",
         "validate":
             "0:f4d8ecca1d5ff3ffbee34fabdbb771c0984e8b3eeccf826514a1cbbaca252961",
+        "helly":
+            "0:e5a51fd2a0787351a0e58c00219133a4c495fd1a4b289ead07309af97f870b21",
     },
 }
 

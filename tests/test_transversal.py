@@ -1,11 +1,14 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 
 from ccproj import (ConvexPolygon, EmptySelection, NotSupporting, ProjLine,
                     SectionFan, TooManyDirections, browder_four_sections, certify_line,
                     chebyshev_line, convex_hull, helly_verify, minimax_problem,
-                    section_at, support_halfplane_transversal)
+                    section_at, support_halfplane_transversal, validate)
 from ccproj.projcore import PI
+from ccproj.transversal import HellyReport, _five_subsets, _unrank_combination
 from conftest import mgon
 
 K_FORM = np.diag([1.0, 1.0, -1.0, -1.0])
@@ -113,12 +116,13 @@ def test_degenerate_sections_without_transversal_use_fallback(frame):
     assert abs(r.value - 4.75) <= 1e-3
 
 
-def test_point_and_segment_sections_with_transversal(frame):
-    # sections around the line (u, v) = a + b w: a disk, a point, a segment
-    # and a disk; the depth LP alone must find a line through all four
+def sections_around_line(frame, kinds):
+    """Fan of sections around the line (u, v) = a + b w, one per (w, kind):
+    a disk with the line off center, the line's hit point, or a segment
+    through it."""
     a, b = np.array([0.5, -0.3]), np.array([0.2, 0.4])
     samples = []
-    for w, kind in ((-1.5, "disk"), (-0.5, "point"), (0.5, "segment"), (1.5, "disk")):
+    for w, kind in kinds:
         th, disk = w_disk(frame, w, a + b * w + (0.3, 0.0), 1.0)
         hit = -np.sin(th) * (a + b * w)
         if kind == "point":
@@ -127,19 +131,32 @@ def test_point_and_segment_sections_with_transversal(frame):
             samples.append((th, convex_hull([hit - (0.8, 0.4), hit + (0.4, 0.2)])))
         else:
             samples.append((th, disk))
-    fan = SectionFan.create(frame, samples)
+    return SectionFan.create(frame, samples)
+
+
+def test_point_and_segment_sections_with_transversal(frame):
+    # a disk, a point, a segment and a disk; the depth LP alone must find a
+    # line through all four
+    fan = sections_around_line(frame, ((-1.5, "disk"), (-0.5, "point"),
+                                       (0.5, "segment"), (1.5, "disk")))
     r = chebyshev_line(fan, target=1e-12)
     assert r.value <= 1e-12 and r.iterations == 1
     assert certify_line(fan, r.line).contained
 
 
-def test_depth_lp_one_call_per_solve(monkeypatch):
+def count_linprog(monkeypatch):
+    """List that grows by one on every scipy linprog call."""
     import scipy.optimize
-    from ccproj import gen_random_fan
     calls = []
     linprog = scipy.optimize.linprog
     monkeypatch.setattr(scipy.optimize, "linprog",
                         lambda *a, **kw: calls.append(1) or linprog(*a, **kw))
+    return calls
+
+
+def test_depth_lp_one_call_per_solve(monkeypatch):
+    from ccproj import gen_random_fan
+    calls = count_linprog(monkeypatch)
     for s in range(20):
         fan = gen_random_fan(s, k=10, complexity=2).fan
         calls.clear()
@@ -162,6 +179,23 @@ def test_residual_spread_at_positive_optimum(frame):
     at_max = np.sum(r.residuals >= r.value - 1e-6)
     assert at_max >= 2
     assert r.depth < 0
+
+
+def test_residuals_follow_subset_order(frame):
+    # tiny disks at w = 0.3, 0.6, 1.0 admit no common line, large disks
+    # at w = -2, -1.5, 1.5 contain the optimal one; the largest sample gap
+    # is interior, so the solver chart orders the sections 2, 3, 4, 5, 0, 1
+    samples = [w_disk(frame, -2.0, (0, 0), 10.0), w_disk(frame, -1.5, (0, 0), 10.0),
+               w_disk(frame, 0.3, (0, 0), 0.1), w_disk(frame, 0.6, (1, 0), 0.1),
+               w_disk(frame, 1.0, (0, 0), 0.1), w_disk(frame, 1.5, (0, 0), 10.0)]
+    fan = SectionFan.create(frame, samples)
+    for subset in (None, [5, 4, 0, 3, 2]):
+        r = chebyshev_line(fan, subset=subset)
+        assert r.subset == tuple(sorted(subset or range(fan.k)))
+        cert = certify_line(fan, r.line)
+        passes = cert.residuals[list(r.subset)] <= cert.eps
+        assert not passes.all() and passes.any()
+        assert np.array_equal(r.residuals == 0.0, passes)
 
 
 def test_solver_chart_matches_chart_object(quad12):
@@ -244,19 +278,83 @@ def test_browder_empty_selection(frame):
         browder_four_sections(fan)
 
 
+def helly_reference(fan, tol_resid=1e-6, subset_cap=200, seed=0):
+    """Per-subset oracle for helly_verify: materializes every 5-subset,
+    samples subset_cap of them by position, and solves each one."""
+    subsets = list(combinations(range(fan.k), 5))
+    if len(subsets) > subset_cap:
+        rng = np.random.default_rng(seed)
+        pick = rng.choice(len(subsets), size=subset_cap, replace=False)
+        subsets = [subsets[i] for i in pick]
+    scale = max(1.0, fan.diameter())
+    results = {}
+    for sub in subsets:
+        r = chebyshev_line(fan, subset=list(sub),
+                           target=0.25 * tol_resid * scale, seed=seed)
+        results[sub] = r.value
+    max_sub = max(results.values())
+    full = chebyshev_line(fan, target=0.25 * tol_resid * scale, seed=seed)
+    thr = tol_resid * scale
+    consistent = not (max_sub <= thr and full.value > thr)
+    in_scope = fan.validated or validate(fan).ok
+    return HellyReport(results, float(max_sub), float(full.value), thr,
+                       consistent, in_scope)
+
+
+@pytest.mark.parametrize("case", ["random-%d" % s for s in range(3000, 3005)]
+                         + ["octagonalized-quad8", "quad12-cap20", "point-segment"])
+def test_helly_matches_per_subset_oracle(case, quad8, quad12, oct_dirs, frame,
+                                         monkeypatch):
+    from ccproj import gen_random_fan, octagonalize
+    kw = {}
+    if case.startswith("random-"):
+        fan = gen_random_fan(int(case[7:]), k=8, complexity=0, m=32).fan
+    elif case == "octagonalized-quad8":
+        fan = octagonalize(quad8, oct_dirs)
+    elif case == "quad12-cap20":
+        fan, kw = quad12, {"subset_cap": 20, "seed": 3}
+    else:
+        # the line meets every section, but no line passes through the
+        # interior of the point and the segment
+        fan = sections_around_line(frame, ((-2.0, "disk"), (-1.5, "disk"),
+                                           (-0.5, "point"), (0.5, "segment"),
+                                           (1.5, "disk"), (2.5, "disk")))
+    full = chebyshev_line(fan, target=0.25 * 1e-6 * max(1.0, fan.diameter()))
+    calls = count_linprog(monkeypatch)
+    rep = helly_verify(fan, **kw)
+    if case == "point-segment":
+        # the point section leaves the full line's depth at most 0, so
+        # every subset is solved
+        assert full.depth <= 0.0
+        assert len(calls) >= len(rep.subset_residuals) + 1
+    else:
+        assert full.depth > 0.0
+        assert len(calls) == 1  # the full fan's depth LP certifies every subset
+    assert rep == helly_reference(fan, **kw)
+
+
 def test_helly_quadric(quad8, monkeypatch):
-    import scipy.optimize
-    calls = []
-    linprog = scipy.optimize.linprog
-    monkeypatch.setattr(scipy.optimize, "linprog",
-                        lambda *a, **kw: calls.append(1) or linprog(*a, **kw))
+    calls = count_linprog(monkeypatch)
     rep = helly_verify(quad8)
-    assert len(calls) <= 57  # one depth LP per 5-subset, one for the fan
+    assert len(calls) == 1  # the full fan's depth LP certifies all 56 subsets
     assert len(rep.subset_residuals) == 56
     assert rep.max_subset_residual <= 1e-6
     assert rep.full_residual <= 1e-6
     assert rep.consistent
     assert rep.in_scope  # generated fans carry the validated flag
+
+
+@pytest.mark.parametrize("k", [8, 12, 20])
+def test_sampled_subsets_match_materialized(k):
+    every = list(combinations(range(k), 5))
+    assert [_unrank_combination(i, k, 5) for i in range(len(every))] == every
+    for cap, seed in ((20, 3), (200, 0)):
+        want = every
+        if len(every) > cap:
+            pick = np.random.default_rng(seed).choice(len(every), size=cap,
+                                                      replace=False)
+            want = [every[i] for i in pick]
+        assert _five_subsets(k, cap, seed) == want
 
 
 def test_helly_octagonalized(quad8, oct_dirs):
