@@ -3,8 +3,8 @@ becomes a point of the dual body, fibered over the dual pencil.
 
 For a fan over the line L, the dual body lives in the dual projective space
 over L* (the planes containing L).  Its section at the dual pencil
-parameter psi is computed from the projection profile at the center
-t = l_point(psi): the closure of the projection complement equals the
+parameter psi is computed from the projection profile at the center of L
+at angle psi: the closure of the projection complement equals the
 convex hull of the profile-segment endpoints (exact for hull-interpolated
 fans), and the dual section is the polar dual of that hull around the
 marked point, with the orientation flip of the dual chart.
@@ -25,7 +25,7 @@ from .projcore import (PI, DEFAULT_TOL, ArcSegment, GeometryError, PencilFrame,
                        ProjLine, Tolerances, dual_arc, dual_line)
 
 CLASS_CAP = 16  # most edge-direction classes default_dual_params adds
-N_CHECK = 8     # interior parameters affine_dependence_check compares
+N_CHECK = 8     # dual parameters pointedness_duality_check adds inside the dual arc
 
 
 class InvalidInput(GeometryError):
@@ -160,8 +160,11 @@ def _unwrapped_section(fan: SectionFan, theta_u: float, tol: Tolerances) -> Conv
 def affine_dependence_check(fan: SectionFan, arc: ArcSegment, t_dir=None,
                             tol: Tolerances = DEFAULT_TOL, eps: float = None) -> bool:
     """True when sections over the arc are the Minkowski interpolation of the
-    arc-endpoint sections, compared at N_CHECK interior parameters and the
-    samples inside the arc.
+    arc-endpoint sections, compared at the samples strictly inside the arc:
+    between two consecutive breakpoints both sides interpolate their own
+    sections there with the same weights, and support functions are linear
+    in them, so agreement at the breakpoints is agreement everywhere
+    (within eps / cos(gap / 2), the largest weight sum).
 
     With t_dir (a point on L, as an angle or 4-vector), only the projection
     onto that direction is compared, realizing the one-dimensional reduction
@@ -176,8 +179,7 @@ def affine_dependence_check(fan: SectionFan, arc: ArcSegment, t_dir=None,
     tb = ta + arc.length
     Sa = _unwrapped_section(fan, ta, tol)
     Sb = _unwrapped_section(fan, tb, tol)
-    probes = list(arc.interior_points(N_CHECK))
-    probes += [float(t) for t in fan.thetas if arc.contains(float(t), closed=False)]
+    probes = [float(t) for t in fan.thetas if arc.contains(float(t), closed=False)]
     if t_dir is not None:
         psi = (float(t_dir) if isinstance(t_dir, (int, float))
                else fan.frame.angle_of_l_point(np.asarray(t_dir, dtype=float)))
@@ -248,10 +250,11 @@ def dual_of_found_line(l: ProjLine, dual_frame: PencilFrame = None,
 # ---------------------------------------------------------------------------
 
 def fan_contains_sectionwise(outer: SectionFan, inner: SectionFan, eps: float) -> bool:
-    """True when inner's section sits inside outer's at every sample of
-    either fan and at 32 uniform parameters (both fans over the same frame)."""
-    thetas = np.concatenate([inner.thetas, outer.thetas, np.arange(32) * PI / 32])
-    for t in np.unique(thetas % PI):
+    """True when inner's section sits inside outer's at every parameter
+    (both fans over the same frame), decided at the samples of either fan:
+    between two of them both interpolate their sections there with the same
+    weights, which keep containment (eps grows at most by 1 / cos(gap / 2))."""
+    for t in np.union1d(inner.thetas, outer.thetas):
         si = section_at(inner, float(t))
         so = section_at(outer, float(t))
         if not planar.contains_polygon(so, si, eps):

@@ -19,7 +19,9 @@ covered part of the ray at angle phi starts at radius 1/upper(phi), and
 inside a gap r * upper(phi) is a linear function of the chart point, since
 kappa equals the constant sin(theta_j - theta_i) there.  So the closure of
 the projection complement is the star polygon through the 2k profile
-endpoints, and validate decides its convexity vertex by vertex.
+endpoints, and validate decides its convexity vertex by vertex, for every
+center on L: between two event_angles each star vertex moves with one
+support vertex, and every check is monotone or has a closed-form extreme.
 
 Fans are immutable; all functions are pure and safe to call concurrently.
 """
@@ -37,6 +39,7 @@ from .projcore import (PI, DEFAULT_TOL, ArcSegment, DegenerateInput, GeometryErr
                        PencilFrame, Tolerances, wrap_angle)
 
 THETA_EPS = 1e-12
+CLASS_TOL = 1e-9  # edge directions this close (mod pi) share a class; event_angles keeps all
 
 
 class CenterNotOnL(GeometryError):
@@ -119,25 +122,22 @@ class SectionFan:
             ti, tj, tu = float(self.thetas[i]), float(self.thetas[j]), t
         return i, j, ti, tj, tu
 
-    def edge_direction_classes(self, tol_angle: float = 1e-9):
-        """Sorted distinct direction angles (mod pi) of all section edges."""
-        angles = []
-        for s in self.sections:
-            if s.n < 2:
-                continue
-            e = s.edges()
-            if s.n == 2:
-                e = e[:1]
-            a = np.arctan2(e[:, 1], e[:, 0]) % PI
-            angles.append(a)
-        if not angles:
-            return np.zeros(0)
-        a = np.sort(np.concatenate(angles))
-        keep = [a[0]]
+    def edge_angles(self) -> np.ndarray:
+        """Sorted direction angles (mod pi) of the section edges: one per
+        edge, one per segment section, none for a point section."""
+        e = np.concatenate([np.zeros((0, 2))] + [s.edges()[:1] if s.n == 2 else s.edges()
+                                                 for s in self.sections if s.n > 1])
+        return np.sort(np.arctan2(e[:, 1], e[:, 0]) % PI)
+
+    def edge_direction_classes(self) -> np.ndarray:
+        """edge_angles() with each run of angles within CLASS_TOL (mod pi)
+        merged into its first."""
+        a = self.edge_angles()
+        keep = list(a[:1])
         for x in a[1:]:
-            if x - keep[-1] > tol_angle:
+            if x - keep[-1] > CLASS_TOL:
                 keep.append(x)
-        if len(keep) > 1 and (PI - keep[-1] + keep[0]) <= tol_angle:
+        if len(keep) > 1 and (PI - keep[-1] + keep[0]) <= CLASS_TOL:
             keep.pop()
         return np.array(keep)
 
@@ -209,9 +209,11 @@ class ProjectionProfile:
         """Vertices of the profile star polygon in angular order, (2k, 2):
         d(theta_i)/max_i for every sample, then d(theta_i)/min_i.  When the
         profile straddles c, this polygon is the closure of the projection
-        complement (see the module docstring)."""
+        complement (see the module docstring).  A (P, k, 2) stack of
+        intervals gives a (P, 2k, 2) stack of polygons."""
         d = np.stack([-np.sin(self.thetas), np.cos(self.thetas)], axis=1)
-        return np.concatenate([d / self.w_intervals[:, 1:], d / self.w_intervals[:, :1]])
+        w = self.w_intervals
+        return np.concatenate([d / w[..., 1:], d / w[..., :1]], axis=-2)
 
     def straddles(self, eps: float) -> bool:
         """True when every sample interval has endpoints on both sides of c."""
@@ -237,9 +239,12 @@ def project_from(fan: SectionFan, t, tol: Tolerances = DEFAULT_TOL) -> Projectio
     return ProjectionProfile(frame, psi, fan.thetas, support_intervals(fan, func))
 
 
-def support_intervals(fan: SectionFan, func) -> np.ndarray:
-    """(k, 2) array: (min, max) of the linear functional func on each section."""
-    return np.array([s.support_interval(func) for s in fan.sections])
+def support_intervals(fan: SectionFan, funcs) -> np.ndarray:
+    """(min, max) of linear functionals on each section: (k, 2) for one
+    functional of shape (2,), (P, k, 2) for a (P, 2) stack of them."""
+    f = np.asarray(funcs, dtype=float).T
+    vals = (s.vertices @ f for s in fan.sections)
+    return np.moveaxis(np.array([(v.min(axis=0), v.max(axis=0)) for v in vals]), (0, 1), (-2, -1))
 
 
 @dataclass(frozen=True)
@@ -339,39 +344,66 @@ class ValidationReport:
             flag, self.sections_ok, self.disjoint_ok, self.concave_ok)
 
 
-N_CENTERS = 16
+def event_angles(fan: SectionFan) -> np.ndarray:
+    """Centers psi on L where validate decides clause (c): every edge
+    direction (mod pi), unmerged, as a support vertex for (-sin psi, cos psi)
+    changes at each, and the multiples of pi/4, so no gap exceeds pi/4."""
+    quarters = np.arange(4) * PI / 4
+    return np.unique(np.concatenate([fan.edge_angles(), quarters]) % PI)
 
 
-def _check_center(fan: SectionFan, psi: float, tol: Tolerances) -> CenterCheck:
-    """Convexity of the projection complement from the center at psi.
+def _cross(p, q):
+    return p[..., 0] * q[..., 1] - p[..., 1] * q[..., 0]
 
-    The closure of the complement is the star polygon p = profile.endpoints()
-    around the marked point.  The chord from p[i-1] to p[i+1] crosses the
-    ray of p[i] at s * p[i], with s = (p[i-1] x e) / (p[i] x e) and
-    e = p[i+1] - p[i-1].  Along that chord r * upper - 1 is piecewise linear
-    and zero at both ends, so s - 1 is its maximum: the violation of p[i],
-    positive exactly when the polygon turns reflexly there.  A star polygon
-    with k >= 3 samples that turns convexly at every vertex is convex, so
-    neighbouring chords suffice and the test is exact.
+
+def _center_checks(fan: SectionFan, tol: Tolerances) -> list:
+    """CenterCheck at every event angle, from one pass over the (P, k, 2)
+    support intervals and the (P, 2k, 2) profile star polygons p.
+
+    The chord from p[i-1] to p[i+1] crosses the ray of p[i] at s * p[i],
+    s = (p[i-1] x p[i+1]) / (p[i] x (p[i+1] - p[i-1])); r * upper - 1 is
+    piecewise linear along it and zero at its ends, so s - 1 is its maximum,
+    the violation of p[i].  A star with k >= 3 samples and no positive
+    violation is convex, and then the marked point's margin is the least
+    distance 1/|n| to the edge lines {x : n.x = 1} through p[i], p[i+1].
+
+    Between event angles psi_a < psi_b each support value is a sinusoid
+    v . (-sin psi, cos psi) of one vertex v (psi_a + pi reflects the star
+    through the marked point), so the checks at both ends decide the span:
+    - straddle: each w and w -/+ eps w' is a sinusoid, positive across a
+      span shorter than pi if it is at both ends;
+    - violation: with p = d / w, a ratio of two sinusoids whose denominator
+      stays positive, so its derivative keeps one sign;
+    - margin: n is linear in the w's, so |n|^2 = mean + amp cos(2 tau -
+      phase), tau = psi - psi_a, peaks at the phase or the nearer end.  The
+      check at psi_a takes that least margin (psi_a's own when psi_b fails
+      to straddle) against the larger end scale max |d| / |w|, as each
+      |w| is concave on the span.
     """
-    profile = project_from(fan, psi, tol)
-    wscale = float(np.max(np.abs(profile.w_intervals)))
-    eps_w = tol.eps_convex * max(wscale, 1e-30)
-    if not profile.straddles(eps_w):
-        return CenterCheck(psi, False, False, False, np.inf)
-
-    pts = profile.endpoints()
-    hull = convex_hull(pts, tol)
-    margin = planar.interior_margin(hull, np.zeros(2))
-    marked_ok = margin > tol.eps_convex * hull.scale
-
-    prev = np.roll(pts, 1, axis=0)
-    e = np.roll(pts, -1, axis=0) - prev
-    s = ((prev[:, 0] * e[:, 1] - prev[:, 1] * e[:, 0])
-         / (pts[:, 0] * e[:, 1] - pts[:, 1] * e[:, 0]))
-    worst = float(np.max(s)) - 1.0
-    seg_ok = worst <= 1e-9 + tol.eps_convex * 10.0
-    return CenterCheck(psi, True, marked_ok, seg_ok, worst)
+    psi = event_angles(fan)
+    W = support_intervals(fan, np.stack([-np.sin(psi), np.cos(psi)], axis=1))
+    eps_w = tol.eps_convex * np.maximum(np.max(np.abs(W), axis=(1, 2)), 1e-30)[:, None]
+    straddle = np.all((W[..., 0] < -eps_w) & (W[..., 1] > eps_w), axis=1)
+    W = np.where(straddle[:, None, None], W, [-1.0, 1.0])  # stand-in for failed centers
+    pts = ProjectionProfile(fan.frame, psi, fan.thetas, W).endpoints()
+    prev, nxt = np.roll(pts, 1, axis=1), np.roll(pts, -1, axis=1)
+    worst = np.max(_cross(prev, nxt) / _cross(pts, nxt - prev), axis=1) - 1.0
+    na = (nxt - pts)[..., ::-1] * [1.0, -1.0] / _cross(pts, nxt)[..., None]
+    nb = np.roll(na, -1, axis=0)
+    nb[-1] = -np.roll(na[0], -fan.k, axis=0)  # psi_0 + pi: star point-reflected
+    span = np.diff(psi, append=psi[0] + PI)[:, None]
+    m = (nb - na * np.cos(span)[..., None]) / np.sin(span)[..., None]
+    a2, m2, x = np.sum(na * na, -1), np.sum(m * m, -1), np.sum(na * m, -1)
+    phase = span + (np.arctan2(x, 0.5 * (a2 - m2)) - span + PI) % (2.0 * PI) - PI
+    dist = np.maximum(0.0, np.maximum(-phase, phase - 2.0 * span))
+    peak = 0.5 * (a2 + m2) + np.hypot(0.5 * (a2 - m2), x) * np.cos(dist)
+    margin = 1.0 / np.sqrt(np.max(np.where(np.roll(straddle, -1)[:, None], peak, a2), axis=1))
+    scale = np.maximum(1.0, np.max(np.abs(pts), axis=(1, 2)))
+    marked = margin > tol.eps_convex * np.maximum(scale, np.roll(scale, -1))
+    seg = worst <= 1e-9 + tol.eps_convex * 10.0
+    return [CenterCheck(float(p), bool(ok), bool(ok and mk), bool(ok and sg),
+                        float(w) if ok else np.inf)
+            for p, ok, mk, sg, w in zip(psi, straddle, marked, seg, worst)]
 
 
 def validate(fan: SectionFan, tol: Tolerances = DEFAULT_TOL) -> ValidationReport:
@@ -380,26 +412,17 @@ def validate(fan: SectionFan, tol: Tolerances = DEFAULT_TOL) -> ValidationReport
     (a) every section is a convex polygon in its plane (by construction of
     ConvexPolygon; degeneracy is counted), (b) the body stays away from L
     (finite vertex magnitudes below the radius cap; the interpolating hulls
-    avoid L by construction), (c) for N_CENTERS fixed centers t on L the
-    complement of the projection is an open convex set containing the
-    marked point pi(L).  Clause (c) is tested exactly on the profile star
-    polygon: each vertex's violation is how far the chord between its two
-    neighbours passes beyond it (see _check_center).
-
-    Fans whose projection complement is unbounded in the canonical chart
-    (some section's shadow fails to straddle the marked point's parallel
-    line) are reported as concavity failures.
+    avoid L by construction), (c) for every center t on L the complement
+    of the projection is an open convex set containing the marked point
+    pi(L).  Clause (c) is decided exactly on the profile star polygons at
+    the event_angles, one CenterCheck each (see _center_checks); a
+    complement unbounded in the canonical chart (some shadow fails to
+    straddle the marked point) is a concavity failure.
     """
-    messages = []
-    sections_ok = True
-    nondegenerate = 0
-    for i, s in enumerate(fan.sections):
-        if not np.all(np.isfinite(s.vertices)):
-            sections_ok = False
-            messages.append("section %d has non-finite vertices" % i)
-        if not s.degenerate:
-            nondegenerate += 1
-    solver_ready = nondegenerate >= 3
+    messages = ["section %d has non-finite vertices" % i
+                for i, s in enumerate(fan.sections) if not np.all(np.isfinite(s.vertices))]
+    sections_ok = not messages
+    solver_ready = sum(not s.degenerate for s in fan.sections) >= 3
 
     vmax = fan.scale()
     disjoint_ok = vmax < tol.radius_cap
@@ -407,25 +430,16 @@ def validate(fan: SectionFan, tol: Tolerances = DEFAULT_TOL) -> ValidationReport
         messages.append("section vertices reach %.3g chart units; the body "
                         "is not separated from L at tolerance" % vmax)
 
-    psis = (np.arange(N_CENTERS) + 0.37) * PI / N_CENTERS
-    centers = []
-    concave_ok = True
-    for psi in psis:
-        chk = _check_center(fan, float(psi), tol)
-        centers.append(chk)
-        if not chk.ok:
-            concave_ok = False
-            if not chk.straddle_ok:
-                messages.append("center psi=%.4f: complement unbounded in the "
-                                "canonical chart (shadow does not straddle the "
-                                "marked point)" % psi)
-            elif not chk.marked_point_ok:
-                messages.append("center psi=%.4f: marked point not interior to "
-                                "the complement" % psi)
-            else:
-                messages.append("center psi=%.4f: endpoint chord enters a "
-                                "covered segment (violation %.3g)"
-                                % (psi, chk.worst_violation))
+    centers = _center_checks(fan, tol)
+    for c in centers:
+        if not c.ok:
+            messages.append("center psi=%.4f: %s" % (c.psi, (
+                "complement unbounded in the canonical chart (shadow does not "
+                "straddle the marked point)" if not c.straddle_ok else
+                "marked point not interior to the complement" if not c.marked_point_ok
+                else "endpoint chord enters a covered segment (violation %.3g)"
+                % c.worst_violation)))
+    concave_ok = all(chk.ok for chk in centers)
     return ValidationReport(sections_ok, solver_ready, disjoint_ok, concave_ok,
                             tuple(centers), tuple(messages))
 

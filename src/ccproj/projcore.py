@@ -108,14 +108,6 @@ def canonicalize(v) -> np.ndarray:
     return out + 0.0  # normalize -0.0 to 0.0
 
 
-def _unit(v) -> np.ndarray:
-    v = np.asarray(v, dtype=float)
-    n = float(np.linalg.norm(v))
-    if n == 0.0:
-        raise DegenerateInput("zero vector")
-    return v / n
-
-
 def _scale_inf(v) -> float:
     return float(np.max(np.abs(v)))
 
@@ -334,13 +326,6 @@ class PencilFrame:
         """Homogeneous point of plane(theta) with unit-chart coordinates (u, v)."""
         return self.origin(theta) + u * self.g0 + v * self.g1
 
-    def embed_polygon(self, theta: float, vertices: np.ndarray) -> np.ndarray:
-        """Homogeneous 4-vectors of a vertex array in the unit chart of plane(theta)."""
-        verts = np.asarray(vertices, dtype=float)
-        return (self.origin(theta)[None, :]
-                + verts[:, 0:1] * self.g0[None, :]
-                + verts[:, 1:2] * self.g1[None, :])
-
     def chart_coords(self, theta: float, x: np.ndarray):
         """(u, v, lam) with x ~ lam * (origin(theta) + u g0 + v g1)."""
         x = np.asarray(x, dtype=float)
@@ -359,10 +344,6 @@ class PencilFrame:
         """Angle psi (mod pi) of a point t = cos(psi) g0 + sin(psi) g1 on L."""
         t = np.asarray(t, dtype=float)
         return float(np.arctan2(float(np.dot(t, self.g1)), float(np.dot(t, self.g0)))) % PI
-
-    def l_point(self, psi: float) -> np.ndarray:
-        """Point of L at angle psi."""
-        return np.cos(psi) * self.g0 + np.sin(psi) * self.g1
 
     def off_l_distance(self, t: np.ndarray) -> float:
         """Relative magnitude of the component of t off the line L."""

@@ -7,7 +7,9 @@ from ccproj import (ArcSegment, InvalidInput, IntersectsDualL, ProjLine,
                     involution_residual, l_dual, plane_meets_all_sections,
                     point_in_fan, pointedness_duality_check, polar_dual,
                     project_from, section_at)
-from ccproj.dualize import default_dual_params
+from ccproj import DEFAULT_TOL, contains_polygon, gen_random_fan, surgery_s
+from ccproj.dualize import default_dual_params, _unwrapped_section
+from ccproj.fan import THETA_EPS, hull_slice
 from ccproj.projcore import PI
 from conftest import mark_validated, mgon, quadric_fan
 
@@ -141,6 +143,89 @@ def test_affine_dependence_single_gap(quad12):
 def test_affine_dependence_fails_across_gaps(quad12):
     arc = ArcSegment(float(quad12.thetas[2]), float(quad12.thetas[6]))
     assert not affine_dependence_check(quad12, arc)
+
+
+def probe_affine_dependence_check(fan, arc, t_dir=None, tol=DEFAULT_TOL, eps=None,
+                                  n_check=8):
+    """Reference oracle: the former probe version of affine_dependence_check,
+    which also compares at n_check evenly spaced interior parameters."""
+    eps = tol.eps_affine * fan.scale() if eps is None else eps
+    ta, tb = arc.start, arc.start + arc.length
+    Sa, Sb = _unwrapped_section(fan, ta, tol), _unwrapped_section(fan, tb, tol)
+    probes = list(arc.interior_points(n_check))
+    probes += [float(t) for t in fan.thetas if arc.contains(float(t), closed=False)]
+    func = None if t_dir is None else np.array([-np.sin(t_dir), np.cos(t_dir)])
+    for t in probes:
+        tu = t if t >= ta - THETA_EPS else t + PI
+        expected = hull_slice(ta, Sa, tb, Sb, tu, tol)
+        actual = _unwrapped_section(fan, tu, tol)
+        if func is None:
+            if hausdorff(expected, actual) > eps:
+                return False
+        elif np.max(np.abs(np.subtract(expected.support_interval(func),
+                                       actual.support_interval(func)))) > eps:
+            return False
+    return True
+
+
+def probe_fan_contains_sectionwise(outer, inner, eps, n_grid=32):
+    """Reference oracle: the former probe version of fan_contains_sectionwise,
+    which also compares at n_grid uniform parameters."""
+    thetas = np.concatenate([inner.thetas, outer.thetas, np.arange(n_grid) * PI / n_grid])
+    return all(contains_polygon(section_at(outer, float(t)), section_at(inner, float(t)), eps)
+               for t in np.unique(thetas % PI))
+
+
+def test_affine_dependence_matches_probe_oracle(quad12, oct_fan, oct_dirs):
+    # Deciding at the samples inside the arc gives the probe oracle's verdict
+    # on the test fans, on hull-surgered fans and on seeded random arcs.
+    rng = np.random.default_rng(5)
+    fans = [quad12, gen_random_fan(0).fan,
+            surgery_s(quad12, ArcSegment(0.3, 1.4)), surgery_s(quad12, ArcSegment(2.9, 0.8))]
+    dual = l_dual(mark_validated(oct_fan), dual_params=default_dual_params(
+        oct_fan, extra=np.concatenate([ArcSegment(oct_dirs[i], oct_dirs[(i + 1) % 4])
+                                       .interior_points(5) for i in range(4)])))
+    cases = [(dual, ArcSegment(float(oct_dirs[i]), float(oct_dirs[(i + 1) % 4])),
+              1e-6 * dual.scale()) for i in range(4)]
+    cases += [(quad12, ArcSegment(float(quad12.thetas[i]), float(quad12.thetas[i + 1])), None)
+              for i in range(4)]
+    cases += [(f, ArcSegment(0.3 + d, 1.4 - d), None) for f in fans[2:] for d in (0.0, 0.2)]
+    for f in fans:
+        for _ in range(10):
+            a = rng.uniform(0.0, PI)
+            cases.append((f, ArcSegment(a, (a + rng.uniform(0.05, 0.9 * PI)) % PI), None))
+    verdicts = []
+    for f, arc, eps in cases:
+        for t_dir in (None, float(rng.uniform(0.0, PI))):
+            got = affine_dependence_check(f, arc, t_dir=t_dir, eps=eps)
+            assert got == probe_affine_dependence_check(f, arc, t_dir=t_dir, eps=eps)
+            verdicts.append(got)
+    assert any(verdicts) and not all(verdicts)
+
+
+def test_fan_contains_sectionwise_matches_probe_oracle(quad12):
+    # Deciding at the union of both fans' samples gives the probe oracle's
+    # verdict on nested, crossing and bumped pairs.
+    outer = quadric_fan(12, 64, mode="circumscribed")
+    rng = np.random.default_rng(6)
+    pairs = [(outer, quad12), (quad12, outer), (quad12, quad12),
+             (l_dual(outer), l_dual(quad12)), (l_dual(quad12), l_dual(outer)),
+             (surgery_s(quad12, ArcSegment(0.3, 1.4)), quad12),
+             (quad12, surgery_s(quad12, ArcSegment(0.3, 1.4)))]
+    for seed in range(3):
+        fan = gen_random_fan(seed).fan
+        for factor in (0.98, 1.02):
+            secs = list(fan.sections)
+            i = int(rng.integers(fan.k))
+            secs[i] = secs[i].scaled(factor)
+            pairs += [(fan, fan.with_sections(secs)), (fan.with_sections(secs), fan)]
+    verdicts = []
+    for o, i in pairs:
+        for eps in (1e-12, 1e-9):
+            got = fan_contains_sectionwise(o, i, eps)
+            assert got == probe_fan_contains_sectionwise(o, i, eps)
+            verdicts.append(got)
+    assert any(verdicts) and not all(verdicts)
 
 
 def test_dual_of_octagon_fan_affine_on_dual_arcs(oct_fan, oct_dirs):

@@ -1,11 +1,13 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from ccproj import (DEFAULT_TOL, ArcSegment, CenterNotOnL, SectionFan,
+from ccproj import (DEFAULT_TOL, ArcSegment, CenterNotOnL, SectionFan, Tolerances,
                     convex_hull, gen_random_fan, hausdorff, interior_margin,
                     is_pointed, project_from, section_at, validate)
-from ccproj.fan import gap_coefficients, plane_margin
-from ccproj.planar import contains_polygon, tangent_quadrangle_corners
+from ccproj.fan import CenterCheck, event_angles, gap_coefficients, plane_margin
+from ccproj.planar import ConvexPolygon, contains_polygon, tangent_quadrangle_corners
 from ccproj.projcore import PI, DegenerateInput
 from conftest import mgon, quadric_fan
 
@@ -241,6 +243,143 @@ def test_validate_reflex_vertex_violation(frame):
         assert c.straddle_ok and c.marked_point_ok and not c.segments_ok
         assert c.worst_violation == pytest.approx(np.sqrt(2.0) - 1.0, abs=1e-12)
     assert "violation 0.414" in rep.messages[0]
+
+
+def reference_star(fan, psi, tol=DEFAULT_TOL):
+    """Profile star polygon from the center at psi, or None when some shadow
+    fails to straddle the marked point."""
+    profile = project_from(fan, psi, tol)
+    wscale = float(np.max(np.abs(profile.w_intervals)))
+    if not profile.straddles(tol.eps_convex * max(wscale, 1e-30)):
+        return None
+    return profile.endpoints()
+
+
+def reference_violation(pts):
+    """Largest neighbour-chord violation s - 1 over the vertices of a star
+    polygon (2k, 2), or of each star in a stack of them."""
+    prev = np.roll(pts, 1, axis=-2)
+    e = np.roll(pts, -1, axis=-2) - prev
+    s = ((prev[..., 0] * e[..., 1] - prev[..., 1] * e[..., 0])
+         / (pts[..., 0] * e[..., 1] - pts[..., 1] * e[..., 0]))
+    return np.max(s, axis=-1) - 1.0
+
+
+def reference_center_check(fan, psi, tol=DEFAULT_TOL):
+    """Reference oracle for one center: the former per-center check of
+    validate, one project_from, convex_hull and interior_margin call each."""
+    pts = reference_star(fan, psi, tol)
+    if pts is None:
+        return CenterCheck(psi, False, False, False, np.inf)
+    hull = convex_hull(pts, tol)
+    marked_ok = interior_margin(hull, np.zeros(2)) > tol.eps_convex * hull.scale
+    worst = float(reference_violation(pts))
+    return CenterCheck(psi, True, marked_ok, worst <= 1e-9 + tol.eps_convex * 10.0, worst)
+
+
+def bump_vertex(fan, rng):
+    """The fan with one vertex of one sample scaled by a factor in [0.9, 1.1]."""
+    secs = list(fan.sections)
+    i = int(rng.integers(fan.k))
+    v = secs[i].vertices.copy()
+    v[int(rng.integers(len(v)))] *= rng.uniform(0.9, 1.1)
+    secs[i] = convex_hull(v)
+    return fan.with_sections(secs)
+
+
+def test_event_angles_cover_every_support_change(quad12):
+    for fan in (quad12, gen_random_fan(0).fan):
+        psi = event_angles(fan)
+        assert len(psi) >= 4 and psi[0] == 0.0 and psi[-1] < PI
+        assert np.max(np.diff(psi, append=PI)) <= PI / 4 + 1e-15
+        assert np.all(np.isin(np.arange(4) * PI / 4, psi))
+        assert np.all(np.isin(fan.edge_angles(), psi))
+        assert len(fan.edge_direction_classes()) <= len(psi)
+
+
+def bumped_between_fixed_centers():
+    """Random fan 3 with vertex 1 of sample 5 scaled by 1.05: its star turns
+    reflex near psi = 3.058216, between the centers (i + 0.37) pi / 16 of a
+    fixed 16-point grid, which all pass."""
+    fan = gen_random_fan(3, k=10, complexity=2).fan
+    secs = list(fan.sections)
+    v = secs[5].vertices.copy()
+    v[1] *= 1.05
+    secs[5] = convex_hull(v)
+    return fan.with_sections(secs)
+
+
+def test_validate_rejects_violation_between_fixed_centers():
+    bumped = bumped_between_fixed_centers()
+    assert all(reference_center_check(bumped, (i + 0.37) * PI / 16).ok for i in range(16))
+    assert reference_center_check(bumped, 3.058216).worst_violation > 2e-2
+    rep = validate(bumped)
+    assert not rep.ok and not rep.concave_ok
+    assert max(c.worst_violation for c in rep.centers) > 1e-2
+    assert any("chord" in m for m in rep.messages)
+
+
+def test_validate_event_angles_match_dense_grid():
+    # At the event angles the vectorized checks equal the reference check;
+    # on a dense psi grid the reference never finds a larger violation, and
+    # finds a shadow failing to straddle only if some event angle does.
+    rng = np.random.default_rng(11)
+    fans = [gen_random_fan(s, k=10, complexity=2).fan for s in range(4)]
+    fans += [bump_vertex(f, rng) for f in fans] + [bumped_between_fixed_centers()]
+    grid = np.arange(4001) * PI / 4001
+    for fan in fans:
+        rep = validate(fan)
+        for c in rep.centers:
+            ref = reference_center_check(fan, c.psi)
+            assert ((c.straddle_ok, c.marked_point_ok, c.segments_ok)
+                    == (ref.straddle_ok, ref.marked_point_ok, ref.segments_ok))
+            if ref.straddle_ok:
+                assert abs(c.worst_violation - ref.worst_violation) <= 1e-12
+        stars = [reference_star(fan, float(p)) for p in grid]
+        if any(p is None for p in stars):
+            assert not all(c.straddle_ok for c in rep.centers)
+        else:
+            dense = float(np.max(reference_violation(np.array(stars))))
+            assert dense <= max(c.worst_violation for c in rep.centers) + 1e-12
+
+
+def test_validate_marked_point_margin_between_event_angles():
+    # The marked point's margin in this fan's star, relative to the star's
+    # scale, is 0.3915 at its least event angle but dips to 0.3742 between
+    # two of them.  With eps_convex = 0.38 in between, validate must see the
+    # dip that no event angle shows.
+    fan = gen_random_fan(3, k=5, complexity=1).fan
+
+    def relative_margin(psi):
+        hull = convex_hull(reference_star(fan, psi))
+        return interior_margin(hull, np.zeros(2)) / hull.scale
+
+    psi = event_angles(fan)
+    assert min(relative_margin(p) for p in psi) > 0.39
+    assert min(relative_margin(p) for p in np.arange(4001) * PI / 4001) < 0.375
+    rep = validate(fan, Tolerances(eps_convex=0.38))
+    assert not rep.ok
+    assert all(c.straddle_ok and c.segments_ok for c in rep.centers)
+    assert not all(c.marked_point_ok for c in rep.centers)
+    assert validate(fan, Tolerances(eps_convex=0.3)).ok
+
+
+def test_validate_degenerate_sections(frame):
+    # Point and segment sections among polygons: validate returns a report,
+    # and its vectorized divisions raise no floating-point warning.
+    sq = convex_hull([[-1, -1], [1, -1], [1, 1], [-1, 1]])
+    seg = ConvexPolygon([[-1.0, 0.2], [1.0, -0.3]])
+    origin, off = ConvexPolygon([[0.0, 0.0]]), ConvexPolygon([[0.5, 0.1]])
+    thetas = (0.1, 0.9, 1.7, 2.5)
+    cases = [(sq, seg, sq, seg), (seg, seg, seg, seg), (origin, off, origin, origin),
+             (sq, origin, seg, sq), (sq, sq, off, sq), (sq, seg, sq, origin)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        reports = [validate(SectionFan.create(frame, list(zip(thetas, c)))) for c in cases]
+    assert [r.solver_ready for r in reports] == [False, False, False, False, True, False]
+    for r in reports[2:]:
+        assert not r.concave_ok
+        assert all(not c.straddle_ok or not c.ok for c in r.centers)
 
 
 def test_quadric_ground_truth_band(quad12):

@@ -4,7 +4,8 @@ The digests pin every vertex the generators, surgeries, duality and the
 section evaluator produce, bit for bit, and every `validate` verdict and
 `helly` report, so a rewrite of a kernel underneath them (hulls, Minkowski
 sums, merges, the convexity test, the Helly check) must reproduce the old
-output exactly.
+output exactly.  The `helly` report prints only the largest subset residual,
+so the sorted (subset, residual) items of `helly_verify` are pinned as well.
 A digest that changes on purpose is recomputed with `golden_digests` and the
 reason goes into CHANGES.md.
 """
@@ -13,7 +14,7 @@ import hashlib
 
 import pytest
 
-from ccproj import cli, gen_quadric, gen_random_fan, serialize
+from ccproj import cli, gen_quadric, gen_random_fan, helly_verify, serialize
 
 SCENES = {
     "quadric-12-64": lambda: gen_quadric(12, 64),
@@ -191,6 +192,17 @@ GOLDEN = {
 }
 
 
+HELLY_SUBSETS = {
+    "quadric-12-64": "20f4888b35ecb530af75b8e15211a037cfcffa56d171925efdf988cdcc6ed28a",
+    "quadric-48-256": "dee59edef5a3acd29349a317fb586263969ea53f8903d88152d0d34a93638898",
+    "random-0": "1c4471e44541d3e50296af0a1df4fd98e4ce9bd0d5f0f9901c42dff31e67de15",
+    "random-1": "e8bc7bc4aa7a1207da8bac6b9769b8a0aac1cdcd22c434a29fb9737e60c24401",
+    "random-2": "20f4888b35ecb530af75b8e15211a037cfcffa56d171925efdf988cdcc6ed28a",
+    "random-3": "1c4471e44541d3e50296af0a1df4fd98e4ce9bd0d5f0f9901c42dff31e67de15",
+    "random-4": "aa658a763abc5be3ec4867711a82b6721111a1adfa592cc4ce8a04beb3d4c61c",
+}
+
+
 def _sha(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
@@ -211,3 +223,14 @@ def golden_digests(name, tmp_path, capsys):
 @pytest.mark.parametrize("name", sorted(SCENES))
 def test_golden_outputs(name, tmp_path, capsys):
     assert golden_digests(name, tmp_path, capsys) == GOLDEN[name]
+
+
+def helly_subset_digest(name):
+    """Digest of every (subset, residual) item of helly_verify, sorted."""
+    rep = helly_verify(SCENES[name]().fan)
+    return _sha(repr([(sub, float(r)) for sub, r in sorted(rep.subset_residuals.items())]))
+
+
+@pytest.mark.parametrize("name", sorted(SCENES))
+def test_golden_helly_subsets(name):
+    assert helly_subset_digest(name) == HELLY_SUBSETS[name]
