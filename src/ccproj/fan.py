@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import groupby
 
 import numpy as np
 
@@ -406,6 +407,42 @@ def _center_checks(fan: SectionFan, tol: Tolerances) -> list:
             for p, ok, mk, sg, w in zip(psi, straddle, marked, seg, worst)]
 
 
+_FAILURES = {
+    "straddle": "complement unbounded in the canonical chart (shadow does not "
+                "straddle the marked point)",
+    "marked": "marked point not interior to the complement",
+    "chord": "endpoint chord enters a covered segment",
+}
+
+
+def _failure_kind(c: CenterCheck):
+    return (None if c.ok else "straddle" if not c.straddle_ok
+            else "marked" if not c.marked_point_ok else "chord")
+
+
+def _failure_messages(centers: list) -> list:
+    """One message per run of consecutive failing centers of one kind: its
+    psi range, its count and, for chord failures, the worst violation.
+    Centers are cyclic in psi (mod pi), so a run may wrap past pi to 0."""
+    kinds = [_failure_kind(c) for c in centers]
+    cut = next((i for i, kind in enumerate(kinds) if kind != kinds[i - 1]), 0)
+    messages = []
+    for kind, run in groupby(centers[cut:] + centers[:cut], key=_failure_kind):
+        if kind is None:
+            continue
+        run = list(run)
+        text = _FAILURES[kind]
+        if kind == "chord":
+            text += " (%sviolation %.3g)" % ("worst " if len(run) > 1 else "",
+                                            max(c.worst_violation for c in run))
+        if len(run) == 1:
+            messages.append("center psi=%.4f: %s" % (run[0].psi, text))
+        else:
+            messages.append("centers psi=%.4f..%.4f (%d event angles): %s"
+                            % (run[0].psi, run[-1].psi, len(run), text))
+    return messages
+
+
 def validate(fan: SectionFan, tol: Tolerances = DEFAULT_TOL) -> ValidationReport:
     """Check the three convex-concavity clauses on the denoted body.
 
@@ -417,7 +454,8 @@ def validate(fan: SectionFan, tol: Tolerances = DEFAULT_TOL) -> ValidationReport
     pi(L).  Clause (c) is decided exactly on the profile star polygons at
     the event_angles, one CenterCheck each (see _center_checks); a
     complement unbounded in the canonical chart (some shadow fails to
-    straddle the marked point) is a concavity failure.
+    straddle the marked point) is a concavity failure.  Failing centers are
+    reported in runs, one message each (see _failure_messages).
     """
     messages = ["section %d has non-finite vertices" % i
                 for i, s in enumerate(fan.sections) if not np.all(np.isfinite(s.vertices))]
@@ -431,14 +469,7 @@ def validate(fan: SectionFan, tol: Tolerances = DEFAULT_TOL) -> ValidationReport
                         "is not separated from L at tolerance" % vmax)
 
     centers = _center_checks(fan, tol)
-    for c in centers:
-        if not c.ok:
-            messages.append("center psi=%.4f: %s" % (c.psi, (
-                "complement unbounded in the canonical chart (shadow does not "
-                "straddle the marked point)" if not c.straddle_ok else
-                "marked point not interior to the complement" if not c.marked_point_ok
-                else "endpoint chord enters a covered segment (violation %.3g)"
-                % c.worst_violation)))
+    messages += _failure_messages(centers)
     concave_ok = all(chk.ok for chk in centers)
     return ValidationReport(sections_ok, solver_ready, disjoint_ok, concave_ok,
                             tuple(centers), tuple(messages))

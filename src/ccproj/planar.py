@@ -6,6 +6,13 @@ of parallel lines.  Polygons are canonically ordered (counterclockwise,
 starting at the lexicographic minimum) and degenerate polygons (single
 points and segments) are first-class, carrying an explicit flag.
 
+Hulls come from Andrew's monotone chain (de Berg et al., *Computational
+Geometry*, ch. 1) with a dedup and a collinear merge under eps.  Most hull
+calls (parsing a scene, polar duals, dual and clipped sections) receive a
+polygon that is already a hull, in cyclic order; `_convex_cycle` certifies
+those with a few vectorized passes and returns them rotated, bit-identical
+to the chain's output, so the chain runs only on points it may change.
+
 All functions are pure and values are treated as immutable.
 """
 
@@ -57,18 +64,25 @@ def _as_angle(d) -> float:
 # Convex polygons
 # ---------------------------------------------------------------------------
 
+def _ear_terms(cycle: np.ndarray):
+    """(cross, d, ln) at every vertex v of a cycle, with neighbors u, w:
+    cross = e x d for e = w - u and d = v - u (negative where the cycle
+    turns left at v) and ln = |e|."""
+    u = np.concatenate((cycle[-1:], cycle[:-1]))
+    e = np.concatenate((cycle[1:], cycle[:1])) - u
+    d = cycle - u
+    return e[:, 0] * d[:, 1] - e[:, 1] * d[:, 0], d, np.hypot(e[:, 0], e[:, 1])
+
+
 def _chord_distances(cycle: np.ndarray) -> np.ndarray:
     """Distance of every vertex of a cycle to the chord of its two neighbors.
 
     The true point-to-chord distance |e x (v - u)| / |e| with e = w - u (the
     distance to u when the chord has zero length), immune to the
     near-collinear cross-product pitfall."""
-    u = np.roll(cycle, 1, axis=0)
-    e = np.roll(cycle, -1, axis=0) - u
-    d = cycle - u
-    ln = np.hypot(e[:, 0], e[:, 1])
+    cross, d, ln = _ear_terms(cycle)
     with np.errstate(divide="ignore", invalid="ignore"):
-        dist = np.abs(e[:, 0] * d[:, 1] - e[:, 1] * d[:, 0]) / ln
+        dist = np.abs(cross) / ln
     zero = ln == 0.0
     dist[zero] = np.hypot(d[zero, 0], d[zero, 1])
     return dist
@@ -136,13 +150,82 @@ def _roll_to_min(v: np.ndarray) -> np.ndarray:
     return np.roll(v, -start, axis=0)
 
 
+# Ear cross products of a certified convex cycle are below -EAR_MARGIN * s^2,
+# s = max(1, max |coordinate|): 128 unit roundoffs, four times the rounding
+# error of one cross product in _chain.
+EAR_MARGIN = 128 * 2.0 ** -53
+
+
+def _convex_cycle(points: np.ndarray, eps: float):
+    """The monotone chain's result when points are already a hull, else None.
+
+    Accepts n >= 3 points that form a cycle, in either orientation, when
+    1. consecutive points in lexicographic order differ by more than eps in
+       max-norm: the chain's dedup test, in the same float operations, so
+       it keeps every point;
+    2. along the cycle the points rise lexicographically and then fall, once,
+       so they form one x-monotone loop;
+    3. every ear cross product (`_ear_terms`, in counterclockwise order) is
+       below -EAR_MARGIN * s^2: every turn is strictly left, by a margin.
+       With 2, the edge directions then wind once around, turning left at
+       every vertex, so the points are a strictly convex polygon;
+    4. every chord distance exceeds eps, in `_chord_distances`' float
+       operations, so `_merge_collinear`'s screen pops nothing.
+    The float chain then keeps every point, in cyclic order.  The smallest
+    triangle on the vertices of a convex polygon is an ear (the distance of
+    a vertex to a line through two others is unimodal along the boundary),
+    so every cross(b - a, p - a) the chain evaluates is, in exact
+    arithmetic, at least as large in magnitude as the least exact ear,
+    which exceeds 95 u s^2 (u = 2^-53; a computed ear is off by at most
+    32 u s^2).  The chain's own value is off by at most 32 u s^2 as well
+    (two products of differences of magnitude <= 2s, and their
+    difference), so it has the exact sign and every pop decision is the
+    exact one.  The result, the points rotated to their lexicographic
+    minimum, equals the chain's bit for bit.
+    """
+    n = len(points)
+    if n < 3:
+        return None
+    top = float(np.abs(points).max())
+    if not top < 2.0 ** 500:  # no overflow; also rejects NaN and infinities
+        return None
+    order = np.lexsort((points[:, 1], points[:, 0]))
+    srt = points[order]
+    gap = np.abs(srt[1:] - srt[:-1])
+    if not np.maximum(gap[:, 0], gap[:, 1]).min() > eps:
+        return None
+    # ranks 0 .. n-1 rise and fall once around the cycle iff their total
+    # variation is 2 (n - 1)
+    rank = np.empty(n, dtype=np.intp)
+    rank[order] = np.arange(n)
+    if np.abs(rank[1:] - rank[:-1]).sum() + abs(rank[0] - rank[-1]) != 2 * (n - 1):
+        return None
+    start = int(order[0])
+    cross, d, ln = _ear_terms(points)
+    if cross[start] > 0.0:  # clockwise; reversed, the chord terms round differently
+        points, start = points[::-1], n - 1 - start
+        cross, d, ln = _ear_terms(points)
+    scale = max(1.0, top)
+    if not cross.max() < -EAR_MARGIN * scale * scale:
+        return None
+    if not (np.abs(cross) / ln).min() > eps:  # ln > 0: no ear is flat
+        return None
+    return np.concatenate((points[start:], points[:start]))
+
+
 def _hull_cycle(points: np.ndarray, eps: float) -> np.ndarray:
     """Andrew monotone chain; ccw from the lexicographic minimum.
 
-    The chain pops on exact cross <= 0 (never discarding a point that
-    strictly sticks out, however slightly); near-collinear survivors are
-    merged afterwards under a point-to-chord distance guard.  The scans run
-    on Python floats, in the same IEEE operations as the numpy formulas."""
+    Points that already form a strictly convex cycle are certified by
+    `_convex_cycle` and returned rotated, bit-identical to the chain's
+    output, without running it.  The chain pops on exact cross <= 0 (never
+    discarding a point that strictly sticks out, however slightly);
+    near-collinear survivors are merged afterwards under a point-to-chord
+    distance guard.  The scans run on Python floats, in the same IEEE
+    operations as the numpy formulas."""
+    fast = _convex_cycle(points, eps)
+    if fast is not None:
+        return fast
     pts = points[np.lexsort((points[:, 1], points[:, 0]))].tolist()
     keep = [pts[0]]
     for p in pts[1:]:
@@ -197,8 +280,9 @@ class ConvexPolygon:
         v = self.vertices
         if len(v) == 1:
             return 0.0
-        d2 = np.sum((v[:, None, :] - v[None, :, :]) ** 2, axis=2)
-        return float(np.sqrt(np.max(d2)))
+        dx = np.subtract.outer(v[:, 0], v[:, 0])
+        dy = np.subtract.outer(v[:, 1], v[:, 1])
+        return float(np.sqrt(np.max(dx * dx + dy * dy)))
 
     def centroid(self) -> np.ndarray:
         return np.mean(self.vertices, axis=0)

@@ -55,6 +55,9 @@ def _fmt(x) -> str:
 
 
 def _emit(obj) -> str:
+    if isinstance(obj, np.ndarray):  # (n, 2) vertices, in one pass
+        return "[" + ", ".join("[%s, %s]" % (format(a, ".17g"), format(b, ".17g"))
+                               for a, b in obj.tolist()) + "]"
     if isinstance(obj, dict):
         inner = ", ".join('"%s": %s' % (k, _emit(v)) for k, v in obj.items())
         return "{" + inner + "}"
@@ -89,7 +92,7 @@ def serialize(scene: Scene) -> str:
                     "u": [float(x) for x in f.frame.g0],
                     "v": [float(x) for x in f.frame.g1],
                 },
-                "vertices": [[float(a), float(b)] for a, b in s.vertices],
+                "vertices": s.vertices,
             }
             for t, s in zip(f.thetas, f.sections)
         ],

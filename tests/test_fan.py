@@ -319,6 +319,23 @@ def test_validate_rejects_violation_between_fixed_centers():
     assert any("chord" in m for m in rep.messages)
 
 
+def test_validate_groups_failing_centers_into_runs(quad12):
+    # one note per run of consecutive failing event angles of one kind, with
+    # its psi range, its count and its worst violation; the reproducer's run
+    # wraps past psi = pi (centers are cyclic mod pi)
+    secs = list(quad12.sections)
+    secs[5] = secs[5].scaled(3.0)
+    for fan, first, last in [(quad12.with_sections(secs), "0.0000", "3.0925"),
+                             (bumped_between_fixed_centers(), "3.0582", "0.0541")]:
+        rep = validate(fan)
+        failing = [c for c in rep.centers if not c.ok]
+        assert all(c.straddle_ok and c.marked_point_ok for c in failing)
+        assert rep.messages == (
+            "centers psi=%s..%s (%d event angles): endpoint chord enters a covered "
+            "segment (worst violation %.3g)"
+            % (first, last, len(failing), max(c.worst_violation for c in failing)),)
+
+
 def test_validate_event_angles_match_dense_grid():
     # At the event angles the vectorized checks equal the reference check;
     # on a dense psi grid the reference never finds a larger violation, and

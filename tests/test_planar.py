@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from ccproj import planar
@@ -382,3 +382,170 @@ def test_merge_collinear_rechecks_first_vertex_after_last_pops():
     out = planar._merge_collinear(cycle, 0.1)
     assert np.array_equal(out, ref_merge_collinear(cycle, 0.1))
     assert np.array_equal(out, [[1.0, 0.12], [-2.0, 0.0]])
+
+
+# ---------------------------------------------------------------------------
+# Convex-cycle fast path: planar._convex_cycle certifies points that already
+# form a strictly convex cycle, and _hull_cycle then returns them rotated
+# without running the chain.  Whatever it accepts must equal the reference
+# chain's output bit for bit; whatever the chain would change it must decline.
+# ---------------------------------------------------------------------------
+
+def _matches_chain(pts, eps):
+    """Assert the fast path and _hull_cycle agree with the reference chain;
+    True when the fast path took the points."""
+    ref = ref_hull_cycle(pts, eps)
+    fast = planar._convex_cycle(pts, eps)
+    assert fast is None or np.array_equal(fast, ref)
+    assert np.array_equal(planar._hull_cycle(pts, eps), ref)
+    event("fast path" if fast is not None else "chain")
+    return fast is not None
+
+
+def _arranged(draw, ccw):
+    """A counterclockwise cycle from a drawn start, in a drawn orientation."""
+    pts = np.roll(ccw, draw(st.integers(0, len(ccw) - 1)), axis=0)
+    return pts[::-1].copy() if draw(st.booleans()) else pts
+
+
+@st.composite
+def ellipse_polygons(draw, min_n=3, max_n=48):
+    """Counterclockwise vertices at distinct angles on a rotated ellipse, at
+    scales from 1e-6 to 1e6; close angles give near-collinear triples."""
+    n = draw(st.integers(min_n, max_n))
+    gaps = np.array(draw(st.lists(st.floats(1e-3, 1.0), min_size=n, max_size=n)))
+    angles = (draw(st.floats(0.0, 2.0 * np.pi))
+              + 2.0 * np.pi * (np.cumsum(gaps) - gaps) / np.sum(gaps))
+    a, b = draw(st.floats(0.05, 5.0)), draw(st.floats(0.05, 5.0))
+    rot = draw(st.floats(0.0, 2.0 * np.pi))
+    size = 10.0 ** draw(st.integers(-6, 6))
+    e = np.stack([a * np.cos(angles), b * np.sin(angles)], axis=1)
+    r = np.array([[np.cos(rot), -np.sin(rot)], [np.sin(rot), np.cos(rot)]])
+    return size * (np.array(draw(point)) + e @ r.T)
+
+
+def _least_gap(pts):
+    """Least max-norm gap between lexicographically consecutive points."""
+    srt = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
+    return float(np.min(np.max(np.abs(np.diff(srt, axis=0)), axis=1)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), eps_factor)
+def test_fast_path_matches_chain_on_convex_cycles(data, factor):
+    pts = _arranged(data.draw, data.draw(ellipse_polygons()))
+    _matches_chain(pts, _hull_eps(pts, factor))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), st.sampled_from(["chord", "gap"]), st.sampled_from([-1, 0, 1]))
+def test_fast_path_thresholds_straddling_eps(data, which, ulps):
+    # eps one ulp below, at, or one ulp above the least chord distance (the
+    # merge screen's threshold) or the least lexicographic gap (the dedup's)
+    ccw = data.draw(ellipse_polygons())
+    edge = (float(np.min(planar._chord_distances(ccw))) if which == "chord"
+            else _least_gap(ccw))
+    eps = {-1: np.nextafter(edge, -np.inf), 0: edge, 1: np.nextafter(edge, np.inf)}[ulps]
+    took = _matches_chain(_arranged(data.draw, ccw), eps)
+    if ulps >= 0:
+        assert not took
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), eps_factor, st.floats(0.0, 1.5))
+def test_fast_path_matches_chain_with_vertex_pairs_within_eps(data, factor, reach):
+    # a vertex doubled within reach * eps of itself, next to it in the cycle
+    ccw = data.draw(ellipse_polygons())
+    eps = _hull_eps(ccw, factor)
+    i = data.draw(st.integers(0, len(ccw) - 1))
+    off = np.array(data.draw(st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))))
+    pts = np.insert(ccw, i + 1, ccw[i] + reach * eps * off, axis=0)
+    _matches_chain(_arranged(data.draw, pts), eps)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data(), st.sampled_from([5] + list(range(7, 18))), st.floats(0.0, 2.0 * np.pi),
+       st.floats(0.1, 1e3))
+def test_fast_path_declines_star_polygons(data, n, phase, radius):
+    # {n/k} stars turn left at every vertex but wind k > 1 times
+    k = data.draw(st.sampled_from([k for k in range(2, (n + 1) // 2)
+                                   if np.gcd(n, k) == 1]))
+    a = phase + 2.0 * np.pi * k * np.arange(n) / n
+    star = radius * np.stack([np.cos(a), np.sin(a)], axis=1)
+    assert np.all(planar._ear_terms(star)[0] < 0.0)
+    pts = _arranged(data.draw, star)
+    assert not _matches_chain(pts, _hull_eps(pts, 1e-9))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), st.floats(-3.0, 0.6), st.floats(0.0, 2.0 * np.pi),
+       st.sampled_from([0.0, 1e-300]))
+def test_fast_path_on_slivers_near_the_ear_margin(data, log_ratio, turn, eps):
+    # squash an ellipse polygon until its least ear cross product is 10^-3
+    # to 4 times the certificate's margin, then turn and shift it: the
+    # chain's cross products are differences of nearly equal products, and
+    # below a quarter of the margin its float decisions may be wrong
+    ccw = data.draw(ellipse_polygons(max_n=12))
+    ccw = ccw - ccw.mean(axis=0)
+    ears = -planar._ear_terms(ccw)[0]
+    scale = max(1.0, float(np.max(np.abs(ccw))))
+    squash = 10.0 ** log_ratio * planar.EAR_MARGIN * scale * scale / float(np.min(ears))
+    r = np.array([[np.cos(turn), -np.sin(turn)], [np.sin(turn), np.cos(turn)]])
+    sliver = (ccw * np.array([1.0, min(squash, 1.0)])) @ r.T
+    sliver = sliver + scale * np.array(data.draw(st.tuples(st.floats(-3.0, 3.0),
+                                                             st.floats(-3.0, 3.0))))
+    _matches_chain(_arranged(data.draw, sliver), eps)
+
+
+def test_fast_path_takes_rotated_and_clockwise_cycles():
+    poly = mgon(2.0, 64, center=(3.0, -1.0), phase=0.3).vertices
+    tri = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0]])  # clockwise, vertical edge
+    cycles = [np.roll(p, s, axis=0) for p in (poly, poly[::-1]) for s in (0, 1, 17, 63)]
+    for pts in cycles + [tri]:
+        fast = planar._convex_cycle(pts, 1e-9 * 5.0)
+        assert fast is not None and np.array_equal(fast, ref_hull_cycle(pts, 1e-9 * 5.0))
+
+
+def test_fast_path_margin_declines_turns_within_rounding():
+    # a turned sliver whose four computed ear cross products all turn left,
+    # by less than one cross product's rounding error: the chain reduces it
+    # to a segment, and without the margin the certificate would keep all four
+    pts = np.array([[0.6391253299000291, -2.238133692712448],
+                    [1.5236899558552441, -1.088706490559021],
+                    [1.7353971346374704, -0.8136084558386384],
+                    [1.6648246649744811, -0.9053122318812203]])
+    ref = ref_hull_cycle(pts, 0.0)
+    assert len(ref) == 2
+    assert planar._convex_cycle(pts, 0.0) is None
+    assert np.array_equal(planar._hull_cycle(pts, 0.0), ref)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(planar, "EAR_MARGIN", 0.0)
+        assert len(planar._convex_cycle(pts, 0.0)) == 4
+
+
+def test_parse_and_polar_dual_take_the_fast_path():
+    # every golden scene's sections and their polar duals are hulls already:
+    # with the chain disabled, parse and polar_dual still succeed
+    from ccproj import parse, serialize
+    from test_golden import SCENES
+
+    texts = [serialize(make()) for make in SCENES.values()]
+
+    def no_chain(pts):
+        raise AssertionError("monotone chain ran on a convex cycle")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(planar, "_chain", no_chain)
+        for text in texts:
+            for s in parse(text).fan.sections:
+                polar_dual(s, s.centroid())
+
+
+@settings(max_examples=200, deadline=None)
+@given(clouds())
+def test_diameter_matches_broadcast_formula(pts):
+    # per-coordinate outer differences: the same IEEE operations as the
+    # (n, n, 2) broadcast, so the same bits
+    v = convex_hull(pts).vertices
+    d2 = np.sum((v[:, None, :] - v[None, :, :]) ** 2, axis=2)
+    assert ConvexPolygon(v).diameter() == float(np.sqrt(np.max(d2)))

@@ -5,7 +5,10 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ccproj import scene
 from ccproj import (SceneFormatError, Scene, export_mesh, gen_quadric,
                     gen_random_fan, hausdorff, parse, serialize, validate)
 
@@ -347,3 +350,17 @@ def test_cli_roundtrip_report(tmp_path):
     assert r.returncode == 0
     vals = dict(l.split("=", 1) for l in r.stdout.splitlines() if "=" in l)
     assert float(vals["max_residual"]) <= 5e-2 * float(vals["diameter"])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.floats(allow_nan=False, allow_infinity=False),
+                          st.floats(allow_nan=False, allow_infinity=False)),
+                min_size=1, max_size=12))
+def test_vertex_text_matches_generic_emitter(pairs):
+    # serialize writes a sample's vertex array in one pass; the text is the
+    # one the nested list of floats gets, byte for byte (signed zeros,
+    # subnormals and 17-digit round trips included)
+    v = np.array(pairs, dtype=float).reshape(-1, 2)
+    nested = [[float(a), float(b)] for a, b in v]
+    assert scene._emit(v) == scene._emit(nested)
+    assert json.loads(scene._emit(v)) == nested
