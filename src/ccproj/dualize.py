@@ -9,8 +9,9 @@ convex hull of the profile-segment endpoints (exact for hull-interpolated
 fans), and the dual section is the polar dual of that hull around the
 marked point, with the orientation flip of the dual chart.
 
-Pure functions on immutable fans; per-center sections are independent and
-ordered deterministically by parameter.
+Pure functions on immutable fans.  Per-center sections are independent,
+ordered by parameter and computed in one stacked pass over all centers
+(_dual_sections), bit-identical to computing them one at a time.
 """
 
 from __future__ import annotations
@@ -18,11 +19,11 @@ from __future__ import annotations
 import numpy as np
 
 from . import planar
-from .fan import (SectionFan, THETA_EPS, hull_slice, is_pointed, plane_margin,
-                  project_from, section_at, validate)
+from .fan import (ProjectionProfile, SectionFan, THETA_EPS, hull_slice, is_pointed,
+                  plane_margin, section_at, support_intervals, validate)
 from .planar import ConvexPolygon, convex_hull, hausdorff, polar_dual
 from .projcore import (PI, DEFAULT_TOL, ArcSegment, GeometryError, PencilFrame,
-                       ProjLine, Tolerances, dual_arc, dual_line)
+                       ProjLine, Tolerances, dual_arc, dual_line, wrap_angle)
 
 CLASS_CAP = 16  # most edge-direction classes default_dual_params adds
 N_CHECK = 8     # dual parameters pointedness_duality_check adds inside the dual arc
@@ -40,16 +41,48 @@ class IntersectsDualL(GeometryError):
 # Dual sections
 # ---------------------------------------------------------------------------
 
-def _dual_section(fan: SectionFan, psi: float, tol: Tolerances) -> ConvexPolygon:
-    profile = project_from(fan, psi, tol)
-    wscale = float(np.max(np.abs(profile.w_intervals)))
-    if not profile.straddles(tol.eps_convex * max(wscale, 1e-30)):
+def _dual_sections(fan: SectionFan, params, tol: Tolerances) -> list:
+    """Dual sections at the centers params on L, in one stacked pass.
+
+    Per center psi: the support intervals W of (-sin psi, cos psi) (one
+    `support_intervals` row, as `project_from` takes it), the straddle
+    test, the hull of the 2k profile endpoints, the polar dual around the
+    marked point and the chart's point reflection.  Both hulls are taken by
+    `planar._convex_cycle` on the whole (P, 2k, 2) stack, and every other
+    step is elementwise or a reduction along one row, in the float
+    operations of `convex_hull`, `polar_dual` and `negated`, so each
+    certified section equals the per-center result bit for bit.  Rows
+    either certificate declines run through those functions themselves.
+    """
+    psi = [wrap_angle(float(p)) for p in params]
+    W = support_intervals(fan, [[-np.sin(p), np.cos(p)] for p in psi])
+    eps_w = tol.eps_convex * np.maximum(np.max(np.abs(W), axis=(1, 2)), 1e-30)[:, None]
+    straddle = np.all(W[..., 0] < -eps_w, axis=1) & np.all(W[..., 1] > eps_w, axis=1)
+    if not straddle.all():
         raise InvalidInput(
             "projection from psi=%.6f does not surround the marked point; "
-            "the fan is outside the validated envelope" % psi)
-    hull = convex_hull(profile.endpoints(), tol)
-    dual = polar_dual(hull, np.zeros(2), tol)
-    return dual.negated()
+            "the fan is outside the validated envelope" % params[np.argmin(straddle)])
+    stars = ProjectionProfile(fan.frame, np.array(psi), fan.thetas, W).endpoints()
+    scale = np.maximum(1.0, np.max(np.abs(stars), axis=(1, 2)))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # declined rows
+        ok, v = planar._convex_cycle(stars, tol.eps_convex * scale)
+        # interior_margin at the origin: the least offset b of the unit edge
+        # normals; then the polar dual vertex of every edge
+        w = np.roll(v, -1, axis=1)
+        e = w - v
+        ln = np.sqrt(e[..., 1] * e[..., 1] + e[..., 0] * e[..., 0])
+        b = e[..., 1] / ln * v[..., 0] + -e[..., 0] / ln * v[..., 1]
+        ok &= np.min(b, axis=1) > tol.eps_convex * scale
+        det = v[..., 0] * w[..., 1] - v[..., 1] * w[..., 0]
+        xi = np.stack([(w[..., 1] - v[..., 1]) / det, (v[..., 0] - w[..., 0]) / det], axis=2)
+        dual_ok, dual = planar._convex_cycle(
+            xi, tol.eps_convex * np.maximum(1.0, np.max(np.abs(xi), axis=(1, 2))))
+    dual = -dual  # negated: the point reflection, rotated to the lexicographic minimum
+    first = np.lexsort((dual[..., 1], dual[..., 0]))[:, :1]
+    dual = dual[np.arange(len(dual))[:, None], (first + np.arange(dual.shape[1])) % dual.shape[1]]
+    return [ConvexPolygon(d, degenerate=False) if good
+            else polar_dual(convex_hull(star, tol), np.zeros(2), tol).negated()
+            for good, d, star in zip(ok & dual_ok, dual, stars)]
 
 
 def default_dual_params(fan: SectionFan, extra=None) -> np.ndarray:
@@ -95,8 +128,8 @@ def l_dual(fan: SectionFan, dual_params=None, tol: Tolerances = DEFAULT_TOL,
         params = default_dual_params(fan)
     else:
         params = np.sort(np.asarray(dual_params, dtype=float) % PI)
-    sections = [_dual_section(fan, float(p), tol) for p in params]
-    return SectionFan(fan.frame.dual(), params, tuple(sections), validated=True)
+    return SectionFan(fan.frame.dual(), params, tuple(_dual_sections(fan, params, tol)),
+                      validated=True)
 
 
 def involution_residual(fan: SectionFan, tol: Tolerances = DEFAULT_TOL,

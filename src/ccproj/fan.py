@@ -41,6 +41,7 @@ from .projcore import (PI, DEFAULT_TOL, ArcSegment, DegenerateInput, GeometryErr
 
 THETA_EPS = 1e-12
 CLASS_TOL = 1e-9  # edge directions this close (mod pi) share a class; event_angles keeps all
+SUPPORT_BLOCK = 1 << 16  # most vertex-functional products support_intervals holds at once
 
 
 class CenterNotOnL(GeometryError):
@@ -122,6 +123,15 @@ class SectionFan:
             i, j = idx - 1, idx
             ti, tj, tu = float(self.thetas[i]), float(self.thetas[j]), t
         return i, j, ti, tj, tu
+
+    @cached_property
+    def vertex_stack(self):
+        """(vertices, starts, points): every section's vertices in one
+        (N, 2) array, the row where each section starts, and the indices of
+        the point sections."""
+        verts = np.concatenate([s.vertices for s in self.sections])
+        starts = np.cumsum([0] + [s.n for s in self.sections[:-1]])
+        return verts, starts, [i for i, s in enumerate(self.sections) if s.n == 1]
 
     def edge_angles(self) -> np.ndarray:
         """Sorted direction angles (mod pi) of the section edges: one per
@@ -242,10 +252,26 @@ def project_from(fan: SectionFan, t, tol: Tolerances = DEFAULT_TOL) -> Projectio
 
 def support_intervals(fan: SectionFan, funcs) -> np.ndarray:
     """(min, max) of linear functionals on each section: (k, 2) for one
-    functional of shape (2,), (P, k, 2) for a (P, 2) stack of them."""
-    f = np.asarray(funcs, dtype=float).T
-    vals = (s.vertices @ f for s in fan.sections)
-    return np.moveaxis(np.array([(v.min(axis=0), v.max(axis=0)) for v in vals]), (0, 1), (-2, -1))
+    functional of shape (2,), (P, k, 2) for a (P, 2) stack of them.
+
+    Each functional takes one matrix-vector product over all vertices
+    (`SectionFan.vertex_stack`), reduced per section, so a row of a stack
+    equals the call with that functional alone, bit for bit, and both equal
+    the per-section products `vertices @ f`.  A point section takes the
+    scalar product, as `vertices @ f` does for one vertex.  The products
+    are taken in blocks of at most SUPPORT_BLOCK values."""
+    verts, starts, points = fan.vertex_stack
+    funcs = np.asarray(funcs, dtype=float)
+    F = np.ascontiguousarray(funcs.reshape(-1, 2))
+    out = np.empty((len(F), fan.k, 2))
+    step = max(1, SUPPORT_BLOCK // len(verts))
+    for a in range(0, len(F), step):
+        vals = np.matmul(verts, F[a:a + step, :, None])[..., 0]  # a gemv per functional
+        out[a:a + step, :, 0] = np.minimum.reduceat(vals, starts, axis=1)
+        out[a:a + step, :, 1] = np.maximum.reduceat(vals, starts, axis=1)
+    for i in points:
+        out[:, i] = [[verts[starts[i]] @ f] for f in F]
+    return out.reshape(funcs.shape[:-1] + (fan.k, 2))
 
 
 @dataclass(frozen=True)

@@ -67,11 +67,13 @@ def _as_angle(d) -> float:
 def _ear_terms(cycle: np.ndarray):
     """(cross, d, ln) at every vertex v of a cycle, with neighbors u, w:
     cross = e x d for e = w - u and d = v - u (negative where the cycle
-    turns left at v) and ln = |e|."""
-    u = np.concatenate((cycle[-1:], cycle[:-1]))
-    e = np.concatenate((cycle[1:], cycle[:1])) - u
+    turns left at v) and ln = |e|.  A (P, n, 2) stack of cycles gives
+    (P, n) arrays."""
+    u = np.concatenate((cycle[..., -1:, :], cycle[..., :-1, :]), axis=-2)
+    e = np.concatenate((cycle[..., 1:, :], cycle[..., :1, :]), axis=-2) - u
     d = cycle - u
-    return e[:, 0] * d[:, 1] - e[:, 1] * d[:, 0], d, np.hypot(e[:, 0], e[:, 1])
+    return (e[..., 0] * d[..., 1] - e[..., 1] * d[..., 0], d,
+            np.hypot(e[..., 0], e[..., 1]))
 
 
 def _chord_distances(cycle: np.ndarray) -> np.ndarray:
@@ -147,7 +149,7 @@ def _chain(pts: list) -> list:
 def _roll_to_min(v: np.ndarray) -> np.ndarray:
     """The cycle rotated to start at its lexicographic minimum."""
     start = int(np.lexsort((v[:, 1], v[:, 0]))[0])
-    return np.roll(v, -start, axis=0)
+    return np.concatenate((v[start:], v[:start]))
 
 
 # Ear cross products of a certified convex cycle are below -EAR_MARGIN * s^2,
@@ -156,10 +158,18 @@ def _roll_to_min(v: np.ndarray) -> np.ndarray:
 EAR_MARGIN = 128 * 2.0 ** -53
 
 
-def _convex_cycle(points: np.ndarray, eps: float):
-    """The monotone chain's result when points are already a hull, else None.
+def _some(flags) -> bool:
+    """flags.any(), without its overhead for a numpy scalar."""
+    return bool(flags) if flags.ndim == 0 else bool(flags.any())
 
-    Accepts n >= 3 points that form a cycle, in either orientation, when
+
+def _convex_cycle(points: np.ndarray, eps):
+    """Certify point cycles as hulls: one (n, 2) cycle, or a (P, n, 2)
+    stack of them row by row, with eps a scalar or one value per row.
+
+    Returns (ok, cycles): where ok (a flag per row) holds, cycles is the
+    monotone chain's result for those points under that eps.  A row is
+    accepted when its n >= 3 points form a cycle, in either orientation, and
     1. consecutive points in lexicographic order differ by more than eps in
        max-norm: the chain's dedup test, in the same float operations, so
        it keeps every point;
@@ -181,36 +191,48 @@ def _convex_cycle(points: np.ndarray, eps: float):
     (two products of differences of magnitude <= 2s, and their
     difference), so it has the exact sign and every pop decision is the
     exact one.  The result, the points rotated to their lexicographic
-    minimum, equals the chain's bit for bit.
+    minimum, equals the chain's bit for bit.  Every step is elementwise or
+    a reduction along one row, so a row's verdict and cycle do not depend
+    on the other rows.  A single row is declined before any step that
+    could overflow or divide by zero; in a stack, such steps may run on
+    rows that are declined anyway.
     """
-    n = len(points)
+    n = points.shape[-2]
     if n < 3:
-        return None
-    top = float(np.abs(points).max())
-    if not top < 2.0 ** 500:  # no overflow; also rejects NaN and infinities
-        return None
-    order = np.lexsort((points[:, 1], points[:, 0]))
-    srt = points[order]
-    gap = np.abs(srt[1:] - srt[:-1])
-    if not np.maximum(gap[:, 0], gap[:, 1]).min() > eps:
-        return None
+        return np.zeros(points.shape[:-2], dtype=bool), points
+    top = np.abs(points).max(axis=(-2, -1))
+    ok = top < 2.0 ** 500  # no overflow; also rejects NaN and infinities
+    if not _some(ok):
+        return ok, points
+    rows = (np.arange(len(points)),) if points.ndim == 3 else ()
+    by_row = tuple(r[:, None] for r in rows)
+    order = np.lexsort((points[..., 1], points[..., 0]))
+    srt = points[by_row + (order,)]
+    gap = np.abs(srt[..., 1:, :] - srt[..., :-1, :])
+    ok &= np.maximum(gap[..., 0], gap[..., 1]).min(axis=-1) > eps
     # ranks 0 .. n-1 rise and fall once around the cycle iff their total
     # variation is 2 (n - 1)
-    rank = np.empty(n, dtype=np.intp)
-    rank[order] = np.arange(n)
-    if np.abs(rank[1:] - rank[:-1]).sum() + abs(rank[0] - rank[-1]) != 2 * (n - 1):
-        return None
-    start = int(order[0])
+    rank = np.empty_like(order)
+    rank[by_row + (order,)] = np.arange(n)
+    ok &= (np.abs(rank[..., 1:] - rank[..., :-1]).sum(axis=-1)
+           + np.abs(rank[..., 0] - rank[..., -1]) == 2 * (n - 1))
+    if not _some(ok):
+        return ok, points
+    start = order[..., 0]
     cross, d, ln = _ear_terms(points)
-    if cross[start] > 0.0:  # clockwise; reversed, the chord terms round differently
-        points, start = points[::-1], n - 1 - start
+    cw = cross[rows + (start,)] > 0.0
+    if _some(cw):  # clockwise rows reversed: their chord terms round differently
+        points = np.where(cw[..., None, None], points[..., ::-1, :], points)
+        start = np.where(cw, n - 1 - start, start)
         cross, d, ln = _ear_terms(points)
-    scale = max(1.0, top)
-    if not cross.max() < -EAR_MARGIN * scale * scale:
-        return None
-    if not (np.abs(cross) / ln).min() > eps:  # ln > 0: no ear is flat
-        return None
-    return np.concatenate((points[start:], points[:start]))
+    scale = np.maximum(1.0, top)
+    ok &= cross.max(axis=-1) < -EAR_MARGIN * scale * scale
+    if not _some(ok):
+        return ok, points
+    ok &= (np.abs(cross) / ln).min(axis=-1) > eps  # ln > 0 where ok: no ear is flat
+    if not rows:
+        return ok, np.concatenate((points[start:], points[:start]))
+    return ok, points[by_row + ((start[:, None] + np.arange(n)) % n,)]
 
 
 def _hull_cycle(points: np.ndarray, eps: float) -> np.ndarray:
@@ -223,8 +245,8 @@ def _hull_cycle(points: np.ndarray, eps: float) -> np.ndarray:
     near-collinear survivors are merged afterwards under a point-to-chord
     distance guard.  The scans run on Python floats, in the same IEEE
     operations as the numpy formulas."""
-    fast = _convex_cycle(points, eps)
-    if fast is not None:
+    ok, fast = _convex_cycle(points, eps)
+    if ok:
         return fast
     pts = points[np.lexsort((points[:, 1], points[:, 0]))].tolist()
     keep = [pts[0]]
@@ -505,22 +527,31 @@ def nearest_point(p, poly: ConvexPolygon) -> np.ndarray:
 
 
 def distance_many(pts, poly: ConvexPolygon) -> np.ndarray:
-    """Vectorized distance for an (k,2) array of query points."""
+    """Vectorized distance for an (k,2) array of query points.
+
+    Works on (k, n) arrays of x and y differences to the n vertices: points
+    inside the polygon are screened out first, and the rest take the
+    nearest foot on each edge, the least squared distance and one square
+    root (correctly rounded and monotone, so the same as the least root).
+    """
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     v = poly.vertices
+    px, py = pts[:, :1], pts[:, 1:]
+    rx, ry = px - v[:, 0], py - v[:, 1]
     if poly.n == 1:
-        return np.linalg.norm(pts - v[0][None, :], axis=1)
+        return np.sqrt(rx * rx + ry * ry)[:, 0]
     e = np.roll(v, -1, axis=0) - v
-    rel = pts[:, None, :] - v[None, :, :]
-    ee = np.sum(e * e, axis=1)
-    ee[ee == 0.0] = 1.0
-    t = np.clip(np.einsum("kij,ij->ki", rel, e) / ee[None, :], 0.0, 1.0)
-    foot = v[None, :, :] + t[:, :, None] * e[None, :, :]
-    d = np.min(np.linalg.norm(pts[:, None, :] - foot, axis=2), axis=1)
+    ex, ey = e[:, 0], e[:, 1]
+    d = np.zeros(len(pts))
+    out = slice(None)
     if poly.n >= 3:
-        cross = e[None, :, 0] * rel[:, :, 1] - e[None, :, 1] * rel[:, :, 0]
-        inside = np.all(cross >= -1e-15 * poly.scale ** 2, axis=1)
-        d[inside] = 0.0
+        out = ~np.all(ex * ry - ey * rx >= -1e-15 * poly.scale ** 2, axis=1)
+        px, py, rx, ry = px[out], py[out], rx[out], ry[out]
+    ee = ex * ex + ey * ey
+    ee[ee == 0.0] = 1.0
+    t = np.clip((rx * ex + ry * ey) / ee, 0.0, 1.0)
+    dx, dy = px - (v[:, 0] + t * ex), py - (v[:, 1] + t * ey)
+    d[out] = np.sqrt(np.min(dx * dx + dy * dy, axis=1))
     return d
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fan import SectionFan, validate
-from .planar import ConvexPolygon, convex_hull
+from .planar import ConvexPolygon, _roll_to_min, convex_hull
 from .projcore import (PI, DEFAULT_TOL, ArcSegment, DegenerateInput, GeometryError,
                        PencilFrame, Tolerances)
 
@@ -143,11 +143,13 @@ def _scene_from_doc(doc: dict) -> Scene:
     for s in doc["samples"]:
         theta = float(_numbers(s["theta"], 0))
         verts = _numbers(s["vertices"], 2)
+        if verts.shape[1] != 2:
+            raise SceneFormatError("sample at theta=%s: vertices are not (u, v) pairs" % theta)
         poly = convex_hull(verts)
-        if verts.shape[1] != 2 or poly.n != len(verts):
+        if not np.array_equal(poly.vertices, _roll_to_min(verts)):
             raise SceneFormatError(
-                "sample at theta=%s: vertices are not (u, v) pairs in strictly "
-                "convex counterclockwise position" % theta)
+                "sample at theta=%s: vertices are not in strictly convex "
+                "counterclockwise position" % theta)
         samples.append((theta, poly))
     validated = doc.get("validated", False)
     seed = doc.get("seed")

@@ -294,3 +294,66 @@ def test_l_dual_requires_valid_fan(quad12):
     bad = quad12.with_sections(secs)
     with pytest.raises(InvalidInput):
         l_dual(bad)
+
+
+def reference_dual_section(fan, psi, tol=DEFAULT_TOL):
+    """The former per-center dual section: the projection profile from psi,
+    the straddle test, the hull of the profile endpoints, its polar dual
+    around the marked point, negated into the dual chart."""
+    profile = project_from(fan, psi, tol)
+    wscale = float(np.max(np.abs(profile.w_intervals)))
+    if not profile.straddles(tol.eps_convex * max(wscale, 1e-30)):
+        raise InvalidInput("projection from psi=%.6f does not surround the marked point" % psi)
+    hull = convex_hull(profile.endpoints(), tol)
+    return polar_dual(hull, np.zeros(2), tol).negated()
+
+
+def _assert_sections_match_reference(fan, dual):
+    for psi, s in zip(dual.thetas, dual.sections):
+        ref = reference_dual_section(fan, float(psi))
+        assert np.array_equal(s.vertices, ref.vertices) and s.degenerate == ref.degenerate
+
+
+@pytest.mark.parametrize("k,m", [(12, 64), (12, 256), (48, 64), (48, 256)])
+def test_l_dual_matches_reference_on_quadrics(k, m):
+    fan = quadric_fan(k, m)
+    dual = l_dual(fan)
+    _assert_sections_match_reference(fan, dual)
+    _assert_sections_match_reference(
+        dual, l_dual(dual, dual_params=fan.thetas, check_input=False))
+
+
+def test_l_dual_matches_reference_on_random_fans_and_double_duals():
+    # the double duals' stars hull to fewer points than they have (random
+    # fan 1: 46 points to 28), so their sections take the unstacked path
+    for seed in range(20):
+        fan = gen_random_fan(seed, k=10, complexity=2).fan
+        dual = l_dual(fan)
+        _assert_sections_match_reference(fan, dual)
+        _assert_sections_match_reference(
+            dual, l_dual(dual, dual_params=fan.thetas, check_input=False))
+
+
+def test_l_dual_matches_reference_on_surgery_p_output(quad8):
+    from ccproj import surgery_p
+    pfan = surgery_p(mark_validated(quad8), ArcSegment(0.0, PI / 2))
+    _assert_sections_match_reference(pfan, l_dual(pfan))
+
+
+def test_l_dual_names_the_first_center_that_fails_to_straddle(quad12):
+    # a section shifted off the axis: some centers see its whole profile
+    # segment on one side of the marked point
+    secs = list(quad12.sections)
+    secs[3] = secs[3].translated([2.5, 0.0])
+    bad = quad12.with_sections(secs)
+    params = default_dual_params(bad)
+    first = None
+    for p in params:
+        try:
+            reference_dual_section(bad, float(p))
+        except InvalidInput:
+            first = float(p)
+            break
+    assert first is not None and first > params[0]
+    with pytest.raises(InvalidInput, match="psi=%.6f " % first):
+        l_dual(bad, check_input=False)

@@ -426,3 +426,27 @@ def test_is_pointed_disk_and_pointified():
     v = sorted(map(tuple, np.round(np.vstack(got), 9)))
     assert v == [(-1.0, -1.0), (1.0, 1.0)]
     assert contains_polygon(grown, disk, 1e-12)
+
+
+def test_support_intervals_stack_rows_equal_single_calls(frame):
+    # one matrix-vector product per functional over all vertices: a row of
+    # a stack equals the single call and the per-section product, bit for
+    # bit, on golden fans and on fans with segment and point sections
+    from ccproj.fan import support_intervals
+    from test_golden import SCENES
+
+    sq = convex_hull([[-1, -1], [1, -1], [1, 1], [-1, 1]])
+    seg = ConvexPolygon([[-1.0, 0.2], [1.0, -0.3]])
+    pt, pt2 = ConvexPolygon([[0.5, 0.1]]), ConvexPolygon([[-0.3, 0.7]])
+    mixed = [SectionFan.create(frame, list(zip((0.1, 0.9, 1.7, 2.5), c)))
+             for c in ((sq, seg, pt, sq), (pt, pt2, pt, seg), (seg, seg, seg, seg))]
+    fans = [make().fan for make in SCENES.values()] + mixed
+    psi = np.concatenate([np.linspace(0.0, PI, 37), np.random.default_rng(4).uniform(0, PI, 40)])
+    funcs = np.stack([-np.sin(psi), np.cos(psi)], axis=1)
+    for fan in fans:
+        W = support_intervals(fan, funcs)
+        assert W.shape == (len(psi), fan.k, 2)
+        for f, row in zip(funcs, W):
+            assert np.array_equal(row, support_intervals(fan, f))
+            per_section = [s.vertices @ f for s in fan.sections]
+            assert np.array_equal(row, [(v.min(), v.max()) for v in per_section])

@@ -395,11 +395,11 @@ def _matches_chain(pts, eps):
     """Assert the fast path and _hull_cycle agree with the reference chain;
     True when the fast path took the points."""
     ref = ref_hull_cycle(pts, eps)
-    fast = planar._convex_cycle(pts, eps)
-    assert fast is None or np.array_equal(fast, ref)
+    ok, fast = planar._convex_cycle(pts, eps)
+    assert not ok or np.array_equal(fast, ref)
     assert np.array_equal(planar._hull_cycle(pts, eps), ref)
-    event("fast path" if fast is not None else "chain")
-    return fast is not None
+    event("fast path" if ok else "chain")
+    return bool(ok)
 
 
 def _arranged(draw, ccw):
@@ -502,8 +502,8 @@ def test_fast_path_takes_rotated_and_clockwise_cycles():
     tri = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0]])  # clockwise, vertical edge
     cycles = [np.roll(p, s, axis=0) for p in (poly, poly[::-1]) for s in (0, 1, 17, 63)]
     for pts in cycles + [tri]:
-        fast = planar._convex_cycle(pts, 1e-9 * 5.0)
-        assert fast is not None and np.array_equal(fast, ref_hull_cycle(pts, 1e-9 * 5.0))
+        ok, fast = planar._convex_cycle(pts, 1e-9 * 5.0)
+        assert ok and np.array_equal(fast, ref_hull_cycle(pts, 1e-9 * 5.0))
 
 
 def test_fast_path_margin_declines_turns_within_rounding():
@@ -516,11 +516,12 @@ def test_fast_path_margin_declines_turns_within_rounding():
                     [1.6648246649744811, -0.9053122318812203]])
     ref = ref_hull_cycle(pts, 0.0)
     assert len(ref) == 2
-    assert planar._convex_cycle(pts, 0.0) is None
+    assert not planar._convex_cycle(pts, 0.0)[0]
     assert np.array_equal(planar._hull_cycle(pts, 0.0), ref)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(planar, "EAR_MARGIN", 0.0)
-        assert len(planar._convex_cycle(pts, 0.0)) == 4
+        ok, fast = planar._convex_cycle(pts, 0.0)
+        assert ok and len(fast) == 4
 
 
 def test_parse_and_polar_dual_take_the_fast_path():
@@ -549,3 +550,84 @@ def test_diameter_matches_broadcast_formula(pts):
     v = convex_hull(pts).vertices
     d2 = np.sum((v[:, None, :] - v[None, :, :]) ** 2, axis=2)
     assert ConvexPolygon(v).diameter() == float(np.sqrt(np.max(d2)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), st.integers(3, 24), st.integers(1, 6))
+def test_stacked_fast_path_matches_one_row_calls(data, n, rows):
+    # a (P, n, 2) stack mixing convex cycles (either orientation, any
+    # start, some with two vertices swapped), slivers near the ear margin
+    # and clouds, each row under its own eps: every row's flag and cycle
+    # equal the one-row call's, bit for bit
+    stack, eps = [], []
+    for _ in range(rows):
+        kind = data.draw(st.sampled_from(["cycle", "swapped", "sliver", "cloud"]))
+        if kind == "cloud":
+            pts = np.array(data.draw(st.lists(point, min_size=n, max_size=n)), dtype=float)
+        else:
+            pts = data.draw(ellipse_polygons(min_n=n, max_n=n))
+            if kind == "sliver":
+                pts = (pts - pts.mean(axis=0)) * np.array([1.0, 1e-14])
+            pts = _arranged(data.draw, pts)
+            if kind == "swapped":
+                i = data.draw(st.integers(0, n - 2))
+                pts[[i, i + 1]] = pts[[i + 1, i]]
+        stack.append(pts)
+        eps.append(_hull_eps(pts, data.draw(eps_factor)))
+    with np.errstate(divide="ignore", invalid="ignore"):  # declined rows may divide by 0
+        ok, cycles = planar._convex_cycle(np.array(stack), np.array(eps))
+    assert ok.shape == (rows,)
+    event("mixed stack" if 0 < ok.sum() < rows else "uniform stack")
+    for pts, e, flag, cycle in zip(stack, eps, ok, cycles):
+        one_ok, one = planar._convex_cycle(pts, e)
+        assert flag == one_ok
+        if flag:
+            assert np.array_equal(cycle, one)
+            assert np.array_equal(cycle, ref_hull_cycle(pts, e))
+
+
+def einsum_distance_many(pts, poly):
+    """The former distance_many, on (k, n, 2) arrays: feet by einsum, norms
+    along the last axis, then inside points set to 0."""
+    pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    v = poly.vertices
+    if poly.n == 1:
+        return np.linalg.norm(pts - v[0][None, :], axis=1)
+    e = np.roll(v, -1, axis=0) - v
+    rel = pts[:, None, :] - v[None, :, :]
+    ee = np.sum(e * e, axis=1)
+    ee[ee == 0.0] = 1.0
+    t = np.clip(np.einsum("kij,ij->ki", rel, e) / ee[None, :], 0.0, 1.0)
+    foot = v[None, :, :] + t[:, :, None] * e[None, :, :]
+    d = np.min(np.linalg.norm(pts[:, None, :] - foot, axis=2), axis=1)
+    if poly.n >= 3:
+        cross = e[None, :, 0] * rel[:, :, 1] - e[None, :, 1] * rel[:, :, 0]
+        inside = np.all(cross >= -1e-15 * poly.scale ** 2, axis=1)
+        d[inside] = 0.0
+    return d
+
+
+def test_distance_many_matches_einsum_oracle_on_roundtrip_sections():
+    # the sections of each golden scene against those of its double dual,
+    # both ways, as involution_residual compares them
+    from ccproj import l_dual
+    from test_golden import SCENES
+
+    for make in SCENES.values():
+        fan = make().fan
+        dd = l_dual(l_dual(fan), dual_params=fan.thetas, check_input=False)
+        for P, Q in zip(fan.sections, dd.sections):
+            for a, b in ((P, Q), (Q, P)):
+                assert np.array_equal(planar.distance_many(a.vertices, b),
+                                      einsum_distance_many(a.vertices, b))
+
+
+@settings(max_examples=300, deadline=None)
+@given(clouds(), st.lists(point, min_size=1, max_size=30), st.floats(0.0, 3.0))
+def test_distance_many_matches_einsum_oracle(pts, queries, spread):
+    # polygons, segments and points of any cloud; queries inside, on and
+    # outside them
+    poly = convex_hull(pts)
+    q = np.vstack([np.array(queries, dtype=float), poly.vertices,
+                   poly.centroid() + spread * (poly.vertices - poly.centroid())])
+    assert np.array_equal(planar.distance_many(q, poly), einsum_distance_many(q, poly))

@@ -60,6 +60,12 @@ def _put(doc, value, *path):
     doc[last] = value
 
 
+def _swapped(vertices, i, j):
+    out = list(vertices)
+    out[i], out[j] = out[j], out[i]
+    return out
+
+
 @pytest.mark.parametrize("edit", [
     lambda d: _drop(d, "frame"),
     lambda d: _drop(d, "samples"),
@@ -85,12 +91,14 @@ def _put(doc, value, *path):
     lambda d: _put(d, 0, "validated"),
     lambda d: _put(d, 2.7, "seed"),
     lambda d: _put(d, "7", "seed"),
+    lambda d: _put(d, d["samples"][2]["vertices"][::-1], "samples", 2, "vertices"),
+    lambda d: _put(d, _swapped(d["samples"][2]["vertices"], 4, 5), "samples", 2, "vertices"),
 ], ids=["no-frame", "no-samples", "no-theta", "no-vertices", "samples-int",
         "two-samples", "empty-vertices", "frame-int", "sample-int", "short-g0",
         "tolerances-int", "tolerance-str", "nan-theta", "nan-str-theta",
         "nan-vertex", "nan-point", "inf-vertex", "overflow-vertex",
         "minus-inf-frame", "nan-tolerance", "validated-str", "validated-int",
-        "seed-float", "seed-str"])
+        "seed-float", "seed-str", "clockwise", "two-vertices-swapped"])
 def test_malformed_scene_exits_2(edit, monkeypatch, capsys):
     import io
     from ccproj import cli
@@ -102,6 +110,16 @@ def test_malformed_scene_exits_2(edit, monkeypatch, capsys):
     monkeypatch.setattr("sys.stdin", io.StringIO(text))
     assert cli.main(["validate", "--in", "-"]) == 2
     assert capsys.readouterr().err.startswith("error=")
+
+
+def test_counterclockwise_sample_with_another_start_parses():
+    scene = gen_quadric(6, 16)
+    doc = json.loads(serialize(scene))
+    verts = doc["samples"][2]["vertices"]
+    doc["samples"][2]["vertices"] = verts[5:] + verts[:5]
+    parsed = parse(json.dumps(doc))
+    assert np.array_equal(parsed.fan.sections[2].vertices, scene.fan.sections[2].vertices)
+    assert serialize(parsed) == serialize(scene)
 
 
 @pytest.mark.parametrize("argv,env", [
