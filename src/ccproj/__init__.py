@@ -22,7 +22,7 @@ from .fan import (CenterNotOnL, ProjectionProfile, SectionFan, ValidationReport,
                   gap_coefficients, hull_slice, is_pointed, project_from,
                   section_at, validate)
 from .dualize import (IntersectsDualL, InvalidInput, affine_dependence_check,
-                      default_dual_params, dual_of_found_line,
+                      dual_of_found_line,
                       fan_contains_sectionwise, involution_residual, l_dual,
                       plane_meets_all_sections, point_in_fan,
                       pointedness_duality_check)

@@ -7,7 +7,9 @@ parameter psi is computed from the projection profile at the center of L
 at angle psi: the closure of the projection complement equals the
 convex hull of the profile-segment endpoints (exact for hull-interpolated
 fans), and the dual section is the polar dual of that hull around the
-marked point, with the orientation flip of the dual chart.
+marked point, with the orientation flip of the dual chart.  l_dual
+samples the dual at the source's event_angles, where the dual fan denotes
+the dual body exactly (see l_dual), so the double dual returns the source.
 
 Pure functions on immutable fans.  Per-center sections are independent,
 ordered by parameter and computed in one stacked pass over all centers
@@ -19,14 +21,12 @@ from __future__ import annotations
 import numpy as np
 
 from . import planar
-from .fan import (ProjectionProfile, SectionFan, THETA_EPS, hull_slice, is_pointed,
-                  plane_margin, section_at, support_intervals, validate)
+from .fan import (ProjectionProfile, SectionFan, THETA_EPS, _distinct_angles, event_angles,
+                  hull_slice, is_pointed, plane_margin, section_at, support_intervals,
+                  validate)
 from .planar import ConvexPolygon, convex_hull, hausdorff, polar_dual
 from .projcore import (PI, DEFAULT_TOL, ArcSegment, GeometryError, PencilFrame,
                        ProjLine, Tolerances, dual_arc, dual_line, wrap_angle)
-
-CLASS_CAP = 16  # most edge-direction classes default_dual_params adds
-N_CHECK = 8     # dual parameters pointedness_duality_check adds inside the dual arc
 
 
 class InvalidInput(GeometryError):
@@ -85,27 +85,6 @@ def _dual_sections(fan: SectionFan, params, tol: Tolerances) -> list:
             for good, d, star in zip(ok & dual_ok, dual, stars)]
 
 
-def default_dual_params(fan: SectionFan, extra=None) -> np.ndarray:
-    """Dual sampling parameters: a uniform grid of fan.k values augmented
-    with the source fan's edge-direction classes (the dual body's kink
-    parameters) when there are at most CLASS_CAP of them, plus any
-    explicitly requested values."""
-    params = [np.arange(fan.k) * PI / fan.k]
-    classes = fan.edge_direction_classes()
-    if 0 < len(classes) <= CLASS_CAP:
-        params.append(classes)
-    if extra is not None:
-        params.append(np.asarray(extra, dtype=float) % PI)
-    merged = np.sort(np.concatenate(params))
-    keep = [merged[0]]
-    for x in merged[1:]:
-        if x - keep[-1] > THETA_EPS * 100:
-            keep.append(x)
-    if len(keep) > 1 and PI - keep[-1] + keep[0] <= THETA_EPS * 100:
-        keep.pop()
-    return np.array(keep)
-
-
 def _ensure_valid(fan: SectionFan, tol: Tolerances):
     if fan.validated:
         return
@@ -118,28 +97,29 @@ def l_dual(fan: SectionFan, dual_params=None, tol: Tolerances = DEFAULT_TOL,
            check_input: bool = True) -> SectionFan:
     """Dual fan over L*: sections are the duals of the projection complements.
 
-    dual_params selects the dual pencil parameters to sample (defaults to
-    default_dual_params).  The result is marked validated: duality preserves
-    convex-concavity.
+    dual_params selects the dual pencil parameters to sample, taken mod pi
+    with runs closer than THETA_EPS kept once; by default the fan's
+    event_angles.  Between two event angles every support value of the
+    source is one fixed sinusoid, so each dual section is cut by half-planes
+    with fixed normals and offsets linear in (cos psi, sin psi), and it is
+    the hull interpolation of the dual sections at both ends: the default
+    dual denotes the dual body exactly.  The result is marked validated:
+    duality preserves convex-concavity.
     """
     if check_input:
         _ensure_valid(fan, tol)
-    if dual_params is None:
-        params = default_dual_params(fan)
-    else:
-        params = np.sort(np.asarray(dual_params, dtype=float) % PI)
+    params = event_angles(fan) if dual_params is None else _distinct_angles(dual_params)
     return SectionFan(fan.frame.dual(), params, tuple(_dual_sections(fan, params, tol)),
                       validated=True)
 
 
-def involution_residual(fan: SectionFan, tol: Tolerances = DEFAULT_TOL,
-                        dual_params=None):
+def involution_residual(fan: SectionFan, tol: Tolerances = DEFAULT_TOL):
     """Per-section Hausdorff distances between the fan and its double dual.
 
     The second dual is sampled at the source parameters, so sections are
     compared in identical charts.  Returns (per-sample distances, max).
     """
-    d1 = l_dual(fan, dual_params=dual_params, tol=tol)
+    d1 = l_dual(fan, tol=tol)
     d2 = l_dual(d1, dual_params=fan.thetas, tol=tol, check_input=False)
     if len(d2.thetas) != fan.k or np.max(np.abs(d2.thetas - fan.thetas)) > 1e-9:
         raise GeometryError("double dual sampling misaligned")
@@ -240,12 +220,8 @@ def pointedness_duality_check(fan: SectionFan, arc: ArcSegment,
 
     Returns (all_agree, per-sample list of (pointed, dual_affine)).
     """
-    _ensure_valid(fan, tol)
     darc = dual_arc(arc)
-    probes = darc.interior_points(N_CHECK)
-    params = default_dual_params(fan, extra=np.concatenate(
-        [probes, [darc.start, darc.end]]))
-    dfan = l_dual(fan, dual_params=params, tol=tol, check_input=False)
+    dfan = l_dual(fan, tol=tol)
     rows = []
     agree = True
     for i in range(fan.k):

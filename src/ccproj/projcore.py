@@ -464,11 +464,6 @@ class ArcSegment:
     def complement(self) -> "ArcSegment":
         return ArcSegment(self.end, self.start, self.period)
 
-    def interior_points(self, n: int) -> np.ndarray:
-        """n parameters strictly inside the arc, evenly spaced."""
-        f = (np.arange(n) + 1.0) / (n + 1.0)
-        return (self.start + f * self.length) % self.period
-
     def __repr__(self):
         return "ArcSegment(%.6f -> %.6f)" % (self.start, self.end)
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import planar
-from .dualize import l_dual, default_dual_params
+from .dualize import l_dual
 from .fan import SectionFan, THETA_EPS, section_at
 from .planar import ConvexPolygon, convex_hull, hausdorff
 from .projcore import (PI, DEFAULT_TOL, ArcSegment, DegenerateInput, GeometryError,
@@ -183,30 +183,19 @@ def octagonalize_via_pointing(fan: SectionFan, dirs,
 # ---------------------------------------------------------------------------
 
 def sp_duality_check(fan: SectionFan, arc: ArcSegment, tol: Tolerances = DEFAULT_TOL,
-                     eps: float = None, n_extra: int = 0):
+                     eps: float = None):
     """Check that dualizing the pointed fan equals hull surgery on the dual.
 
-    Compares l_dual(surgery_p(fan, arc)) with surgery_s(l_dual(fan), arc*)
-    section-by-section at a shared dual parameter set, arc* the dual arc.
-    Returns (ok, max sectionwise Hausdorff distance).
+    Compares l_dual(surgery_p(fan, arc)) with surgery_s(l_dual(fan), arc*),
+    arc* the dual arc, at the samples of either fan: both duals are exact
+    and between two samples both sides interpolate their sections there
+    with the same weights, so this is the largest sectionwise Hausdorff
+    distance over all parameters.  Returns (ok, that distance).
     """
-    darc = dual_arc(arc)
-    extra = [darc.start, darc.end]
-    if n_extra:
-        extra = np.concatenate([extra, darc.interior_points(n_extra),
-                                darc.complement().interior_points(n_extra)])
-    params = default_dual_params(fan, extra=extra)
-    pfan = surgery_p(fan, arc, tol)
-    params = default_dual_params(pfan, extra=np.concatenate(
-        [params, pfan.edge_direction_classes()])) if pfan.k else params
-    lhs = l_dual(pfan, dual_params=params, tol=tol, check_input=False)
-    rhs = surgery_s(l_dual(fan, dual_params=params, tol=tol, check_input=False),
-                    darc, tol)
-    worst = 0.0
-    for t in params:
-        a = section_at(lhs, float(t), tol)
-        b = section_at(rhs, float(t), tol)
-        worst = max(worst, hausdorff(a, b))
+    lhs = l_dual(surgery_p(fan, arc, tol), tol=tol, check_input=False)
+    rhs = surgery_s(l_dual(fan, tol=tol, check_input=False), dual_arc(arc), tol)
+    worst = max(hausdorff(section_at(lhs, float(t), tol), section_at(rhs, float(t), tol))
+                for t in np.union1d(lhs.thetas, rhs.thetas))
     if eps is None:
         eps = tol.eps_dual * max(lhs.scale(), 1.0)
     return worst <= eps, worst

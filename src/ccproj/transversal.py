@@ -29,8 +29,8 @@ from itertools import combinations
 import numpy as np
 
 from . import planar
-from .dualize import default_dual_params, dual_of_found_line, l_dual
-from .fan import SectionFan, section_at, validate
+from .dualize import dual_of_found_line, l_dual
+from .fan import SectionFan, event_angles, section_at, validate
 from .planar import ConvexPolygon, chebyshev_center, distance, nearest_point
 from .projcore import (PI, DEFAULT_TOL, Chart, DegenerateInput, GeometryError,
                        HPlane, HPoint, PencilFrame, ProjLine, Tolerances,
@@ -663,9 +663,8 @@ def support_halfplane_transversal(fan: SectionFan, halfplanes,
     from .surgery import octagonalize
 
     octa = octagonalize(fan, dirs, tol)
-    params = default_dual_params(octa, extra=dirs)
-    dual = l_dual(octa, dual_params=params, tol=tol,
-                  check_input=not fan.validated)
+    dual = l_dual(octa, dual_params=np.concatenate([event_angles(octa), dirs]),
+                  tol=tol, check_input=not fan.validated)
     kink_idx = [int(np.argmin(np.minimum(np.abs(dual.thetas - d),
                                          PI - np.abs(dual.thetas - d))))
                 for d in dirs]

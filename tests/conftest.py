@@ -18,6 +18,38 @@ def mark_validated(fan):
     return SectionFan(fan.frame, fan.thetas, fan.sections, validated=True)
 
 
+def interior_points(arc, n):
+    """n parameters strictly inside the arc, evenly spaced."""
+    return (arc.start + (np.arange(n) + 1.0) / (n + 1.0) * arc.length) % arc.period
+
+
+def merged_angles(angles, tol):
+    """Sorted angles mod pi with each angle within tol of the last kept one
+    (also across pi) dropped."""
+    a = np.sort(np.asarray(angles, dtype=float) % np.pi)
+    keep = list(a[:1])
+    for x in a[1:]:
+        if x - keep[-1] > tol:
+            keep.append(x)
+    if len(keep) > 1 and np.pi - keep[-1] + keep[0] <= tol:
+        keep.pop()
+    return np.array(keep)
+
+
+def default_dual_params(fan, extra=None):
+    """The former default dual sampling, kept for the probe oracles: a
+    uniform grid of fan.k values, the fan's edge-direction classes (edge
+    directions merged within 1e-9) when there are at most 16 of them, and
+    the extra values.  It is exact only when the classes are included."""
+    params = [np.arange(fan.k) * np.pi / fan.k]
+    classes = merged_angles(fan.edge_angles(), 1e-9)
+    if 0 < len(classes) <= 16:
+        params.append(classes)
+    if extra is not None:
+        params.append(np.asarray(extra, dtype=float))
+    return merged_angles(np.concatenate(params), 1e-10)
+
+
 @pytest.fixture(scope="session")
 def frame():
     return PencilFrame.standard()

@@ -102,13 +102,13 @@ def test_criterion_4_sp_duality():
     worst_oct = 0.0
     for i in range(4):
         arc = ArcSegment(float(dirs[(i + 1) % 4]), float(dirs[i]))
-        ok_i, w = sp_duality_check(octf, arc, eps=1e-6 * octf.scale(), n_extra=3)
+        ok_i, w = sp_duality_check(octf, arc, eps=1e-6 * octf.scale())
         worst_oct = max(worst_oct, w)
         if not ok_i:
             report("criterion-4 sp-duality", False, "octagon arc %d worst %.2e" % (i, w))
     worst_quad = 0.0
     for arc in (ArcSegment(0.0, PI / 2), ArcSegment(1.0, 2.2)):
-        ok_i, w = sp_duality_check(quad, arc, eps=5e-2 * quad.diameter(), n_extra=3)
+        ok_i, w = sp_duality_check(quad, arc, eps=5e-2 * quad.diameter())
         worst_quad = max(worst_quad, w)
         if not ok_i:
             report("criterion-4 sp-duality", False, "quadric worst %.2e" % w)

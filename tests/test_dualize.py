@@ -7,11 +7,13 @@ from ccproj import (ArcSegment, InvalidInput, IntersectsDualL, ProjLine,
                     involution_residual, l_dual, plane_meets_all_sections,
                     point_in_fan, pointedness_duality_check, polar_dual,
                     project_from, section_at)
-from ccproj import DEFAULT_TOL, contains_polygon, gen_random_fan, surgery_s
-from ccproj.dualize import default_dual_params, _unwrapped_section
-from ccproj.fan import THETA_EPS, hull_slice
-from ccproj.projcore import PI
-from conftest import mark_validated, mgon, quadric_fan
+from ccproj import (DEFAULT_TOL, contains_polygon, gen_quadric, gen_random_fan, is_pointed,
+                    octagonalize, surgery_p, surgery_s)
+from ccproj.dualize import _ensure_valid, _unwrapped_section
+from ccproj.fan import THETA_EPS, event_angles, hull_slice
+from ccproj.projcore import PI, dual_arc
+from conftest import (default_dual_params, interior_points, mark_validated, mgon,
+                      quadric_fan)
 
 
 def dual_quadric_member(xi):
@@ -152,7 +154,7 @@ def probe_affine_dependence_check(fan, arc, t_dir=None, tol=DEFAULT_TOL, eps=Non
     eps = tol.eps_affine * fan.scale() if eps is None else eps
     ta, tb = arc.start, arc.start + arc.length
     Sa, Sb = _unwrapped_section(fan, ta, tol), _unwrapped_section(fan, tb, tol)
-    probes = list(arc.interior_points(n_check))
+    probes = list(interior_points(arc, n_check))
     probes += [float(t) for t in fan.thetas if arc.contains(float(t), closed=False)]
     func = None if t_dir is None else np.array([-np.sin(t_dir), np.cos(t_dir)])
     for t in probes:
@@ -182,9 +184,9 @@ def test_affine_dependence_matches_probe_oracle(quad12, oct_fan, oct_dirs):
     rng = np.random.default_rng(5)
     fans = [quad12, gen_random_fan(0).fan,
             surgery_s(quad12, ArcSegment(0.3, 1.4)), surgery_s(quad12, ArcSegment(2.9, 0.8))]
+    arcs = [ArcSegment(oct_dirs[i], oct_dirs[(i + 1) % 4]) for i in range(4)]
     dual = l_dual(mark_validated(oct_fan), dual_params=default_dual_params(
-        oct_fan, extra=np.concatenate([ArcSegment(oct_dirs[i], oct_dirs[(i + 1) % 4])
-                                       .interior_points(5) for i in range(4)])))
+        oct_fan, extra=np.concatenate([interior_points(a, 5) for a in arcs])))
     cases = [(dual, ArcSegment(float(oct_dirs[i]), float(oct_dirs[(i + 1) % 4])),
               1e-6 * dual.scale()) for i in range(4)]
     cases += [(quad12, ArcSegment(float(quad12.thetas[i]), float(quad12.thetas[i + 1])), None)
@@ -230,8 +232,8 @@ def test_fan_contains_sectionwise_matches_probe_oracle(quad12):
 
 def test_dual_of_octagon_fan_affine_on_dual_arcs(oct_fan, oct_dirs):
     fan = mark_validated(oct_fan)
-    probes = np.concatenate([ArcSegment(oct_dirs[i], oct_dirs[(i + 1) % 4])
-                             .interior_points(5) for i in range(4)])
+    probes = np.concatenate([
+        interior_points(ArcSegment(oct_dirs[i], oct_dirs[(i + 1) % 4]), 5) for i in range(4)])
     dual = l_dual(fan, dual_params=default_dual_params(fan, extra=probes))
     for i in range(4):
         darc = ArcSegment(float(oct_dirs[i]), float(oct_dirs[(i + 1) % 4]))
@@ -246,7 +248,6 @@ def test_pointedness_duality_quadric_both_false(quad8):
 
 
 def test_pointedness_duality_pointified_both_true(quad8):
-    from ccproj import surgery_p
     arc = ArcSegment(0.0, np.pi / 2)
     pfan = surgery_p(mark_validated(quad8), arc)
     agree, rows = pointedness_duality_check(pfan, arc)
@@ -260,6 +261,47 @@ def test_pointedness_duality_octagon(oct_fan, oct_dirs):
     agree, rows = pointedness_duality_check(fan, arc)
     assert agree
     assert all(p is True and a is True for p, a in rows)
+
+
+def probe_pointedness_duality_check(fan, arc, tol=DEFAULT_TOL, eps=None, n_check=8):
+    """Reference oracle: the former probe version of pointedness_duality_check,
+    which samples the dual at default_dual_params plus n_check parameters
+    inside the dual arc and its ends."""
+    _ensure_valid(fan, tol)
+    darc = dual_arc(arc)
+    params = default_dual_params(fan, extra=np.concatenate(
+        [interior_points(darc, n_check), [darc.start, darc.end]]))
+    dfan = l_dual(fan, dual_params=params, tol=tol, check_input=False)
+    rows = [(is_pointed(s, arc, tol) is not None,
+             affine_dependence_check(dfan, darc, t_dir=float(t), tol=tol, eps=eps))
+            for t, s in zip(fan.thetas, fan.sections)]
+    return all(p == a for p, a in rows), rows
+
+
+def test_pointedness_duality_matches_probe_oracle(quad8, oct_dirs):
+    # Sampling the exact dual gives the probe oracle's rows on the
+    # criterion-5 fans and on seeded arcs, with pointed sections among them.
+    quad = mark_validated(quad8)
+    octf = mark_validated(octagonalize(quad, oct_dirs))
+    arc = ArcSegment(0.0, PI / 2)
+    cases = [(octf, ArcSegment(float(oct_dirs[1]), float(oct_dirs[0]))),
+             (surgery_p(quad, arc), arc), (quad, arc)]
+    rng = np.random.default_rng(8)
+    for fan in (octf, quad, gen_random_fan(0).fan):
+        for _ in range(3):
+            a = rng.uniform(0.0, PI)
+            cases.append((fan, ArcSegment(a, (a + rng.uniform(0.2, 0.9 * PI)) % PI)))
+    for _ in range(2):
+        a = rng.uniform(0.0, PI)
+        arc = ArcSegment(a, (a + rng.uniform(0.2, 0.9 * PI)) % PI)
+        cases.append((surgery_p(quad, arc), arc))
+    pointed = []
+    for fan, arc in cases:
+        got = pointedness_duality_check(fan, arc)
+        assert got == probe_pointedness_duality_check(fan, arc)
+        assert got[0]
+        pointed += [p for p, _ in got[1]]
+    assert any(pointed) and not all(pointed)
 
 
 def test_dual_of_found_line(quad12):
@@ -335,7 +377,6 @@ def test_l_dual_matches_reference_on_random_fans_and_double_duals():
 
 
 def test_l_dual_matches_reference_on_surgery_p_output(quad8):
-    from ccproj import surgery_p
     pfan = surgery_p(mark_validated(quad8), ArcSegment(0.0, PI / 2))
     _assert_sections_match_reference(pfan, l_dual(pfan))
 
@@ -346,7 +387,7 @@ def test_l_dual_names_the_first_center_that_fails_to_straddle(quad12):
     secs = list(quad12.sections)
     secs[3] = secs[3].translated([2.5, 0.0])
     bad = quad12.with_sections(secs)
-    params = default_dual_params(bad)
+    params = event_angles(bad)
     first = None
     for p in params:
         try:
@@ -357,3 +398,39 @@ def test_l_dual_names_the_first_center_that_fails_to_straddle(quad12):
     assert first is not None and first > params[0]
     with pytest.raises(InvalidInput, match="psi=%.6f " % first):
         l_dual(bad, check_input=False)
+
+
+def support_gap(a, b, m=256):
+    """Largest support-function difference of two polygons over m directions."""
+    ang = 2 * np.pi * np.arange(m) / m
+    dirs = np.stack([np.cos(ang), np.sin(ang)], axis=1)
+    return float(np.max(np.abs(a.support(dirs) - b.support(dirs))))
+
+
+EXACT_FANS = [("quadric-%d-%d" % km, lambda km=km: quadric_fan(*km))
+              for km in ((12, 64), (24, 128), (48, 256))]
+EXACT_FANS += [("random-%d" % s, lambda s=s: gen_random_fan(s, k=10, complexity=2).fan)
+               for s in range(20)]
+
+
+@pytest.mark.parametrize("name,make", EXACT_FANS, ids=[n for n, _ in EXACT_FANS])
+def test_l_dual_is_exact_between_samples(name, make):
+    # Sampled at the event angles, the dual fan's interpolated sections are
+    # the dual sections at every psi, and the double dual is the source.
+    fan = make()
+    dual = l_dual(fan)
+    psi = np.random.default_rng(12).uniform(0.0, PI, size=40)
+    worst = max(support_gap(section_at(dual, float(p)), reference_dual_section(fan, float(p)))
+                for p in psi)
+    assert worst <= 1e-12 * dual.scale()
+    _, residual = involution_residual(fan)
+    assert residual <= 1e-12 * fan.diameter()
+
+
+def test_l_dual_at_event_angles_of_golden_quadrics():
+    # event_angles keeps one of each run of edge directions a few ulps apart,
+    # so it is a valid sample set; it is l_dual's default.
+    for k, m in ((12, 64), (48, 256)):
+        fan = gen_quadric(k, m).fan
+        dual = l_dual(fan, dual_params=event_angles(fan))
+        assert np.array_equal(dual.thetas, l_dual(fan).thetas)

@@ -67,6 +67,16 @@ def test_chi_dual_crosscheck(quad12):
     assert rep.agreement_rate == 1.0
 
 
+def test_chi_dual_crosscheck_exact_dual():
+    # The dual sampled at the event angles is exact, so chi-membership and
+    # membership in it agree on every plane outside a 1e-9 band.
+    rng = np.random.default_rng(13)
+    fans = [quadric_fan(12, 64)] + [gen_random_fan(s, k=10, complexity=2).fan for s in range(6)]
+    for fan in fans:
+        rep = chi_dual_crosscheck(fan, [rng.normal(size=4) for _ in range(300)], band=1e-9)
+        assert rep.total == 300 and rep.agreement_rate == 1.0
+
+
 def test_chi_crosscheck_octagon_exact(oct_fan):
     fan = mark_validated(oct_fan)
     rng = np.random.default_rng(3)

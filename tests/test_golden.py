@@ -47,9 +47,9 @@ GOLDEN = {
         "octagonalize":
             "0:82d5953bf0fdaf23ddb7fcc90f705407937545acd8d392ccec3d23ed6b5eaff9",
         "dualize":
-            "0:a1146f90250102f95a7485dabaeec23886f6853b69789bd3654d44c3fea3400b",
+            "0:36b8fe4480f5a5f812cd86d79c457e639755c167a250b42e285ec203e4bc8c0c",
         "roundtrip":
-            "0:9a8c81200d3627a0c52791af89404b8ecc311854991062d6c59712ba86c94b14",
+            "0:35534b9a62076ee7bfde2baa591964f5dfb6627da17956f4cdc408ad8666402d",
         "chi":
             "0:75a212db998a170b78098b3eb7bb04ba8d2fdbf8b72b607f5057b50aa315b227",
         "validate":
@@ -69,9 +69,9 @@ GOLDEN = {
         "octagonalize":
             "0:ebab9fb59a64af3833d0cb50c5b601e8eab8f1225fd81b3d13fe2c76d293c0e0",
         "dualize":
-            "0:d05f31cf9ce6f30a4c7485c9ccf2cde140bd69daf67381eba2c0508a5e0e0c3b",
+            "0:438a38ca18913d0926235487ff23b2854eabede8e937c54e675df7e6c6eb36c6",
         "roundtrip":
-            "0:06eb75e1a88b31a0a86e222f65ccd5e014b09efea1ec8052d526cf59f5e6265c",
+            "0:79e071b9f5c5d585e8fdb9d65c15312eec941c0a163679d7bd7671a415b77af1",
         "chi":
             "0:6c20342a123b75981686bbf09f7b4e18661f010ffce340b9dc2edd7bf54887d5",
         "validate":
@@ -91,7 +91,7 @@ GOLDEN = {
         "octagonalize":
             "0:2726f9852c9b27c5c7aeda82c59e6ae0022589db3feaa8f0db428da5a7f24375",
         "dualize":
-            "0:ca4b6a51644f095ab1761a774e5e96823244bbef6dd97af8b458813c59064571",
+            "0:7b85e72fb03906ffad1304f103fb472c6a575ba4369c5fa4654d5e2fd79d72ad",
         "roundtrip":
             "0:113b17f2b3bf8b728ee50f1638a5ed09dadb244aaecee3a1117176ed54de4639",
         "chi":
@@ -113,9 +113,9 @@ GOLDEN = {
         "octagonalize":
             "0:a64a4a29aee87a3398bd1b1659bb56f2df63eb9c453797b3315517498da25016",
         "dualize":
-            "0:d8bf23c62f732d4b5cb2e724ab637d872eab68310ea8ea6b851dd9ec4dd73d61",
+            "0:de0158161be7c05bd1943e14245a444463e326ffbfff0144a455079ffbd35959",
         "roundtrip":
-            "0:2f310252812984a0801fb87358b097259558e51df662bddae67a621bee883b02",
+            "0:22e45d006155bb93b877966a50b0ede4132d7d24d7b695e9c0f11cc6bab6d402",
         "chi":
             "0:493f945bce431ca7ba5264a2fcadf730669e6f3acd8e96a4baa6cbc3b093beb8",
         "validate":
@@ -135,7 +135,7 @@ GOLDEN = {
         "octagonalize":
             "0:08b01050935312edde3e2b8c3e20ebdaaa6a094f64739948ad2a0355f05544c8",
         "dualize":
-            "0:c849e81e0ccea76dcd2fa289f76599c1989ceecc12f3f4a2ec3f34a11c35caf9",
+            "0:7e04a5191f4b6472b2b9fe1bc4cfce2f02330ffb2e7064c4288d24c105e93a7f",
         "roundtrip":
             "0:bd1cca621eec1f470b439771493b47d067e092ee67ec7dac05f5f5f1222613f6",
         "chi":
@@ -157,7 +157,7 @@ GOLDEN = {
         "octagonalize":
             "0:82ae00e8fdaa09c112feaa81c870db15843658bd94d044e584b032a657d37e7d",
         "dualize":
-            "0:022427b1f58237a58718a91679734dc457a53c3aa5070f5abc1dfca10ee80c3f",
+            "0:23e1456c02d748018b920e2cd470ba8de672f63db55bce232107b56674429f6e",
         "roundtrip":
             "0:055c5dab59fc821c53a8c3ff07eaf3a211d71669d99f14591afc20aef54a662c",
         "chi":
@@ -179,7 +179,7 @@ GOLDEN = {
         "octagonalize":
             "0:b7cf6eae0254d4dc44d6cfef1eb9110b8de4ad055ea687470bf14ddb26991168",
         "dualize":
-            "0:5f2f1fd3d2b2f3531cf5d8525bffd2031c5a65adafc5b4e19f9f9f35f195591d",
+            "0:870b90977be53cd95a003fd9b04bab08fef064422d424a68618bc9766c44032e",
         "roundtrip":
             "0:e558ad64138731fd9ff86f240684930c7a213446a0f552c1d052916c6fe7ad91",
         "chi":

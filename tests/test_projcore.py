@@ -174,9 +174,3 @@ def test_arc_segment():
     assert d.start == arc.end and d.end == arc.start
     with pytest.raises(DegenerateInput):
         ArcSegment(1.0, 1.0)
-
-
-def test_arc_interior_points():
-    arc = ArcSegment(0.2, 1.2)
-    pts = arc.interior_points(7)
-    assert all(arc.contains(p, closed=False) for p in pts)

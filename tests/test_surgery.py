@@ -1,15 +1,15 @@
 import numpy as np
 import pytest
 
-from ccproj import (ArcSegment, DegenerateQuadrangle, DuplicateDirections,
+from ccproj import (DEFAULT_TOL, ArcSegment, DegenerateQuadrangle, DuplicateDirections,
                     SectionFan, SurgerySpec, contains_polygon, convex_hull,
-                    hausdorff, is_pointed, octagonalize,
+                    gen_quadric, gen_random_fan, hausdorff, is_pointed, l_dual, octagonalize,
                     octagonalize_via_pointing, pointify, pointify_vertices,
                     section_at, sp_duality_check, surgery_p, surgery_s,
                     validate)
 from ccproj.planar import ConvexPolygon
-from ccproj.projcore import PI, DegenerateInput
-from conftest import mark_validated, mgon
+from ccproj.projcore import PI, DegenerateInput, dual_arc
+from conftest import default_dual_params, interior_points, mark_validated, merged_angles, mgon
 
 
 @pytest.fixture(scope="module")
@@ -205,15 +205,58 @@ def test_p_and_s_commute(quad_sym):
 def test_sp_duality_octagon_exact(oct_fan, oct_dirs):
     fan = mark_validated(oct_fan)
     arc = ArcSegment(float(oct_dirs[1]), float(oct_dirs[0]))
-    ok, worst = sp_duality_check(fan, arc, n_extra=4)
+    ok, worst = sp_duality_check(fan, arc)
     assert ok and worst <= 1e-6
 
 
 def test_sp_duality_quadric(quad12):
     arc = ArcSegment(0.0, np.pi / 2)
-    ok, worst = sp_duality_check(mark_validated(quad12), arc,
-                                 eps=5e-2 * 2.0, n_extra=4)
+    ok, worst = sp_duality_check(mark_validated(quad12), arc, eps=5e-2 * 2.0)
     assert ok, worst
+
+
+def probe_sp_duality_check(fan, arc, tol=DEFAULT_TOL, eps=None, n_extra=0):
+    """Reference oracle: the former probe version of sp_duality_check, which
+    samples both duals at one set: default_dual_params of the fan and of the
+    pointed fan, the pointed fan's edge-direction classes, the dual arc's
+    ends and n_extra parameters inside the dual arc and inside its
+    complement."""
+    darc = dual_arc(arc)
+    extra = [darc.start, darc.end]
+    if n_extra:
+        extra = np.concatenate([extra, interior_points(darc, n_extra),
+                                interior_points(darc.complement(), n_extra)])
+    pfan = surgery_p(fan, arc, tol)
+    params = default_dual_params(pfan, extra=np.concatenate(
+        [default_dual_params(fan, extra=extra), merged_angles(pfan.edge_angles(), 1e-9)]))
+    lhs = l_dual(pfan, dual_params=params, tol=tol, check_input=False)
+    rhs = surgery_s(l_dual(fan, dual_params=params, tol=tol, check_input=False), darc, tol)
+    worst = max(hausdorff(section_at(lhs, float(t), tol), section_at(rhs, float(t), tol))
+                for t in params)
+    if eps is None:
+        eps = tol.eps_dual * max(lhs.scale(), 1.0)
+    return worst <= eps, worst
+
+
+def test_sp_duality_matches_probe_oracle():
+    # Comparing the exact duals at both fans' samples gives the probe
+    # oracle's verdict on the criterion-4 fans and on seeded arcs.
+    quad = mark_validated(gen_quadric(12, 64).fan)
+    dirs = np.array([0.0, PI / 4, PI / 2, 3 * PI / 4])
+    octf = mark_validated(octagonalize(quad, dirs))
+    cases = [(octf, ArcSegment(float(dirs[(i + 1) % 4]), float(dirs[i])), 1e-6 * octf.scale())
+             for i in range(4)]
+    cases += [(quad, arc, 5e-2 * quad.diameter())
+              for arc in (ArcSegment(0.0, PI / 2), ArcSegment(1.0, 2.2))]
+    rng = np.random.default_rng(7)
+    for fan in (octf, quad, gen_random_fan(0).fan, gen_random_fan(1).fan):
+        for _ in range(3):
+            a = rng.uniform(0.0, PI)
+            cases.append((fan, ArcSegment(a, (a + rng.uniform(0.2, 0.9 * PI)) % PI), None))
+    for fan, arc, eps in cases:
+        ok, worst = sp_duality_check(fan, arc, eps=eps)
+        assert ok == probe_sp_duality_check(fan, arc, eps=eps, n_extra=3)[0]
+        assert ok and worst <= 1e-12 * fan.scale()
 
 
 def test_octagon_sections_pointed_for_all_four_arcs(oct_fan, oct_dirs):
