@@ -16,8 +16,8 @@ from .projcore import (ArcSegment, AtInfinity, Chart, DEFAULT_TOL,
 from .planar import (ConvexPolygon, DegenerateSupport, DirPoint, RefNotInterior,
                      chebyshev_center, contains_point, contains_polygon,
                      convex_hull, distance, hausdorff, interior_margin,
-                     minkowski_combine, minkowski_scaled_sum, nearest_point,
-                     polar_dual, support_lines_through)
+                     minkowski_scaled_sum, nearest_point, polar_dual,
+                     support_lines_through)
 from .fan import (CenterNotOnL, ProjectionProfile, SectionFan, ValidationReport,
                   gap_coefficients, hull_slice, is_pointed, project_from,
                   section_at, validate)

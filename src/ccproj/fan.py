@@ -141,11 +141,10 @@ class SectionFan:
 
 
 def gap_coefficients(theta_i: float, theta_j: float, theta: float):
-    """Minkowski weights (a, b) of the hull slice at theta in [theta_i, theta_j]."""
-    A = np.sin(theta_j - theta)
-    B = np.sin(theta - theta_i)
-    kappa = np.sqrt(A * A + B * B + 2.0 * A * B * np.cos(theta_j - theta_i))
-    return A / kappa, B / kappa
+    """Minkowski weights (a, b) of the hull slice at theta in [theta_i, theta_j]:
+    A / kappa and B / kappa, with kappa = sin(theta_j - theta_i) exactly."""
+    kappa = np.sin(theta_j - theta_i)
+    return np.sin(theta_j - theta) / kappa, np.sin(theta - theta_i) / kappa
 
 
 def hull_slice(theta_a: float, Pa: ConvexPolygon, theta_b: float, Pb: ConvexPolygon,

@@ -65,29 +65,30 @@ def _as_angle(d) -> float:
 # ---------------------------------------------------------------------------
 
 def _ear_terms(cycle: np.ndarray):
-    """(cross, d, ln) at every vertex v of a cycle, with neighbors u, w:
+    """(cross, d, e, ln) at every vertex v of a cycle, with neighbors u, w:
     cross = e x d for e = w - u and d = v - u (negative where the cycle
     turns left at v) and ln = |e|.  A (P, n, 2) stack of cycles gives
     (P, n) arrays."""
     u = np.concatenate((cycle[..., -1:, :], cycle[..., :-1, :]), axis=-2)
     e = np.concatenate((cycle[..., 1:, :], cycle[..., :1, :]), axis=-2) - u
     d = cycle - u
-    return (e[..., 0] * d[..., 1] - e[..., 1] * d[..., 0], d,
+    return (e[..., 0] * d[..., 1] - e[..., 1] * d[..., 0], d, e,
             np.hypot(e[..., 0], e[..., 1]))
 
 
-def _chord_distances(cycle: np.ndarray) -> np.ndarray:
-    """Distance of every vertex of a cycle to the chord of its two neighbors.
-
-    The true point-to-chord distance |e x (v - u)| / |e| with e = w - u (the
-    distance to u when the chord has zero length), immune to the
-    near-collinear cross-product pitfall."""
-    cross, d, ln = _ear_terms(cycle)
+def _chord_distances(cycle: np.ndarray, terms=None) -> np.ndarray:
+    """Distance of every vertex v of a cycle (or a (P, n, 2) stack; terms are
+    its `_ear_terms` if given) to the chord of its neighbors u, w: |e x d| /
+    |e| for e = w - u, d = v - u where v projects into the chord, immune to
+    the near-collinear cross-product pitfall; else the distance to the nearer
+    end (a flat cycle's vertex beyond its neighbors is extreme, not collinear)."""
+    cross, d, e, ln = _ear_terms(cycle) if terms is None else terms
+    dot = e[..., 0] * d[..., 0] + e[..., 1] * d[..., 1]
     with np.errstate(divide="ignore", invalid="ignore"):
         dist = np.abs(cross) / ln
-    zero = ln == 0.0
-    dist[zero] = np.hypot(d[zero, 0], d[zero, 1])
-    return dist
+    f = d - e  # v - w
+    dist = np.where(dot > ln * ln, np.hypot(f[..., 0], f[..., 1]), dist)
+    return np.where((dot < 0.0) | (ln == 0.0), np.hypot(d[..., 0], d[..., 1]), dist)
 
 
 def _chord_distance(u, v, w) -> float:
@@ -95,8 +96,11 @@ def _chord_distance(u, v, w) -> float:
     e0, e1 = w[0] - u[0], w[1] - u[1]
     d0, d1 = v[0] - u[0], v[1] - u[1]
     ln = float(np.hypot(e0, e1))
-    if ln == 0.0:
+    dot = e0 * d0 + e1 * d1
+    if dot < 0.0 or ln == 0.0:
         return float(np.hypot(d0, d1))
+    if dot > ln * ln:
+        return float(np.hypot(d0 - e0, d1 - e1))
     return abs(e0 * d1 - e1 * d0) / ln
 
 
@@ -180,7 +184,8 @@ def _convex_cycle(points: np.ndarray, eps):
        With 2, the edge directions then wind once around, turning left at
        every vertex, so the points are a strictly convex polygon;
     4. every chord distance exceeds eps, in `_chord_distances`' float
-       operations, so `_merge_collinear`'s screen pops nothing.
+       operations, so `_merge_collinear`'s screen pops nothing (a distance
+       to the chord's line above 2 eps settles it: the chord is no nearer).
     The float chain then keeps every point, in cyclic order.  The smallest
     triangle on the vertices of a convex polygon is an ear (the distance of
     a vertex to a line through two others is unimodal along the boundary),
@@ -219,17 +224,20 @@ def _convex_cycle(points: np.ndarray, eps):
     if not _some(ok):
         return ok, points
     start = order[..., 0]
-    cross, d, ln = _ear_terms(points)
-    cw = cross[rows + (start,)] > 0.0
+    terms = _ear_terms(points)
+    cw = terms[0][rows + (start,)] > 0.0
     if _some(cw):  # clockwise rows reversed: their chord terms round differently
         points = np.where(cw[..., None, None], points[..., ::-1, :], points)
         start = np.where(cw, n - 1 - start, start)
-        cross, d, ln = _ear_terms(points)
+        terms = _ear_terms(points)
     scale = np.maximum(1.0, top)
-    ok &= cross.max(axis=-1) < -EAR_MARGIN * scale * scale
+    ok &= terms[0].max(axis=-1) < -EAR_MARGIN * scale * scale
     if not _some(ok):
         return ok, points
-    ok &= (np.abs(cross) / ln).min(axis=-1) > eps  # ln > 0 where ok: no ear is flat
+    near = (np.abs(terms[0]) / terms[3]).min(axis=-1)  # ln > 0 where ok: no ear is flat
+    if _some(near <= 2.0 * eps):  # a chord's line is near: measure the chords
+        near = _chord_distances(points, terms).min(axis=-1)
+    ok &= near > eps
     if not rows:
         return ok, np.concatenate((points[start:], points[:start]))
     return ok, points[by_row + ((start[:, None] + np.arange(n)) % n,)]
@@ -265,8 +273,6 @@ def _hull_cycle(points: np.ndarray, eps: float) -> np.ndarray:
         out = _merge_collinear(np.array(cycle), eps)
     if len(out) == 2 and np.max(np.abs(out[1] - out[0])) <= eps:
         return np.array([min(out.tolist())])  # a segment within eps is a point
-    if len(out) < 3:
-        return out
     return _roll_to_min(out)
 
 
@@ -431,52 +437,47 @@ def polar_dual(poly: ConvexPolygon, ref, tol: Tolerances = DEFAULT_TOL) -> Conve
 # Minkowski combinations
 # ---------------------------------------------------------------------------
 
-def _edge_cycle(poly: ConvexPolygon):
-    """Vertices reordered to start at the min-(y, x) vertex, plus edge vectors."""
-    v = poly.vertices
-    start = int(np.lexsort((v[:, 0], v[:, 1]))[0])
-    v = np.roll(v, -start, axis=0)
-    if len(v) == 1:
-        return v, np.zeros((0, 2))
-    e = np.roll(v, -1, axis=0) - v
-    return v, e
-
-
 def minkowski_scaled_sum(a: float, P: ConvexPolygon, b: float, Q: ConvexPolygon,
                          tol: Tolerances = DEFAULT_TOL) -> ConvexPolygon:
-    """Minkowski sum a*P + b*Q for nonnegative scalars, by edge merging."""
+    """Minkowski sum a*P + b*Q for nonnegative scalars, by edge merging (de
+    Berg et al., *Computational Geometry*, section 13.3).
+
+    Both operands' edges, sorted by angle from the sum's min-(y, x) vertex,
+    are summed up after each run of consecutive angles at most `tiny` apart
+    (also across 0 and 2 pi) is merged into one edge: adjacent fan sections
+    share edge normals, and an unmerged pair leaves a collinear vertex.  So
+    `_convex_cycle` can certify the sum; where it declines (a merged edge
+    within eps, say) the chain decides.  A run of r edges spans at most
+    (r - 1) * tiny radians, so the merge moves the boundary by at most that
+    times the run's length, far below the chain's eps_convex * scale merge.
+    """
     if a < 0 or b < 0:
         raise ValueError("scalars must be nonnegative")
     if a == 0.0:
         return Q.scaled(b) if b != 1.0 else Q
     if b == 0.0:
         return P.scaled(a) if a != 1.0 else P
-    vp, ep = _edge_cycle(P.scaled(a))
-    vq, eq = _edge_cycle(Q.scaled(b))
-    edges = np.vstack([ep, eq])
+    vp, vq = (np.roll(v, -int(np.lexsort((v[:, 0], v[:, 1]))[0]), axis=0)
+              for v in (P.vertices * float(a), Q.vertices * float(b)))
+    start = vp[0] + vq[0]
+    edges = np.vstack([np.roll(v, -1, axis=0) - v for v in (vp, vq) if len(v) > 1]
+                      + [np.zeros((0, 2))])
     if len(edges) == 0:
-        return ConvexPolygon(vp[0] + vq[0])
+        return ConvexPolygon(start)
+    tiny = 1e-12  # radians
     ang = np.arctan2(edges[:, 1], edges[:, 0]) % (2.0 * PI)
     order = np.argsort(ang, kind="stable")
-    start = vp[0] + vq[0]
-    pts = start[None, :] + np.cumsum(edges[order], axis=0)
+    ang, edges = ang[order], edges[order]
+    heads = np.flatnonzero(np.diff(ang, prepend=-np.inf) > tiny)
+    if len(heads) > 1 and ang[0] + 2.0 * PI - ang[-1] <= tiny:
+        # the last run wraps across 0 into the first: the cycle starts at its head
+        k = heads[-1]
+        start = start - edges[k:].sum(axis=0)
+        edges = np.roll(edges, len(edges) - k, axis=0)
+        heads = np.concatenate(([0], heads[1:-1] + (len(edges) - k)))
+    merged = np.add.reduceat(edges, heads, axis=0)
+    pts = start + np.cumsum(merged[:-1], axis=0)
     return convex_hull(np.vstack([start, pts]), tol)
-
-
-def minkowski_combine(t: float, P: ConvexPolygon, Q: ConvexPolygon,
-                      tol: Tolerances = DEFAULT_TOL) -> ConvexPolygon:
-    """Minkowski combination t*P + (1-t)*Q, t in [0, 1].
-
-    The support function of the result is t*H_P + (1-t)*H_Q in every
-    direction.
-    """
-    if not 0.0 <= t <= 1.0:
-        raise ValueError("t must lie in [0, 1]")
-    if t == 0.0:
-        return Q
-    if t == 1.0:
-        return P
-    return minkowski_scaled_sum(t, P, 1.0 - t, Q, tol)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,12 @@
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
 from ccproj import (DEFAULT_TOL, ArcSegment, CenterNotOnL, SectionFan, Tolerances,
-                    convex_hull, gen_random_fan, hausdorff, interior_margin,
-                    is_pointed, project_from, section_at, validate)
+                    convex_hull, gen_quadric, gen_random_fan, hausdorff, interior_margin,
+                    is_pointed, l_dual, planar, project_from, section_at, validate)
 from ccproj.fan import THETA_EPS, CenterCheck, event_angles, gap_coefficients, plane_margin
 from ccproj.planar import ConvexPolygon, contains_polygon, tangent_quadrangle_corners
 from ccproj.projcore import PI, DegenerateInput
@@ -71,6 +72,44 @@ def test_gap_coefficients_endpoints():
     assert abs(a - 1.0) < 1e-12 and abs(b) < 1e-15
     a, b = gap_coefficients(0.3, 1.1, 1.1)
     assert abs(b - 1.0) < 1e-12 and abs(a) < 1e-15
+
+
+def test_gap_coefficients_match_high_precision_reference():
+    # parameters on a 2^-44 grid, so the spans the weights are built from
+    # are exact floats and the reference sees the same triple; spans reach
+    # pi - 1e-6, where the former sqrt(A^2 + B^2 + 2AB cos) cancelled
+    rng = np.random.default_rng(23)
+    grid = 2.0 ** -44
+    for _ in range(1000):
+        span = (rng.uniform(1e-6, PI - 1e-6) if rng.uniform() < 0.5
+                else PI - 10.0 ** rng.uniform(-6.0, -1.0))
+        ti, span = (np.floor(x / grid) * grid for x in (rng.uniform(0.0, PI), span))
+        theta = ti + np.floor(rng.uniform(0.0, span) / grid) * grid
+        a, b = (float(w) for w in gap_coefficients(ti, ti + span, theta))
+        with mpmath.workdps(50):
+            big_a = mpmath.sin(mpmath.mpf(ti + span) - mpmath.mpf(theta))
+            big_b = mpmath.sin(mpmath.mpf(theta) - mpmath.mpf(ti))
+            kappa = mpmath.sqrt(big_a ** 2 + big_b ** 2
+                                + 2 * big_a * big_b * mpmath.cos(mpmath.mpf(span)))
+            err = max(abs(a - big_a / kappa), abs(b - big_b / kappa))
+        assert err <= 1e-13 * max(1.0, a, b)
+
+
+def test_section_at_skips_the_hull_chain_on_query_fans(monkeypatch):
+    # adjacent sections (and adjacent dual sections) share edge normals:
+    # the merged Minkowski sum is a strictly convex cycle that
+    # planar._convex_cycle certifies, so the monotone chain never runs
+    fans = [gen_quadric(12, 64).fan] + [gen_random_fan(s, k=10, complexity=2).fan
+                                        for s in (1, 2, 3)]
+    fans += [l_dual(f) for f in fans]
+    calls = []
+    chain = planar._chain
+    monkeypatch.setattr(planar, "_chain", lambda pts: calls.append(1) or chain(pts))
+    rng = np.random.default_rng(41)
+    for f in fans:
+        for theta in rng.uniform(0.0, PI, 40):
+            section_at(f, float(theta))
+    assert len(calls) == 0
 
 
 def test_fan_constructor_invariants(frame):

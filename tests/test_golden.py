@@ -39,9 +39,9 @@ GOLDEN = {
         "serialize":
             "d85145a84da0444c790dccee385aa8ffab853eab0638edd6efcd20f3e90be389",
         "section":
-            "0:7ca8f5eaccbcf5d8375b69e136fde525510b7747dbb1278132890bd6a7244c8f",
+            "0:53fe93e8e12be993742f8cd205ba9de6c60a8ddec616ada58b5107245d594066",
         "surgery-s":
-            "0:92b88a91583440941ecc51c17afc2d95ca10340062c853732ea6564fef529e38",
+            "0:51eef85d59807dd875bd1ea1c75e2ad7a82b82f94a5275130b7d59c414654136",
         "surgery-p":
             "0:b618d1c69147cf313e5420b9fdd67d8ded4896af6b8b3a06bebe66deffe40e5d",
         "octagonalize":
@@ -61,9 +61,9 @@ GOLDEN = {
         "serialize":
             "d257bf00f0e87bd55bdfe70672ae2027046320e4db14cc642f9d437c2e2c4e50",
         "section":
-            "0:4227580ddcdee77d52829481b3ae6322039cf223c466e51a67497c586bd6e941",
+            "0:69fcb76114a4b43f14ce1898dadb0d43004ea562bdf589c66f615035f335fdbe",
         "surgery-s":
-            "0:8dc378cb381d3937830f49325b89507323292cc74c35ae50835400baa255481a",
+            "0:fd338774a4417b5886cf7b4478ad7e3646d6de4f8eb5b7893dd6e3d9cf0d2f8b",
         "surgery-p":
             "0:58199128818f0f443c7c76db8691a474495f26a363f0065c4f34502ef41ec01c",
         "octagonalize":
@@ -81,19 +81,19 @@ GOLDEN = {
     },
     "random-0": {
         "serialize":
-            "11f127a4816d767dbb57455450c9552d5c85f1c3ce34616bfdf254b50364a811",
+            "2d8c7462dff37fa05f45ee351f05d8d9607062f7fa9da29f513669a3af7aee0f",
         "section":
-            "0:3c11098dbcf5b70fe6e13e4634ec805fb4a66730eafba7aa795faa5249eba889",
+            "0:268d299919c8567a85c7f7e9a427703f35d7409359442a0b55398c34b893efe5",
         "surgery-s":
-            "0:95285f6645fd1064ebd8c957c1fd9900bdbce26f1cce95ebcdf69403a768048a",
+            "0:1e9d1db8fdc7e92983da3a7b31a2fd3de7d24c2f8d2872ad4dd8cc9dc1e96442",
         "surgery-p":
-            "0:2f0d2bb58b564db23357ea345695d66e165d49920c0d27d29695cc4d559c584f",
+            "0:7b226a13aac7920cbf4e78b0a91032d3dc39ff4d28f922b9acf0e9330a9823da",
         "octagonalize":
-            "0:2726f9852c9b27c5c7aeda82c59e6ae0022589db3feaa8f0db428da5a7f24375",
+            "0:6a73e3b4e28e8f8e80cc952078faf7f49be8e3341c0bd3d9ef9e0a206a7babbf",
         "dualize":
-            "0:7b85e72fb03906ffad1304f103fb472c6a575ba4369c5fa4654d5e2fd79d72ad",
+            "0:c84f79fc02a0f4277c4ec5ed464e4bffdc9c6285d02dff1a65510e9ca13ef551",
         "roundtrip":
-            "0:113b17f2b3bf8b728ee50f1638a5ed09dadb244aaecee3a1117176ed54de4639",
+            "0:d1904f41afb89d30cfed3b625d7a4e32fefa0d96064a275d380099760f710a3a",
         "chi":
             "0:bb8a8604b37cb08dfbfe8ae01516abcec24938f89fe720a94cc2b07627668b80",
         "validate":
@@ -103,21 +103,21 @@ GOLDEN = {
     },
     "random-1": {
         "serialize":
-            "0e9ec5eec7cb7d5abc35cd0149f9d26f65b645db8c99802874c77ef221c2177f",
+            "5481786461fd06d36c2dd288f094470a716ebfc9ff78bb14d9804b8cc0d1c1ba",
         "section":
-            "0:42e45f8afe2488eb5fc2e2fe228b73d8c968c3ebd332a3ccce7101ecc635e94f",
+            "0:bd8743c381f21026be8cb83f8fcb8b79c2d2771e0e391ccd1cab535154da82d2",
         "surgery-s":
-            "0:4e23f71e2c038dc7d1e83b0880374f89fd014b10411996b25c91b393d76d6555",
+            "0:da6eb9f78920cbed72ee100a919806c1c44ac182185bb84c93063d4e4ec6bdcd",
         "surgery-p":
-            "0:1ff3dfa98b03a078226a2492ce2c08d0b69837f242a303d7360b32d080e628e7",
+            "0:6e15f1c614315418d4761a6357b4a8b8c3449b5162cc155b76e126a967f5be0b",
         "octagonalize":
-            "0:a64a4a29aee87a3398bd1b1659bb56f2df63eb9c453797b3315517498da25016",
+            "0:409d1369c7c8b05d20df575c54c55af1ddbba3a4a27050a8175f5cefe02d7b2b",
         "dualize":
-            "0:de0158161be7c05bd1943e14245a444463e326ffbfff0144a455079ffbd35959",
+            "0:fb513e963b0a77609cafcb55a37e9ac360e149bbaf9993fb954b6fc7d99b646e",
         "roundtrip":
-            "0:22e45d006155bb93b877966a50b0ede4132d7d24d7b695e9c0f11cc6bab6d402",
+            "0:c1ad27487e685fca295ce083e3648ef50290381e7131b592e42e7cfb7106b6d3",
         "chi":
-            "0:493f945bce431ca7ba5264a2fcadf730669e6f3acd8e96a4baa6cbc3b093beb8",
+            "0:9d272add8cf24f0b0b0e5853c0ad81c5111781a53513c0b2cb612d2fe5e2acdb",
         "validate":
             "0:f4d8ecca1d5ff3ffbee34fabdbb771c0984e8b3eeccf826514a1cbbaca252961",
         "helly":
@@ -127,9 +127,9 @@ GOLDEN = {
         "serialize":
             "4282f83d8d6090de5946f19ddf88375af3174f6f59290dd1f4cc8c4be15e72aa",
         "section":
-            "0:de845837e1c9154ad5ba5bcfe96181800a9cf004b8a0500faba5308f64f7ea0b",
+            "0:d8f2f51a25d9ffabf96429da7d9e78216fa4f48e64ce3853e2cb1bdd92d22ac6",
         "surgery-s":
-            "0:ba18d644fe4ca091e214aaea54e800686d35ca93222aee57ec6e4e2c7631495b",
+            "0:76d0f0736c2c46e50f00983292f472549f221dfcda9afcf5631309c927a6c793",
         "surgery-p":
             "0:1a4589eb5de29f86d41659dd7db46c1b6057712b99a526dbd38e58254c982a2a",
         "octagonalize":
@@ -147,17 +147,17 @@ GOLDEN = {
     },
     "random-3": {
         "serialize":
-            "4b98803c1d456b4edd2dd1524534b932b99003b7f086522963244248630842c8",
+            "26e2e38bbd200912e6d8ed9009e5f368df7cb7905abd2b5aacd05f6b1ec4881d",
         "section":
-            "0:4fe7e2064e3893f2cae70594d0f4feb00f37c3ee9471026934bb00537e99ece1",
+            "0:be1a526d8501445876891e8cf67cf25ae151adde20146360c283deb4c9421102",
         "surgery-s":
-            "0:99fdeca94d502adb1d5116eaa6c01649c3266b093781979afcf2551b07242d3f",
+            "0:399a44338228837b3ebb7e01aff89207d736a0b1d38b08f604fecbbeb942389d",
         "surgery-p":
-            "0:1b37a4356c16a1d18ca17e88bd8ded7d4e66d01e515bf858836d0df1b197387b",
+            "0:737766836ecaaa233f0289af60e902704101f43d0d5febc71f9a11d0f9dd8907",
         "octagonalize":
-            "0:82ae00e8fdaa09c112feaa81c870db15843658bd94d044e584b032a657d37e7d",
+            "0:94ab92b7a78c2f56be0c3b8e34bdc675f79414e9ace91b76b81df43d5fa5f283",
         "dualize":
-            "0:23e1456c02d748018b920e2cd470ba8de672f63db55bce232107b56674429f6e",
+            "0:812e1126d3664d383576e2dfe48e9ee1e8926c33c916b0cd60f851766d0e4187",
         "roundtrip":
             "0:055c5dab59fc821c53a8c3ff07eaf3a211d71669d99f14591afc20aef54a662c",
         "chi":
@@ -169,19 +169,19 @@ GOLDEN = {
     },
     "random-4": {
         "serialize":
-            "784f856cd0c6fe095a675616a5ff3a58372edbd463c342c7ab19926418936a01",
+            "2f1620c5ddc5871c274bdf4d0eeebc328f3aa8837a2e2cfc1f27954b4fb59809",
         "section":
-            "0:cd88e950002b8ae4656fc8eed844e7e0135d99ba8a62b7bd7a614d12bd693c55",
+            "0:2e5f8985b4f13c3fab3d805fe2d00148fff04b4fbe9089bc28358b3efbafe030",
         "surgery-s":
-            "0:8e66f2497fc24264a91c8709f1f83a5ce42281bf25c7018eece642d7042b55db",
+            "0:311ba187d2c1814fa28461e65a35c00edf2a712c3188e41103e9a5a04d380e7b",
         "surgery-p":
-            "0:c91185cdeb24e873d441bc9946ca073ee52203fed2fd38de363ee1b1e43bafbf",
+            "0:a1636451e175703c0680fc7b1010d36cd8c53de7ed5577eeb97d15998e4a5bb7",
         "octagonalize":
-            "0:b7cf6eae0254d4dc44d6cfef1eb9110b8de4ad055ea687470bf14ddb26991168",
+            "0:2fe70b4e8384982ddfc0ce1dfc978ff1c893dbca17e7735e39eb40b8bede6183",
         "dualize":
-            "0:870b90977be53cd95a003fd9b04bab08fef064422d424a68618bc9766c44032e",
+            "0:f154e8d2ca36f1588cf380d52739d821934f051f70b7215bac7978f3482dafd9",
         "roundtrip":
-            "0:e558ad64138731fd9ff86f240684930c7a213446a0f552c1d052916c6fe7ad91",
+            "0:e1b20a88b238860c8d78baec2b43f7cfb8c56f9f84450c5e6900d133f39ca118",
         "chi":
             "0:70919e6895b14df45fec3725020df15bbb8047e82cb035130822507267ea8d7e",
         "validate":

@@ -5,9 +5,8 @@ from hypothesis import strategies as st
 
 from ccproj import planar
 from ccproj import (ConvexPolygon, DirPoint, RefNotInterior, chebyshev_center,
-                    convex_hull, distance, hausdorff, minkowski_combine,
-                    minkowski_scaled_sum, nearest_point, polar_dual,
-                    support_lines_through)
+                    convex_hull, distance, hausdorff, minkowski_scaled_sum,
+                    nearest_point, polar_dual, support_lines_through)
 from ccproj.planar import interior_margin, intersect_polygons, tangent_quadrangle_corners
 from conftest import mgon
 
@@ -36,6 +35,18 @@ def test_convex_hull_collinear():
     seg = convex_hull([[0, 0], [1, 1], [2, 2], [0.5, 0.5]])
     assert seg.n == 2 and seg.degenerate
     assert np.allclose(seg.vertices, [[0, 0], [2, 2]])
+
+
+def test_convex_hull_of_collinear_points_keeps_both_ends():
+    # rounding leaves a flat cycle after the chain; an end lies on the line
+    # through its two neighbors but not on their chord, and must stay
+    rng = np.random.default_rng(17)
+    for _ in range(500):
+        direction = rng.normal(size=2)
+        t = np.sort(rng.uniform(0.0, 3.0, size=rng.integers(3, 8)))
+        pts = t[:, None] * direction[None, :]
+        ends = convex_hull(pts[[0, -1]])
+        assert hausdorff(convex_hull(pts), ends) <= 1e-12 * ends.scale
 
 
 def test_support_lines_disk():
@@ -111,21 +122,21 @@ def test_polar_dual_ref_not_interior():
 
 def test_minkowski_disks():
     d1, d3 = mgon(1.0, 64), mgon(3.0, 64)
-    mid = minkowski_combine(0.5, d1, d3)
+    mid = minkowski_scaled_sum(0.5, d1, 0.5, d3)
     rad = np.linalg.norm(mid.vertices, axis=1)
     assert np.max(np.abs(rad - 2.0)) < 1e-2
 
 
 def test_minkowski_t_zero_is_identity():
     P, Q = mgon(1.0, 16), mgon(2.0, 12)
-    assert minkowski_combine(0.0, P, Q) is Q
-    assert minkowski_combine(1.0, P, Q) is P
+    assert minkowski_scaled_sum(0.0, P, 1.0, Q) is Q
+    assert minkowski_scaled_sum(1.0, P, 0.0, Q) is P
 
 
 def test_minkowski_square_diamond_support_identity():
     sq = convex_hull([[-1, -1], [1, -1], [1, 1], [-1, 1]])
     dia = convex_hull([[1, 0], [0, 1], [-1, 0], [0, -1]])
-    out = minkowski_combine(0.5, sq, dia)
+    out = minkowski_scaled_sum(0.5, sq, 0.5, dia)
     angles = np.linspace(0, 2 * np.pi, 360, endpoint=False)
     dirs = np.stack([np.cos(angles), np.sin(angles)], axis=1)
     hv = out.support(dirs)
@@ -146,7 +157,7 @@ def test_minkowski_support_identity_random():
         P = convex_hull(rng.normal(size=(10, 2)))
         Q = convex_hull(rng.normal(size=(8, 2)) + rng.normal(size=2))
         t = float(rng.uniform(0, 1))
-        out = minkowski_combine(t, P, Q)
+        out = minkowski_scaled_sum(t, P, 1 - t, Q)
         ref = t * P.support(dirs) + (1 - t) * Q.support(dirs)
         scale = np.max(np.abs(ref)) + 1.0
         assert np.max(np.abs(out.support(dirs) - ref)) <= 1e-9 * scale
@@ -230,8 +241,11 @@ def ref_merge_collinear(cycle, eps):
             w = pts[(i + 1) % len(pts)]
             e = w - u
             ln = float(np.hypot(e[0], e[1]))
-            if ln == 0.0:
+            dot = float(e @ (v - u))
+            if ln == 0.0 or dot < 0.0:  # v projects before u: distance to u
                 dist = float(np.hypot(*(v - u)))
+            elif dot > ln * ln:  # v projects beyond w: distance to w
+                dist = float(np.hypot(*((v - u) - e)))
             else:
                 dist = abs(_cross2(e, v - u)) / ln
             if dist <= eps:
@@ -268,8 +282,6 @@ def ref_hull_cycle(points, eps):
         out = ref_merge_collinear(np.array(cycle), eps)
     if len(out) == 2 and np.max(np.abs(out[1] - out[0])) <= eps:
         return np.array([min(out.tolist())])
-    if len(out) < 3:
-        return out
     start = int(np.lexsort((out[:, 1], out[:, 0]))[0])
     return np.roll(out, -start, axis=0)
 
@@ -334,21 +346,103 @@ def test_merge_collinear_matches_reference_on_any_cycle(pts, factor):
 @given(st.integers(3, 64), st.floats(0.0, 2.0 * np.pi), st.floats(0.05, 5.0),
        st.floats(0.05, 5.0), st.floats(0.0, 1.0), st.tuples(coord, coord))
 def test_hull_cycle_matches_reference_on_minkowski_sums(m, phase, r1, r2, t, center):
-    # same-phase regular m-gons have pairwise parallel edges: the summed
+    # same-phase regular m-gons have pairwise parallel edges: the unmerged
     # edge chain has m collinear midpoints, the many-pop case
     P, Q = mgon(r1, m, center, phase), mgon(r2, m, (0.0, 0.0), phase)
-    seen = []
-    real = planar._hull_cycle
+    points = ref_minkowski_chain(t, P, 1.0 - t, Q)
+    eps = _hull_eps(points, 1e-9)
+    assert np.array_equal(planar._hull_cycle(points, eps), ref_hull_cycle(points, eps))
 
-    def spy(points, eps):
-        seen.append((points.copy(), eps))
-        return real(points, eps)
 
+# ---------------------------------------------------------------------------
+# Reference Minkowski sum: the cumulative sum of all sorted edges, parallel
+# runs unmerged, closed on its start point, then re-hulled.
+# ---------------------------------------------------------------------------
+
+def ref_minkowski_chain(a, P, b, Q):
+    """The summed edge chain of a*P + b*Q: the sum of the two min-(y, x)
+    vertices, then every partial sum of the edges sorted by angle."""
+    starts, edges = [], []
+    for w, poly in ((a, P), (b, Q)):
+        v = poly.scaled(w).vertices
+        v = np.roll(v, -int(np.lexsort((v[:, 0], v[:, 1]))[0]), axis=0)
+        starts.append(v[0])
+        if len(v) > 1:
+            edges.append(np.roll(v, -1, axis=0) - v)
+    start = starts[0] + starts[1]
+    if not edges:
+        return start[None, :]
+    edges = np.vstack(edges)
+    order = np.argsort(np.arctan2(edges[:, 1], edges[:, 0]) % (2.0 * np.pi), kind="stable")
+    return np.vstack([start, start + np.cumsum(edges[order], axis=0)])
+
+
+def ref_minkowski_scaled_sum(a, P, b, Q):
+    if a == 0.0:
+        return Q.scaled(b) if b != 1.0 else Q
+    if b == 0.0:
+        return P.scaled(a) if a != 1.0 else P
+    return convex_hull(ref_minkowski_chain(a, P, b, Q))
+
+
+weight = st.floats(0.0, 3.0)
+
+
+@st.composite
+def minkowski_operands(draw):
+    """Operand pairs: same-phase m-gons (every edge of one parallel to an
+    edge of the other), axis-aligned rectangles (edges at angle 0 in both),
+    segments, points and random hulls."""
+    kind = draw(st.sampled_from(["mgons", "rectangles", "any"]))
+    if kind == "mgons":
+        m, phase = draw(st.integers(3, 64)), draw(st.floats(0.0, 2.0 * np.pi))
+        return tuple(mgon(draw(st.floats(0.05, 5.0)), m, draw(st.tuples(coord, coord)), phase)
+                     for _ in range(2))
+    if kind == "rectangles":
+        return tuple(convex_hull([[x0, y0], [x0 + w, y0], [x0 + w, y0 + h], [x0, y0 + h]])
+                     for x0, y0, w, h in draw(st.lists(
+                         st.tuples(coord, coord, st.floats(0.01, 20.0), st.floats(0.01, 20.0)),
+                         min_size=2, max_size=2)))
+    shape = st.one_of(clouds(), st.lists(point, min_size=1, max_size=2))
+    return tuple(convex_hull(np.array(draw(shape), dtype=float)) for _ in range(2))
+
+
+def test_minkowski_merges_a_run_across_zero_angle():
+    # P's bottom edge enters its min-(y, x) vertex at angle 2 pi - 1e-13 and
+    # Q's leaves its own at angle 0: one run, merged into one edge
+    P = convex_hull([[0.0, 0.0], [1.0, -1e-13], [1.5, 1.0], [0.0, 1.0]])
+    Q = convex_hull([[0.0, 0.0], [2.0, 0.0], [2.0, 3.0], [0.0, 3.0]])
+    calls = []
+    chain = planar._chain
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(planar, "_hull_cycle", spy)
-        minkowski_combine(t, P, Q)
-    for points, eps in seen:
-        assert np.array_equal(real(points, eps), ref_hull_cycle(points, eps))
+        mp.setattr(planar, "_chain", lambda pts: calls.append(1) or chain(pts))
+        out = minkowski_scaled_sum(1.0, P, 1.0, Q)
+    assert not calls
+    assert np.array_equal(out.vertices[:2], [[0.0, 0.0], [3.0, -1e-13]])
+    assert out.n == 5 and hausdorff(out, ref_minkowski_scaled_sum(1.0, P, 1.0, Q)) <= 1e-15
+
+
+@settings(max_examples=400, deadline=None)
+@given(minkowski_operands(), weight, weight)
+def test_merged_minkowski_sum_matches_unmerged_reference(operands, a, b):
+    P, Q = operands
+    out, ref = minkowski_scaled_sum(a, P, b, Q), ref_minkowski_scaled_sum(a, P, b, Q)
+    scale = max(out.scale, ref.scale)
+    assert hausdorff(out, ref) <= 1e-9 * scale
+    angles = np.linspace(0.0, 2.0 * np.pi, 360, endpoint=False)
+    normals = [np.stack([np.cos(angles), np.sin(angles)], axis=1)]
+    for poly in (P, Q, out):
+        if poly.n > 1:
+            e = poly.edges()  # zero-length when a weight is 0
+            normals.append(np.stack([e[:, 1], -e[:, 0]], axis=1)
+                           / np.maximum(np.hypot(e[:, 0], e[:, 1]), 1e-300)[:, None])
+    dirs = np.vstack(normals)
+    exact = a * P.support(dirs) + b * Q.support(dirs)
+    # beyond what the chain's own eps merge moves (the reference's error,
+    # e.g. a sum within eps of a point collapses to it), the merge of
+    # parallel edges moves the support by rounding only
+    assert (np.max(np.abs(out.support(dirs) - exact))
+            <= np.max(np.abs(ref.support(dirs) - exact)) + 1e-12 * scale)
 
 
 @settings(max_examples=300, deadline=None)
@@ -362,26 +456,29 @@ def test_negated_matches_hull_of_negation(pts):
 
 
 def test_hull_collapses_segment_within_eps():
-    # the merge pops this thin cloud down to two points 1.5e-8 apart, less
-    # than eps = 1e-9 * 15: that is one point, as the hull of its negation
-    # (where the dedup meets them first) also finds
+    # the merge pops this sliver, 1.8e-15 wide, down to the segment from
+    # (0, 15) to its top end 1.9e-7 away, more than eps = 1e-9 * 15, as the
+    # hull of its negation also finds; a merge that measured distances to
+    # the chord's line popped the bottom end and left one point
     tiny = -1.7881393440000005e-15
     pts = np.array([[0.0, 15.0]] * 4 + [[tiny, 15.0], [0.0, 15.000000178813934],
                                         [tiny, 15.000000193715096]])
     P = convex_hull(pts)
-    assert P.n == 1 and P.degenerate
+    assert P.n == 2 and P.degenerate
+    assert np.array_equal(P.vertices, [[tiny, 15.000000193715096], [0.0, 15.0]])
+    assert np.array_equal(P.negated().vertices, convex_hull(-pts).vertices)
     assert np.array_equal(P.negated().vertices, convex_hull(-P.vertices).vertices)
 
 
 def test_merge_collinear_rechecks_first_vertex_after_last_pops():
-    # popping the last vertex changes vertex 0's chord: (5, 0) lies on the
-    # chord from (-2, 0) to (0, 0), and once it is gone (0, 0) is within
-    # eps of the chord from (-2, 0) to (1, 0.12), though not of the chord
-    # from (5, 0) to (1, 0.12)
-    cycle = np.array([[0.0, 0.0], [1.0, 0.12], [-2.0, 0.0], [5.0, 0.0]])
+    # popping the last vertex changes vertex 0's chord: (-1, -0.053) is
+    # within eps of the chord from (-2, 0) to (0, 0.09), and once it is gone
+    # (0, 0.09) is within eps of the chord from (-2, 0) to (2, 0), though
+    # not of the chord from (-1, -0.053) to (2, 0)
+    cycle = np.array([[0.0, 0.09], [2.0, 0.0], [-2.0, 0.0], [-1.0, -0.053]])
     out = planar._merge_collinear(cycle, 0.1)
     assert np.array_equal(out, ref_merge_collinear(cycle, 0.1))
-    assert np.array_equal(out, [[1.0, 0.12], [-2.0, 0.0]])
+    assert np.array_equal(out, [[2.0, 0.0], [-2.0, 0.0]])
 
 
 # ---------------------------------------------------------------------------
@@ -509,13 +606,13 @@ def test_fast_path_takes_rotated_and_clockwise_cycles():
 def test_fast_path_margin_declines_turns_within_rounding():
     # a turned sliver whose four computed ear cross products all turn left,
     # by less than one cross product's rounding error: the chain reduces it
-    # to a segment, and without the margin the certificate would keep all four
+    # to three points, and without the margin the certificate would keep all four
     pts = np.array([[0.6391253299000291, -2.238133692712448],
                     [1.5236899558552441, -1.088706490559021],
                     [1.7353971346374704, -0.8136084558386384],
                     [1.6648246649744811, -0.9053122318812203]])
     ref = ref_hull_cycle(pts, 0.0)
-    assert len(ref) == 2
+    assert len(ref) == 3
     assert not planar._convex_cycle(pts, 0.0)[0]
     assert np.array_equal(planar._hull_cycle(pts, 0.0), ref)
     with pytest.MonkeyPatch.context() as mp:
