@@ -76,13 +76,13 @@ def _ear_terms(cycle: np.ndarray):
             np.hypot(e[..., 0], e[..., 1]))
 
 
-def _chord_distances(cycle: np.ndarray, terms=None) -> np.ndarray:
-    """Distance of every vertex v of a cycle (or a (P, n, 2) stack; terms are
-    its `_ear_terms` if given) to the chord of its neighbors u, w: |e x d| /
-    |e| for e = w - u, d = v - u where v projects into the chord, immune to
-    the near-collinear cross-product pitfall; else the distance to the nearer
-    end (a flat cycle's vertex beyond its neighbors is extreme, not collinear)."""
-    cross, d, e, ln = _ear_terms(cycle) if terms is None else terms
+def _chord_distances(cycle: np.ndarray) -> np.ndarray:
+    """Distance of every vertex v of a cycle (or a (P, n, 2) stack) to the
+    chord of its neighbors u, w: |e x d| / |e| for e = w - u, d = v - u where
+    v projects into the chord, immune to the near-collinear cross-product
+    pitfall; else the distance to the nearer end (a flat cycle's vertex
+    beyond its neighbors is extreme, not collinear)."""
+    cross, d, e, ln = _ear_terms(cycle)
     dot = e[..., 0] * d[..., 0] + e[..., 1] * d[..., 1]
     with np.errstate(divide="ignore", invalid="ignore"):
         dist = np.abs(cross) / ln
@@ -184,8 +184,8 @@ def _convex_cycle(points: np.ndarray, eps):
        With 2, the edge directions then wind once around, turning left at
        every vertex, so the points are a strictly convex polygon;
     4. every chord distance exceeds eps, in `_chord_distances`' float
-       operations, so `_merge_collinear`'s screen pops nothing (a distance
-       to the chord's line above 2 eps settles it: the chord is no nearer).
+       operations, so `_merge_collinear`'s screen pops nothing (rows with
+       no line distance within 2 eps skip it: no chord is nearer).
     The float chain then keeps every point, in cyclic order.  The smallest
     triangle on the vertices of a convex polygon is an ear (the distance of
     a vertex to a line through two others is unimodal along the boundary),
@@ -224,19 +224,19 @@ def _convex_cycle(points: np.ndarray, eps):
     if not _some(ok):
         return ok, points
     start = order[..., 0]
-    terms = _ear_terms(points)
-    cw = terms[0][rows + (start,)] > 0.0
+    cross, _, _, ln = _ear_terms(points)
+    cw = cross[rows + (start,)] > 0.0
     if _some(cw):  # clockwise rows reversed: their chord terms round differently
         points = np.where(cw[..., None, None], points[..., ::-1, :], points)
         start = np.where(cw, n - 1 - start, start)
-        terms = _ear_terms(points)
+        cross, _, _, ln = _ear_terms(points)
     scale = np.maximum(1.0, top)
-    ok &= terms[0].max(axis=-1) < -EAR_MARGIN * scale * scale
+    ok &= cross.max(axis=-1) < -EAR_MARGIN * scale * scale
     if not _some(ok):
         return ok, points
-    near = (np.abs(terms[0]) / terms[3]).min(axis=-1)  # ln > 0 where ok: no ear is flat
-    if _some(near <= 2.0 * eps):  # a chord's line is near: measure the chords
-        near = _chord_distances(points, terms).min(axis=-1)
+    near = (np.abs(cross) / ln).min(axis=-1)  # ln > 0 where ok: no ear is flat
+    if _some(near <= 2.0 * eps):  # the factor 2 absorbs rounding
+        near = _chord_distances(points).min(axis=-1)
     ok &= near > eps
     if not rows:
         return ok, np.concatenate((points[start:], points[:start]))

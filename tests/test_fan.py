@@ -1,6 +1,5 @@
 import warnings
 
-import mpmath
 import numpy as np
 import pytest
 
@@ -78,6 +77,8 @@ def test_gap_coefficients_match_high_precision_reference():
     # parameters on a 2^-44 grid, so the spans the weights are built from
     # are exact floats and the reference sees the same triple; spans reach
     # pi - 1e-6, where the former sqrt(A^2 + B^2 + 2AB cos) cancelled
+    import mpmath
+
     rng = np.random.default_rng(23)
     grid = 2.0 ** -44
     for _ in range(1000):

@@ -456,6 +456,16 @@ def test_negated_matches_hull_of_negation(pts):
 
 
 def test_hull_collapses_segment_within_eps():
+    # the merge pops this pentagon (eps = 1) down to the segment from
+    # (1.5, -0.25) to (0.75, 0.75), within eps in max-norm: that is one
+    # point, its lexicographically smaller end
+    cycle = np.array([[0.5, -1.0], [1.25, -0.75], [1.5, -0.25], [1.25, 1.0], [0.75, 0.75]])
+    assert np.array_equal(planar._merge_collinear(cycle, 1.0), [[1.5, -0.25], [0.75, 0.75]])
+    assert np.array_equal(planar._hull_cycle(cycle, 1.0), [[0.75, 0.75]])
+    assert np.array_equal(ref_hull_cycle(cycle, 1.0), [[0.75, 0.75]])
+
+
+def test_hull_keeps_sliver_ends_beyond_eps():
     # the merge pops this sliver, 1.8e-15 wide, down to the segment from
     # (0, 15) to its top end 1.9e-7 away, more than eps = 1e-9 * 15, as the
     # hull of its negation also finds; a merge that measured distances to
