@@ -14,10 +14,9 @@ from .projcore import (ArcSegment, AtInfinity, Chart, DEFAULT_TOL,
                        join_points, meet_line_plane, meet_planes, pencil_plane,
                        tolerances_from_env)
 from .planar import (ConvexPolygon, DegenerateSupport, DirPoint, RefNotInterior,
-                     chebyshev_center, contains_point, contains_polygon,
-                     convex_hull, distance, hausdorff, interior_margin,
-                     minkowski_scaled_sum, nearest_point, polar_dual,
-                     support_lines_through)
+                     chebyshev_center, contains_polygon, convex_hull, distance,
+                     hausdorff, interior_margin, minkowski_scaled_sum,
+                     nearest_point, polar_dual, support_lines_through)
 from .fan import (CenterNotOnL, ProjectionProfile, SectionFan, ValidationReport,
                   gap_coefficients, hull_slice, is_pointed, project_from,
                   section_at, validate)
@@ -26,9 +25,8 @@ from .dualize import (IntersectsDualL, InvalidInput, affine_dependence_check,
                       fan_contains_sectionwise, involution_residual, l_dual,
                       plane_meets_all_sections, point_in_fan,
                       pointedness_duality_check)
-from .surgery import (DegenerateQuadrangle, DuplicateDirections, SurgerySpec,
-                      octagonalize, octagonalize_section,
-                      octagonalize_via_pointing, pointify, pointify_vertices,
+from .surgery import (DegenerateQuadrangle, DuplicateDirections, octagonalize,
+                      octagonalize_section, octagonalize_via_pointing, pointify,
                       sp_duality_check, surgery_p, surgery_s)
 from .transversal import (BrowderResult, EmptySelection, HellyReport,
                           LineCertificate, MinimaxProblem, NoAdmissibleChart,

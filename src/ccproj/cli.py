@@ -37,6 +37,11 @@ def _write_text(path: str, text: str):
         fh.write(text)
 
 
+def _write_fan(path: str | None, fan, scene: Scene):
+    """Write a fan as a scene with the input scene's tolerances and seed."""
+    _write_text(path or "-", serialize(Scene(fan, scene.tolerances, scene.seed)))
+
+
 def _resolve_tol(args, scene: Scene | None) -> Tolerances:
     tol = Tolerances()
     if scene is not None:
@@ -133,14 +138,10 @@ def main(argv=None) -> int:
 def _dispatch(args) -> int:
     cmd = args.cmd
 
-    if cmd == "gen-quadric":
+    if cmd in ("gen-quadric", "gen-random"):
         tol = _resolve_tol(args, None)
-        scene = gen_quadric(args.k, args.m, args.mode, tol)
-        _write_text(args.out, serialize(scene))
-        return 0
-    if cmd == "gen-random":
-        tol = _resolve_tol(args, None)
-        scene = gen_random_fan(args.seed, args.k, args.complexity, tol=tol)
+        scene = (gen_quadric(args.k, args.m, args.mode, tol) if cmd == "gen-quadric"
+                 else gen_random_fan(args.seed, args.k, args.complexity, tol=tol))
         _write_text(args.out, serialize(scene))
         return 0
 
@@ -167,9 +168,7 @@ def _dispatch(args) -> int:
         return 0
 
     if cmd == "dualize":
-        dual = dualize.l_dual(fan, tol=tol)
-        out = serialize(Scene(dual, scene.tolerances, scene.seed))
-        _write_text(args.out or "-", out)
+        _write_fan(args.out, dualize.l_dual(fan, tol=tol), scene)
         return 0
 
     if cmd == "roundtrip":
@@ -181,18 +180,12 @@ def _dispatch(args) -> int:
         return 0
 
     if cmd in ("surgery-s", "surgery-p"):
-        arc = _parse_arc(args.arc)
-        out_fan = (surgery.surgery_s if cmd == "surgery-s" else surgery.surgery_p)(
-            fan, arc, tol)
-        _write_text(args.out or "-", serialize(Scene(out_fan, scene.tolerances,
-                                                     scene.seed)))
+        op = surgery.surgery_s if cmd == "surgery-s" else surgery.surgery_p
+        _write_fan(args.out, op(fan, _parse_arc(args.arc), tol), scene)
         return 0
 
     if cmd == "octagonalize":
-        dirs = _numbers(args.dirs)
-        out_fan = surgery.octagonalize(fan, dirs, tol)
-        _write_text(args.out or "-", serialize(Scene(out_fan, scene.tolerances,
-                                                     scene.seed)))
+        _write_fan(args.out, surgery.octagonalize(fan, _numbers(args.dirs), tol), scene)
         return 0
 
     if cmd == "find-line":

@@ -66,13 +66,10 @@ def _dual_sections(fan: SectionFan, params, tol: Tolerances) -> list:
     scale = np.maximum(1.0, np.max(np.abs(stars), axis=(1, 2)))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # declined rows
         ok, v = planar._convex_cycle(stars, tol.eps_convex * scale)
-        # interior_margin at the origin: the least offset b of the unit edge
+        # interior_margin at the origin: the least offset of the unit edge
         # normals; then the polar dual vertex of every edge
+        ok &= np.min(planar._edge_halfplanes(v)[1], axis=1) > tol.eps_convex * scale
         w = np.roll(v, -1, axis=1)
-        e = w - v
-        ln = np.sqrt(e[..., 1] * e[..., 1] + e[..., 0] * e[..., 0])
-        b = e[..., 1] / ln * v[..., 0] + -e[..., 0] / ln * v[..., 1]
-        ok &= np.min(b, axis=1) > tol.eps_convex * scale
         det = v[..., 0] * w[..., 1] - v[..., 1] * w[..., 0]
         xi = np.stack([(w[..., 1] - v[..., 1]) / det, (v[..., 0] - w[..., 0]) / det], axis=2)
         dual_ok, dual = planar._convex_cycle(

@@ -172,10 +172,8 @@ def section_at(fan: SectionFan, theta: float, tol: Tolerances = DEFAULT_TOL) -> 
     if hit is not None:
         return fan.sections[hit]
     i, j, ti, tj, tu = fan.gap_of(theta)
-    a, b = gap_coefficients(ti, tj, tu)
-    Pi = fan.sections[i]
     Pj = fan.sections[j].negated() if tj >= PI else fan.sections[j]
-    out = minkowski_scaled_sum(float(a), Pi, float(b), Pj, tol)
+    out = hull_slice(ti, fan.sections[i], tj, Pj, tu, tol)
     if tu >= PI:
         out = out.negated()
     return out

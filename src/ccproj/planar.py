@@ -107,9 +107,10 @@ def _chord_distance(u, v, w) -> float:
 def _merge_collinear(cycle: np.ndarray, eps: float) -> np.ndarray:
     """Drop vertices within eps of the chord of their neighbors.
 
-    Safe simplification: for a (near-)convex cycle this moves the boundary
-    inward by at most eps, and never discards a vertex that genuinely
-    sticks out (the guard is a true point-to-chord distance).
+    Safe simplification: a pop moves the boundary by at most eps (the
+    guard is a true point-to-chord distance), but pops add up, so every
+    input vertex lies within pops * eps of the result; a vertex that
+    genuinely sticks out is never discarded.
 
     The result is that of repeatedly popping the first vertex within eps
     of its chord, rescanning from index 0 after every pop.  Popping index i
@@ -251,7 +252,8 @@ def _hull_cycle(points: np.ndarray, eps: float) -> np.ndarray:
     output, without running it.  The chain pops on exact cross <= 0 (never
     discarding a point that strictly sticks out, however slightly);
     near-collinear survivors are merged afterwards under a point-to-chord
-    distance guard.  The scans run on Python floats, in the same IEEE
+    distance guard: each pop moves the hull by up to eps, and pops add up
+    (`_merge_collinear`).  The scans run on Python floats, in the same IEEE
     operations as the numpy formulas."""
     ok, fast = _convex_cycle(points, eps)
     if ok:
@@ -394,22 +396,24 @@ def support_lines_through(poly: ConvexPolygon, d, tol: Tolerances = DEFAULT_TOL,
 # Polar duality
 # ---------------------------------------------------------------------------
 
+def _edge_halfplanes(v: np.ndarray):
+    """Outward unit edge normals n and offsets b = n·v of a ccw cycle (n, 2)
+    or a (P, n, 2) stack of them: the half-planes {x : n·x <= b}.  A
+    zero-length edge gives NaN rows."""
+    e = np.roll(v, -1, axis=-2) - v
+    ln = np.sqrt(e[..., 1] * e[..., 1] + e[..., 0] * e[..., 0])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        nrm = np.stack([e[..., 1] / ln, -e[..., 0] / ln], axis=-1)
+    return nrm, np.sum(nrm * v, axis=-1)
+
+
 def interior_margin(poly: ConvexPolygon, p) -> float:
     """Signed distance from p to the edge lines; positive strictly inside."""
-    p = np.asarray(p, dtype=float)
-    v = poly.vertices
-    if poly.n == 1:
-        return -float(np.linalg.norm(p - v[0]))
-    e = poly.edges()
-    # outward normals for ccw order
-    nrm = np.stack([e[:, 1], -e[:, 0]], axis=1)
-    ln = np.linalg.norm(nrm, axis=1)
-    good = ln > 0
-    nrm = nrm[good] / ln[good][:, None]
-    b = np.sum(nrm * v[good], axis=1)
-    if poly.n == 2:
+    if poly.n <= 2:
         return -distance(p, poly)
-    return float(np.min(b - nrm @ p))
+    nrm, b = _edge_halfplanes(poly.vertices)
+    good = ~np.isnan(b)  # zero-length edges skipped
+    return float(np.min(b[good] - nrm[good] @ np.asarray(p, dtype=float)))
 
 
 def polar_dual(poly: ConvexPolygon, ref, tol: Tolerances = DEFAULT_TOL) -> ConvexPolygon:
@@ -484,47 +488,42 @@ def minkowski_scaled_sum(a: float, P: ConvexPolygon, b: float, Q: ConvexPolygon,
 # Distances and containment
 # ---------------------------------------------------------------------------
 
+def _edge_feet(p: np.ndarray, poly: ConvexPolygon):
+    """(feet, dists): the nearest point of every edge segment to p (n >= 2)
+    and its distance from p, or None when p is inside the polygon (n >= 3)."""
+    v = poly.vertices
+    e = np.roll(v, -1, axis=0) - v
+    rel = p[None, :] - v
+    if poly.n >= 3:
+        cross = e[:, 0] * rel[:, 1] - e[:, 1] * rel[:, 0]
+        if np.all(cross >= -1e-15 * poly.scale ** 2):
+            return None
+    ee = np.sum(e * e, axis=1)
+    ee[ee == 0.0] = 1.0
+    t = np.clip(np.sum(rel * e, axis=1) / ee, 0.0, 1.0)
+    foot = v + t[:, None] * e
+    return foot, np.linalg.norm(p[None, :] - foot, axis=1)
+
+
 def distance(p, poly: ConvexPolygon) -> float:
     """Euclidean distance from a point to the polygon; 0 inside or on it.
 
     Convex as a function of p.
     """
     p = np.asarray(p, dtype=float)
-    v = poly.vertices
     if poly.n == 1:
-        return float(np.linalg.norm(p - v[0]))
-    e = np.roll(v, -1, axis=0) - v
-    rel = p[None, :] - v
-    if poly.n >= 3:
-        cross = e[:, 0] * rel[:, 1] - e[:, 1] * rel[:, 0]
-        if np.all(cross >= -1e-15 * poly.scale ** 2):
-            return 0.0
-    # nearest point on each edge segment
-    ee = np.sum(e * e, axis=1)
-    ee[ee == 0.0] = 1.0
-    t = np.clip(np.sum(rel * e, axis=1) / ee, 0.0, 1.0)
-    foot = v + t[:, None] * e
-    return float(np.min(np.linalg.norm(p[None, :] - foot, axis=1)))
+        return float(np.linalg.norm(p - poly.vertices[0]))
+    feet = _edge_feet(p, poly)
+    return 0.0 if feet is None else float(np.min(feet[1]))
 
 
 def nearest_point(p, poly: ConvexPolygon) -> np.ndarray:
     """Closest point of the polygon to p (p itself when inside)."""
     p = np.asarray(p, dtype=float)
-    v = poly.vertices
     if poly.n == 1:
-        return v[0].copy()
-    e = np.roll(v, -1, axis=0) - v
-    rel = p[None, :] - v
-    if poly.n >= 3:
-        cross = e[:, 0] * rel[:, 1] - e[:, 1] * rel[:, 0]
-        if np.all(cross >= -1e-15 * poly.scale ** 2):
-            return p.copy()
-    ee = np.sum(e * e, axis=1)
-    ee[ee == 0.0] = 1.0
-    t = np.clip(np.sum(rel * e, axis=1) / ee, 0.0, 1.0)
-    foot = v + t[:, None] * e
-    i = int(np.argmin(np.linalg.norm(p[None, :] - foot, axis=1)))
-    return foot[i]
+        return poly.vertices[0].copy()
+    feet = _edge_feet(p, poly)
+    return p.copy() if feet is None else feet[0][int(np.argmin(feet[1]))]
 
 
 def distance_many(pts, poly: ConvexPolygon) -> np.ndarray:
@@ -554,10 +553,6 @@ def distance_many(pts, poly: ConvexPolygon) -> np.ndarray:
     dx, dy = px - (v[:, 0] + t * ex), py - (v[:, 1] + t * ey)
     d[out] = np.sqrt(np.min(dx * dx + dy * dy, axis=1))
     return d
-
-
-def contains_point(poly: ConvexPolygon, p, eps: float = 0.0) -> bool:
-    return distance(p, poly) <= eps
 
 
 def hausdorff(P: ConvexPolygon, Q: ConvexPolygon) -> float:
@@ -631,9 +626,9 @@ def intersect_polygons(P: ConvexPolygon, Q: ConvexPolygon,
         if Q.n < 3:
             # both degenerate: brute segment/point handling
             if P.n == 1:
-                return P if contains_point(Q, P.vertices[0], 1e-12 * Q.scale) else None
+                return P if distance(P.vertices[0], Q) <= 1e-12 * Q.scale else None
             if Q.n == 1:
-                return Q if contains_point(P, Q.vertices[0], 1e-12 * P.scale) else None
+                return Q if distance(Q.vertices[0], P) <= 1e-12 * P.scale else None
             raise DegenerateInput("segment-segment intersection is not supported")
     v = Q.vertices
     e = np.roll(v, -1, axis=0) - v
@@ -652,12 +647,7 @@ def chebyshev_center(poly: ConvexPolygon):
 
     if poly.n <= 2:
         return poly.centroid()
-    v = poly.vertices
-    e = np.roll(v, -1, axis=0) - v
-    nrm = np.stack([e[:, 1], -e[:, 0]], axis=1)
-    ln = np.linalg.norm(nrm, axis=1)
-    nrm = nrm / ln[:, None]
-    b = np.sum(nrm * v, axis=1)
+    nrm, b = _edge_halfplanes(poly.vertices)
     a_ub = np.hstack([nrm, np.ones((len(b), 1))])
     res = linprog(c=[0.0, 0.0, -1.0], A_ub=a_ub, b_ub=b,
                   bounds=[(None, None), (None, None), (0.0, None)], method="highs")

@@ -169,30 +169,29 @@ def _incident_raw(p, c, tol: Tolerances) -> bool:
 # Lines
 # ---------------------------------------------------------------------------
 
+def _sign_sorted(rows: np.ndarray) -> np.ndarray:
+    """The rows, each signed so its largest-magnitude entry is positive,
+    sorted by the position of that entry."""
+    fixed = []
+    for r in rows:
+        k = int(np.argmax(np.abs(r)))
+        fixed.append(-r if r[k] < 0 else r)
+    fixed.sort(key=lambda r: int(np.argmax(np.abs(r))))
+    return np.array(fixed)
+
+
 def _orthonormal_rows(m: np.ndarray, eps_rank: float) -> np.ndarray:
     """Deterministic orthonormal basis of the row space of m (rank must be 2)."""
     u, s, vt = np.linalg.svd(np.asarray(m, dtype=float))
     if s[1] <= eps_rank * max(s[0], 1e-300):
         raise DegenerateInput("generators do not span a line (rank < 2)")
-    rows = vt[:2]
-    fixed = []
-    for r in rows:
-        k = int(np.argmax(np.abs(r)))
-        fixed.append(-r if r[k] < 0 else r)
-    fixed.sort(key=lambda r: int(np.argmax(np.abs(r))))
-    return np.array(fixed)
+    return _sign_sorted(vt[:2])
 
 
 def _null_rows(m: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the 2-dimensional null space of a 2x4 matrix."""
     u, s, vt = np.linalg.svd(np.asarray(m, dtype=float), full_matrices=True)
-    rows = vt[2:]
-    fixed = []
-    for r in rows:
-        k = int(np.argmax(np.abs(r)))
-        fixed.append(-r if r[k] < 0 else r)
-    fixed.sort(key=lambda r: int(np.argmax(np.abs(r))))
-    return np.array(fixed)
+    return _sign_sorted(vt[2:])
 
 
 @dataclass(frozen=True)

@@ -21,8 +21,7 @@ from .dualize import l_dual
 from .fan import SectionFan, THETA_EPS, section_at
 from .planar import ConvexPolygon, convex_hull, hausdorff
 from .projcore import (PI, DEFAULT_TOL, ArcSegment, DegenerateInput, GeometryError,
-                       Tolerances, dual_arc, wrap_angle)
-from dataclasses import dataclass
+                       Tolerances, dual_arc)
 
 
 class DegenerateQuadrangle(GeometryError):
@@ -31,23 +30,6 @@ class DegenerateQuadrangle(GeometryError):
 
 class DuplicateDirections(GeometryError):
     """Octagonalization requires four distinct direction classes."""
-
-
-@dataclass(frozen=True)
-class SurgerySpec:
-    """kind 'S' (arc on the pencil parameter) or 'P' (arc on L)."""
-
-    kind: str
-    arc: ArcSegment
-
-    def __post_init__(self):
-        if self.kind not in ("S", "P"):
-            raise ValueError("kind must be 'S' or 'P'")
-
-    def apply(self, fan: SectionFan, tol: Tolerances = DEFAULT_TOL) -> SectionFan:
-        if self.kind == "S":
-            return surgery_s(fan, self.arc, tol)
-        return surgery_p(fan, self.arc, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -95,17 +77,6 @@ def pointify(section: ConvexPolygon, arc: ArcSegment,
     return convex_hull(np.vstack([section.vertices, corners]), tol)
 
 
-def pointify_vertices(section: ConvexPolygon, arc: ArcSegment,
-                      tol: Tolerances = DEFAULT_TOL):
-    """The two vertices that pointify would add (the admissible corners)."""
-    try:
-        corners, _ = planar.tangent_quadrangle_corners(
-            section, arc.start, arc.end, tol)
-    except DegenerateInput as exc:
-        raise DegenerateQuadrangle(str(exc)) from exc
-    return corners
-
-
 def surgery_p(fan: SectionFan, arc: ArcSegment, tol: Tolerances = DEFAULT_TOL) -> SectionFan:
     """Point every sample section with respect to the arc on L."""
     new = tuple(pointify(s, arc, tol) for s in fan.sections)
@@ -115,13 +86,6 @@ def surgery_p(fan: SectionFan, arc: ArcSegment, tol: Tolerances = DEFAULT_TOL) -
 # ---------------------------------------------------------------------------
 # Octagonalization
 # ---------------------------------------------------------------------------
-
-def _dir_angles(dirs) -> np.ndarray:
-    out = []
-    for d in dirs:
-        out.append(d.angle if isinstance(d, planar.DirPoint) else wrap_angle(float(d)))
-    return np.array(out)
-
 
 def octagonalize_section(section: ConvexPolygon, angles,
                          tol: Tolerances = DEFAULT_TOL) -> ConvexPolygon:
@@ -150,7 +114,7 @@ def octagonalize(fan: SectionFan, dirs, tol: Tolerances = DEFAULT_TOL) -> Sectio
     section has at most 8 edges with directions among dirs and contains the
     input section.
     """
-    angles = np.sort(_dir_angles(dirs))
+    angles = np.sort([planar._as_angle(d) for d in dirs])
     if len(angles) != 4:
         raise DuplicateDirections("exactly four direction classes required")
     gaps = np.diff(np.concatenate([angles, [angles[0] + PI]]))
@@ -167,7 +131,7 @@ def octagonalize_via_pointing(fan: SectionFan, dirs,
     For consecutive directions a_i, a_{i+1} (cyclic), the surgery arc is the
     complement of the short arc between them.
     """
-    angles = np.sort(_dir_angles(dirs))
+    angles = np.sort([planar._as_angle(d) for d in dirs])
     if len(angles) != 4:
         raise DuplicateDirections("exactly four direction classes required")
     out = fan

@@ -178,22 +178,24 @@ class MinimaxProblem:
     chart: SolverChart
     box: np.ndarray
 
+    def _distances(self, q) -> list:
+        """Distance from each hit point to its section, in height order."""
+        xs = self.chart.hit_points(np.asarray(q, dtype=float))
+        return [distance(x, p) for x, p in zip(xs, self.chart.polys)]
+
     def objective(self, q) -> float:
-        q = np.asarray(q, dtype=float)
-        xs = self.chart.hit_points(q)
-        return max(distance(xs[i], self.chart.polys[i]) for i in range(self.chart.m))
+        return max(self._distances(q))
 
     def objective_grad(self, q):
         """(value, subgradient) of the max-of-distances objective."""
         q = np.asarray(q, dtype=float)
-        xs = self.chart.hit_points(q)
-        vals = [distance(xs[i], self.chart.polys[i]) for i in range(self.chart.m)]
+        vals = self._distances(q)
         i = int(np.argmax(vals))
         f = vals[i]
         g = np.zeros(4)
         if f > 0.0:
-            y = nearest_point(xs[i], self.chart.polys[i])
-            d2 = (xs[i] - y) / f
+            x = self.chart.hit_points(q)[i]
+            d2 = (x - nearest_point(x, self.chart.polys[i])) / f
             b = float(self.chart.betas()[i])
             g[0:2] = (1.0 - b) * d2
             g[2:4] = b * d2
@@ -202,11 +204,7 @@ class MinimaxProblem:
     def residuals(self, q) -> np.ndarray:
         """Distance from each hit point to its section, in ascending order
         of section index (not in the chart's height order)."""
-        q = np.asarray(q, dtype=float)
-        xs = self.chart.hit_points(q)
-        d = np.array([distance(xs[i], self.chart.polys[i])
-                      for i in range(self.chart.m)])
-        return d[np.argsort(self.chart.indices)]
+        return np.array(self._distances(q))[np.argsort(self.chart.indices)]
 
 
 def minimax_problem(fan: SectionFan, subset=None) -> MinimaxProblem:
@@ -246,6 +244,14 @@ class TransversalLine:
     iterations: int
     q: np.ndarray
     depth: float
+
+
+def _transversal_line(problem: MinimaxProblem, q, residuals: np.ndarray, value: float,
+                      gap: float, iterations: int) -> TransversalLine:
+    chart = problem.chart
+    return TransversalLine(chart.line_of(q), residuals, chart.chart(), chart.theta_inf,
+                           tuple(sorted(chart.indices)), value, gap, iterations,
+                           np.asarray(q, dtype=float), chart.depth(q))
 
 
 def _depth_rows(poly: ConvexPolygon):
@@ -377,15 +383,7 @@ def chebyshev_line(fan: SectionFan, subset=None, tol: Tolerances = DEFAULT_TOL,
         grown = np.stack([problem.box[:, 0] - 1.5 * width,
                           problem.box[:, 1] + 1.5 * width], axis=1)
         problem = MinimaxProblem(problem.chart, grown)
-    chart = problem.chart
-    return TransversalLine(
-        line=chart.line_of(q),
-        residuals=problem.residuals(q),
-        chart=chart.chart(),
-        theta_inf=chart.theta_inf,
-        subset=tuple(sorted(chart.indices)),
-        value=f, gap=gap, iterations=it, q=np.asarray(q, dtype=float),
-        depth=chart.depth(q))
+    return _transversal_line(problem, q, problem.residuals(q), f, gap, it)
 
 
 # ---------------------------------------------------------------------------
@@ -532,12 +530,8 @@ def browder_four_sections(fan: SectionFan, indices=(0, 1, 2, 3),
     q[2:4] = a1 + d
     problem = MinimaxProblem(chart, np.zeros((4, 2)))
     res = problem.residuals(q)
-    tl = TransversalLine(
-        line=chart.line_of(q), residuals=res, chart=chart.chart(),
-        theta_inf=chart.theta_inf, subset=tuple(sorted(chart.indices)),
-        value=float(np.max(res)), gap=0.0, iterations=it, q=q,
-        depth=chart.depth(q))
-    return BrowderResult(True, it, step, tl)
+    return BrowderResult(True, it, step,
+                         _transversal_line(problem, q, res, float(np.max(res)), 0.0, it))
 
 
 # ---------------------------------------------------------------------------
@@ -556,21 +550,23 @@ class LineCertificate:
         return float(np.max(self.residuals))
 
 
+def _plane_hit(frame: PencilFrame, line: ProjLine, theta: float):
+    """(x, xy, lam): the line's meet x with the pencil plane at theta, whose
+    unit-chart point is xy / lam, at infinity when lam is 0."""
+    cov = frame.plane_covector(theta)
+    a, b = line.span
+    x = float(cov @ b) * a - float(cov @ a) * b
+    return (x, np.array([float(x @ frame.g0), float(x @ frame.g1)]),
+            float(x @ frame.origin(theta)))
+
+
 def line_hits_in_charts(fan: SectionFan, line: ProjLine, tol: Tolerances = DEFAULT_TOL):
     """Unit-chart coordinates of the line's hit point in every sample plane."""
-    frame = fan.frame
     hits = []
     for t in fan.thetas:
-        cov = frame.plane_covector(float(t))
-        a, b = line.span
-        ca = float(cov @ a)
-        cb = float(cov @ b)
-        x = cb * a - ca * b
-        lam = float(x @ frame.origin(float(t)))
-        if abs(lam) <= 1e-14 * max(1.0, float(np.linalg.norm(x))):
-            hits.append(None)
-            continue
-        hits.append(np.array([float(x @ frame.g0), float(x @ frame.g1)]) / lam)
+        x, xy, lam = _plane_hit(fan.frame, line, float(t))
+        hits.append(None if abs(lam) <= 1e-14 * max(1.0, float(np.linalg.norm(x)))
+                    else xy / lam)
     return hits
 
 
@@ -677,13 +673,8 @@ def support_halfplane_transversal(fan: SectionFan, halfplanes,
     hits = []
     margins = []
     for theta, n, c, _ in entries:
-        frame = fan.frame
-        cov = frame.plane_covector(theta)
-        a, b = line.span
-        x = float(cov @ b) * a - float(cov @ a) * b
-        lam = float(x @ frame.origin(theta))
-        pt = np.array([float(x @ frame.g0), float(x @ frame.g1)]) / lam
-        hits.append(pt)
-        margins.append(c - float(n @ pt))
+        _, xy, lam = _plane_hit(fan.frame, line, theta)
+        hits.append(xy / lam)
+        margins.append(c - float(n @ hits[-1]))
     return HalfplaneTransversal(line, np.array(margins), tuple(hits), dirs,
                                 float(dual_resid), cert)

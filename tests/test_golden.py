@@ -1,10 +1,11 @@
 """Golden outputs: SHA-256 digests of scene text and CLI stdout.
 
 The digests pin every vertex the generators, surgeries, duality and the
-section evaluator produce, bit for bit, and every `validate` verdict and
-`helly` report, so a rewrite of a kernel underneath them (hulls, Minkowski
-sums, merges, the convexity test, the Helly check) must reproduce the old
-output exactly.  The `helly` report prints only the largest subset residual,
+section evaluator produce, bit for bit, and every `validate` verdict,
+`helly` report and `find-line` and `certify` line, so a rewrite of a kernel
+underneath them (hulls, Minkowski sums, merges, the convexity test, the
+Helly check, the point-to-polygon distances) must reproduce the old output
+exactly.  The `helly` report prints only the largest subset residual,
 so the sorted (subset, residual) items of `helly_verify` are pinned as well.
 A digest that changes on purpose is recomputed with `golden_digests` and the
 reason goes into CHANGES.md.
@@ -32,6 +33,11 @@ COMMANDS = {
     "chi": ["chi", "--plane", "0.3 -0.2 1 0.5"],
     "validate": ["validate"],
     "helly": ["helly"],
+    "find-line": ["find-line"],
+    "find-line-browder": ["find-line", "--method", "browder"],
+    "find-line-dual": ["find-line", "--method", "dual"],
+    "find-line-subset": ["find-line", "--subset", "0,3,6"],
+    "certify": ["certify", "--line", "1 0 0.1 0.2; 0 1 0.3 -0.1"],
 }
 
 GOLDEN = {
@@ -56,6 +62,16 @@ GOLDEN = {
             "0:f4d8ecca1d5ff3ffbee34fabdbb771c0984e8b3eeccf826514a1cbbaca252961",
         "helly":
             "0:e5a51fd2a0787351a0e58c00219133a4c495fd1a4b289ead07309af97f870b21",
+        "find-line":
+            "0:5a41d2f072e5a0e784adccbc52a272069420fc867e56a70c88d6505858960b62",
+        "find-line-browder":
+            "0:507f0e62da21525bb58225ded9cd17ad5693d0751a1365e4ba3f205b5e23bcbd",
+        "find-line-dual":
+            "0:47226702d0e5c42b4c930ca51e140bc60f3040668a684f0442d8b666b4e78a46",
+        "find-line-subset":
+            "0:d9d388209377a49e464cedae3b31cdedd201cfeff51f42885db3661d2b718352",
+        "certify":
+            "0:7f358e402184c2fffc9bd93175b2e8d30853c6400d1adea8f7c6ca55ccabeb79",
     },
     "quadric-48-256": {
         "serialize":
@@ -78,6 +94,16 @@ GOLDEN = {
             "0:f4d8ecca1d5ff3ffbee34fabdbb771c0984e8b3eeccf826514a1cbbaca252961",
         "helly":
             "0:e5a51fd2a0787351a0e58c00219133a4c495fd1a4b289ead07309af97f870b21",
+        "find-line":
+            "0:2bb6c4439bdb26b67af4a70d45da39ea9bb5c9e03a3dbf0d8cc7a9e6354647c8",
+        "find-line-browder":
+            "0:67beb81463183b82ee63a5517557dbbcb0bc4a2bb54a5463b83e032d2c8de5b8",
+        "find-line-dual":
+            "0:c0a0032c021498d93ca9ee1c724b98432af1bce12650d078b1f6618a3eb14d37",
+        "find-line-subset":
+            "0:d70b27bef94d92c31ca8c49aab75fe6bdab456d52580c6dbd14058afd74e0640",
+        "certify":
+            "0:cdaeb019d8ecb6971054ce1c76c62717f615d455b46707be5d3f34fd5f912ffc",
     },
     "random-0": {
         "serialize":
@@ -100,6 +126,16 @@ GOLDEN = {
             "0:f4d8ecca1d5ff3ffbee34fabdbb771c0984e8b3eeccf826514a1cbbaca252961",
         "helly":
             "0:e5a51fd2a0787351a0e58c00219133a4c495fd1a4b289ead07309af97f870b21",
+        "find-line":
+            "0:c03ab1a272dadf92589a398ec41ca48026c243fee52996ec40f7c163ea089f7e",
+        "find-line-browder":
+            "0:5e16e4851895ccd5cba73c497e2d281c794c87e8961db8595c1b94202ddb61b1",
+        "find-line-dual":
+            "0:f82071cd9d51094f7d2a1c656f0a28e6b0ca17862c4e0abe99bc96cb0de75cfc",
+        "find-line-subset":
+            "0:d495c3cd41cca7432bb1a3dcab9788f44f72fdb987dc53dec0ab764e41d52757",
+        "certify":
+            "0:c07ce8aa466c80b1975d08dd4bee9803be71522744388af1309000cfec0fc1fa",
     },
     "random-1": {
         "serialize":
@@ -122,6 +158,16 @@ GOLDEN = {
             "0:f4d8ecca1d5ff3ffbee34fabdbb771c0984e8b3eeccf826514a1cbbaca252961",
         "helly":
             "0:6ea650e00b3e01d18d98994c1d7c1a2f8a144097432e4582d600a72be17cef6e",
+        "find-line":
+            "0:e8862cefd8ddd94fc3beb6c1f4a21252d9a5684336413cc93b0e29a889adba0a",
+        "find-line-browder":
+            "0:d99a06c6d79452d5ca01d18690f0e3af43b4c761a039a0433f52d383bf674ea3",
+        "find-line-dual":
+            "0:7212d4b99507d7685bf527424b5bc1a71909e8332a9f5ad17db8f71e97abd9a6",
+        "find-line-subset":
+            "0:c45f51ae16dff8b936ab8fd9ab23fe39e0ebb6f0f8d8243b6a5b6f548e6b96d2",
+        "certify":
+            "0:a069a5c2a582d6fb562af96e29ed10f1c4266d67a4ec304dbb2ff73a7ea1ab62",
     },
     "random-2": {
         "serialize":
@@ -144,6 +190,16 @@ GOLDEN = {
             "0:f4d8ecca1d5ff3ffbee34fabdbb771c0984e8b3eeccf826514a1cbbaca252961",
         "helly":
             "0:e5a51fd2a0787351a0e58c00219133a4c495fd1a4b289ead07309af97f870b21",
+        "find-line":
+            "0:e90ed0f19ffb23d9455f412432e228b29f276ebffa1f26c74cbf2e6d0655dddf",
+        "find-line-browder":
+            "0:13a7f5fb4b7b90144bef0bf7357e24294cb271e4ba7f586ba18216843fa12848",
+        "find-line-dual":
+            "0:acbf3621dc8569d8b7c3db894da850f6c45877a925ae95aa79e1ff3fb6108e43",
+        "find-line-subset":
+            "0:1ecbf1ca084991444a97d6ab23e0aea0dee82fb81dd1298df48bdf59751bbf8d",
+        "certify":
+            "0:fa1c0a540741b689e10c7dff0cdcd6ebab0756407e201c68693f8c81cc4d8fc5",
     },
     "random-3": {
         "serialize":
@@ -166,6 +222,16 @@ GOLDEN = {
             "0:f4d8ecca1d5ff3ffbee34fabdbb771c0984e8b3eeccf826514a1cbbaca252961",
         "helly":
             "0:e5a51fd2a0787351a0e58c00219133a4c495fd1a4b289ead07309af97f870b21",
+        "find-line":
+            "0:00b8a2b0e58edf217b40980017fbf4a097b3089e36c7791b097bf2d04d70d3bf",
+        "find-line-browder":
+            "0:53a003eec7b035f64d57e1b690f944cb09b0ae87e48cfe6ba037cc2c8d094f8a",
+        "find-line-dual":
+            "0:385fef3e3f5a5669550388783c44fb1480203b2c5d9977a05008266fd6b5c509",
+        "find-line-subset":
+            "0:1b28caba4e0642a870856fa3b1b0463583ae3d0afbd06a55e1552fc88e861ad4",
+        "certify":
+            "0:8fd294ad800a78fb95d009e2a80387b731046905e247127a0cd99b76b57d5c78",
     },
     "random-4": {
         "serialize":
@@ -188,6 +254,16 @@ GOLDEN = {
             "0:f4d8ecca1d5ff3ffbee34fabdbb771c0984e8b3eeccf826514a1cbbaca252961",
         "helly":
             "0:e5a51fd2a0787351a0e58c00219133a4c495fd1a4b289ead07309af97f870b21",
+        "find-line":
+            "0:c5a955fe3629d702d53fee31ee69fca6cad2be0063ee1b6c9164282cca724b7a",
+        "find-line-browder":
+            "0:11bfe401638534943e6cc03ef7c76f58177544b26b2cf292e18f11b134bfb5b6",
+        "find-line-dual":
+            "0:28cd9440e65d3699501a220039c86fdef0032049544ac2a5d84b43be68b17e02",
+        "find-line-subset":
+            "0:c57362f2ccbb4b32126dc53d89afabc0044cfc20a4e7708ec1a63e6360a09214",
+        "certify":
+            "0:800cfd14af2ab2b6e2c7c2106a91010b9869bb828dc5f69cf0041f18c135dfcf",
     },
 }
 

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from ccproj import planar
@@ -340,6 +340,24 @@ def test_merge_collinear_matches_reference_on_any_cycle(pts, factor):
     eps = _hull_eps(cycle, factor)
     assert np.array_equal(planar._merge_collinear(cycle, eps),
                           ref_merge_collinear(cycle, eps))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(point, min_size=3, max_size=40), eps_factor)
+@example([(0.5, -1.0), (1.25, -0.75), (1.5, -0.25), (1.25, 1.0), (0.75, 0.75)], 2.0 / 3.0)
+def test_merge_collinear_moves_vertices_at_most_pops_times_eps(pts, factor):
+    # a pop drops a vertex within eps of the chord of its current
+    # neighbors, and every point within eps of a chord stays within eps of
+    # the chords that later replace it, so the moves add up: the example
+    # (the pentagon of test_hull_collapses_segment_within_eps at eps = 1)
+    # pops three vertices and moves its first one by 1.25 eps (1.77 eps once
+    # _hull_cycle collapses the remaining segment to a point)
+    cycle = np.array(pts, dtype=float)
+    eps = _hull_eps(cycle, factor)
+    out = ConvexPolygon(planar._merge_collinear(cycle, eps))
+    pops = len(cycle) - out.n
+    rounding = (pops + 1) * 1e-12 * _hull_eps(cycle, 1.0)
+    assert max(distance(p, out) for p in cycle) <= pops * eps + rounding
 
 
 @settings(max_examples=100, deadline=None)
@@ -738,3 +756,150 @@ def test_distance_many_matches_einsum_oracle(pts, queries, spread):
     q = np.vstack([np.array(queries, dtype=float), poly.vertices,
                    poly.centroid() + spread * (poly.vertices - poly.centroid())])
     assert np.array_equal(planar.distance_many(q, poly), einsum_distance_many(q, poly))
+
+
+# ---------------------------------------------------------------------------
+# Reference point-to-polygon kernels: distance, nearest_point and
+# interior_margin as each wrote out its own edge feet or edge normals, and
+# chebyshev_center's LP rows.  The shared helpers must reproduce them bit
+# for bit.
+# ---------------------------------------------------------------------------
+
+def ref_distance(p, poly):
+    p = np.asarray(p, dtype=float)
+    v = poly.vertices
+    if poly.n == 1:
+        return float(np.linalg.norm(p - v[0]))
+    e = np.roll(v, -1, axis=0) - v
+    rel = p[None, :] - v
+    if poly.n >= 3:
+        cross = e[:, 0] * rel[:, 1] - e[:, 1] * rel[:, 0]
+        if np.all(cross >= -1e-15 * poly.scale ** 2):
+            return 0.0
+    ee = np.sum(e * e, axis=1)
+    ee[ee == 0.0] = 1.0
+    t = np.clip(np.sum(rel * e, axis=1) / ee, 0.0, 1.0)
+    foot = v + t[:, None] * e
+    return float(np.min(np.linalg.norm(p[None, :] - foot, axis=1)))
+
+
+def ref_nearest_point(p, poly):
+    p = np.asarray(p, dtype=float)
+    v = poly.vertices
+    if poly.n == 1:
+        return v[0].copy()
+    e = np.roll(v, -1, axis=0) - v
+    rel = p[None, :] - v
+    if poly.n >= 3:
+        cross = e[:, 0] * rel[:, 1] - e[:, 1] * rel[:, 0]
+        if np.all(cross >= -1e-15 * poly.scale ** 2):
+            return p.copy()
+    ee = np.sum(e * e, axis=1)
+    ee[ee == 0.0] = 1.0
+    t = np.clip(np.sum(rel * e, axis=1) / ee, 0.0, 1.0)
+    foot = v + t[:, None] * e
+    i = int(np.argmin(np.linalg.norm(p[None, :] - foot, axis=1)))
+    return foot[i]
+
+
+def ref_interior_margin(poly, p):
+    p = np.asarray(p, dtype=float)
+    v = poly.vertices
+    if poly.n == 1:
+        return -float(np.linalg.norm(p - v[0]))
+    e = poly.edges()
+    nrm = np.stack([e[:, 1], -e[:, 0]], axis=1)
+    ln = np.linalg.norm(nrm, axis=1)
+    good = ln > 0
+    nrm = nrm[good] / ln[good][:, None]
+    b = np.sum(nrm * v[good], axis=1)
+    if poly.n == 2:
+        return -ref_distance(p, poly)
+    return float(np.min(b - nrm @ p))
+
+
+def ref_chebyshev_rows(poly):
+    v = poly.vertices
+    e = np.roll(v, -1, axis=0) - v
+    nrm = np.stack([e[:, 1], -e[:, 0]], axis=1)
+    ln = np.linalg.norm(nrm, axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):  # zero-length edges
+        nrm = nrm / ln[:, None]
+    return nrm, np.sum(nrm * v, axis=1)
+
+
+def ref_dual_offsets(v):
+    """The offsets dualize._dual_sections compared with its margin, on a
+    (P, n, 2) stack."""
+    w = np.roll(v, -1, axis=1)
+    e = w - v
+    ln = np.sqrt(e[..., 1] * e[..., 1] + e[..., 0] * e[..., 0])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return e[..., 1] / ln * v[..., 0] + -e[..., 0] / ln * v[..., 1]
+
+
+@st.composite
+def kernel_polygons(draw):
+    """Hulls of clouds (polygons, segments and points) and, from a hull of
+    n >= 3 vertices, a ConvexPolygon with one vertex repeated: a zero-length
+    edge."""
+    poly = convex_hull(draw(clouds()))
+    if poly.n >= 3 and draw(st.booleans()):
+        i = draw(st.integers(0, poly.n - 1))
+        poly = ConvexPolygon(np.insert(poly.vertices, i, poly.vertices[i], axis=0))
+    return poly
+
+
+@settings(max_examples=400, deadline=None)
+@given(kernel_polygons(), st.lists(point, min_size=1, max_size=10), st.floats(0.0, 3.0))
+def test_point_kernels_match_reference(poly, queries, spread):
+    # queries anywhere, at the vertices, and on rays from the centroid
+    # through them: inside, on and outside the polygon
+    c = poly.centroid()
+    q = np.vstack([np.array(queries, dtype=float), poly.vertices,
+                   c + spread * (poly.vertices - c)])
+    for p in q:
+        assert distance(p, poly) == ref_distance(p, poly)
+        assert np.array_equal(nearest_point(p, poly), ref_nearest_point(p, poly))
+        assert interior_margin(poly, p) == ref_interior_margin(poly, p)
+
+
+@settings(max_examples=200, deadline=None)
+@given(kernel_polygons())
+def test_edge_halfplanes_match_chebyshev_and_dual_rows(poly):
+    if poly.n < 3:
+        return  # chebyshev_center takes the centroid, without rows
+    v = poly.vertices
+    nrm, b = planar._edge_halfplanes(v)
+    ref_nrm, ref_b = ref_chebyshev_rows(poly)
+    assert np.array_equal(nrm, ref_nrm, equal_nan=True)
+    assert np.array_equal(b, ref_b, equal_nan=True)
+    stack = np.stack([v, v[::-1]])
+    assert np.array_equal(planar._edge_halfplanes(stack)[1], ref_dual_offsets(stack),
+                          equal_nan=True)
+
+
+def ref_chebyshev_center(poly):
+    from scipy.optimize import linprog
+
+    nrm, b = ref_chebyshev_rows(poly)
+    a_ub = np.hstack([nrm, np.ones((len(b), 1))])
+    res = linprog(c=[0.0, 0.0, -1.0], A_ub=a_ub, b_ub=b,
+                  bounds=[(None, None), (None, None), (0.0, None)], method="highs")
+    if not res.success:
+        return poly.centroid()
+    return np.array(res.x[:2])
+
+
+@settings(max_examples=100, deadline=None)
+@given(kernel_polygons())
+def test_chebyshev_center_matches_reference(poly):
+    if poly.n < 3:
+        assert np.array_equal(chebyshev_center(poly), poly.centroid())
+    elif np.all(np.any(poly.edges() != 0.0, axis=1)):
+        assert np.array_equal(chebyshev_center(poly), ref_chebyshev_center(poly))
+    else:  # a zero-length edge gives a NaN row, which linprog rejects (CHANGES.md)
+        with pytest.raises(ValueError):
+            ref_chebyshev_center(poly)
+        with pytest.raises(ValueError):
+            chebyshev_center(poly)

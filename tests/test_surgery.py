@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 from ccproj import (DEFAULT_TOL, ArcSegment, DegenerateQuadrangle, DuplicateDirections,
-                    SectionFan, SurgerySpec, contains_polygon, convex_hull,
+                    SectionFan, contains_polygon, convex_hull,
                     gen_quadric, gen_random_fan, hausdorff, is_pointed, l_dual, octagonalize,
-                    octagonalize_via_pointing, pointify, pointify_vertices,
+                    octagonalize_via_pointing, pointify,
                     section_at, sp_duality_check, surgery_p, surgery_s,
                     validate)
-from ccproj.planar import ConvexPolygon
+from ccproj.planar import ConvexPolygon, tangent_quadrangle_corners
 from ccproj.projcore import PI, DegenerateInput, dual_arc
 from conftest import default_dual_params, interior_points, mark_validated, merged_angles, mgon
 
@@ -55,16 +55,6 @@ def test_surgery_s_no_interior_samples(quad_sym):
                          section_at(quad_sym, float(t))) < 1e-12
 
 
-def test_surgery_spec_applies(quad_sym):
-    arc = ArcSegment(0.2, 1.0)
-    a = SurgerySpec("S", arc).apply(quad_sym)
-    b = surgery_s(quad_sym, arc)
-    assert a.k == b.k
-    c = SurgerySpec("P", arc).apply(quad_sym)
-    d = surgery_p(quad_sym, arc)
-    assert all(hausdorff(x, y) == 0.0 for x, y in zip(c.sections, d.sections))
-
-
 def test_pointify_disk():
     disk = mgon(1.0, 64)
     arc = ArcSegment(0.0, np.pi / 2)
@@ -88,7 +78,7 @@ def test_pointify_minimality_vertex_deletion():
     disk = mgon(1.0, 32)
     arc = ArcSegment(0.0, np.pi / 2)
     out = pointify(disk, arc)
-    added = pointify_vertices(disk, arc)
+    added, _ = tangent_quadrangle_corners(disk, arc.start, arc.end)
     for v in added:
         rest = [u for u in out.vertices if np.linalg.norm(u - v) > 1e-9]
         assert is_pointed(convex_hull(rest), arc) is None
@@ -101,7 +91,7 @@ def test_pointify_degenerate_segment():
     seg = ConvexPolygon([[-1.0, 0.0], [1.0, 0.0]])
     arc = ArcSegment(0.0, np.pi / 2)
     out = pointify(seg, arc)
-    corners = pointify_vertices(seg, arc)
+    corners, _ = tangent_quadrangle_corners(seg, arc.start, arc.end)
     assert sorted(map(tuple, np.round(corners, 12))) == [(-1.0, 0.0), (1.0, 0.0)]
     assert hausdorff(out, seg) < 1e-12  # the segment is already pointed here
     got = is_pointed(seg, arc)

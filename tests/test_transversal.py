@@ -1,3 +1,4 @@
+import hashlib
 from itertools import combinations
 
 import numpy as np
@@ -8,10 +9,14 @@ from ccproj import (ConvexPolygon, EmptySelection, NotSupporting, ProjLine,
                     chebyshev_line, convex_hull, helly_verify, minimax_problem,
                     section_at, support_halfplane_transversal, validate)
 from ccproj.projcore import PI
-from ccproj.transversal import HellyReport, _five_subsets, _unrank_combination
+from ccproj.transversal import (N_SEED_POINTS, HellyReport, MinimaxProblem,
+                                _five_subsets, _unrank_combination)
 from conftest import mgon
 
 K_FORM = np.diag([1.0, 1.0, -1.0, -1.0])
+# test_kelley_path_matches_reference_kernels's line, as the written-out
+# point kernels of its reference found it
+KELLEY_DIGEST = "df4a8c64eb2d5a61ca2bfa62e9bad0e7704baec630397c7c82ede292efc04f5d"
 
 
 def restricted_form_eigs(line):
@@ -114,6 +119,42 @@ def test_degenerate_sections_without_transversal_use_fallback(frame):
     # r + 1 from the disk center, so their midpoint reaches height at most
     # r + 1/2, which must come within r of the segment at height 10
     assert abs(r.value - 4.75) <= 1e-3
+
+
+def test_kelley_path_matches_reference_kernels(quad12, monkeypatch):
+    # one section shifted by 2.5 leaves no common transversal, so the depth
+    # LP finds t > 0 and the cutting-plane loop evaluates objective_grad at
+    # every cut: each evaluation must equal the written-out distance and
+    # nearest-point references, and the line found is pinned bit for bit
+    from test_planar import ref_distance, ref_nearest_point
+
+    sections = list(quad12.sections)
+    sections[3] = sections[3].translated((2.5, 0.0))
+    fan = SectionFan(quad12.frame, quad12.thetas, tuple(sections))
+    grad = MinimaxProblem.objective_grad
+    calls = []
+
+    def checked(self, q):
+        f, g = grad(self, q)
+        xs = self.chart.hit_points(np.asarray(q, dtype=float))
+        vals = [ref_distance(x, p) for x, p in zip(xs, self.chart.polys)]
+        i = int(np.argmax(vals))
+        d2 = (xs[i] - ref_nearest_point(xs[i], self.chart.polys[i])) / vals[i]
+        b = float(self.chart.betas()[i])
+        assert f == vals[i] == self.objective(q) > 0.0
+        assert np.array_equal(g, np.concatenate([(1.0 - b) * d2, b * d2]))
+        assert np.array_equal(self.residuals(q),
+                              np.array(vals)[np.argsort(self.chart.indices)])
+        calls.append(q)
+        return f, g
+
+    monkeypatch.setattr(MinimaxProblem, "objective_grad", checked)
+    r = chebyshev_line(fan)
+    assert r.iterations > 1 and r.depth < 0.0
+    assert len(calls) == 1 + N_SEED_POINTS + r.iterations
+    pinned = repr((r.q.tolist(), r.value, r.gap, r.iterations, r.residuals.tolist(),
+                   r.depth, r.line.span.tolist()))
+    assert hashlib.sha256(pinned.encode()).hexdigest() == KELLEY_DIGEST
 
 
 def sections_around_line(frame, kinds):
