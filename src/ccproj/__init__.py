@@ -13,10 +13,9 @@ from .projcore import (ArcSegment, AtInfinity, Chart, DEFAULT_TOL,
                        chart_map, chart_unmap, dual_arc, dual_line, incident,
                        join_points, meet_line_plane, meet_planes, pencil_plane,
                        tolerances_from_env)
-from .planar import (ConvexPolygon, DegenerateSupport, DirPoint, RefNotInterior,
-                     chebyshev_center, contains_polygon, convex_hull, distance,
-                     hausdorff, interior_margin, minkowski_scaled_sum,
-                     nearest_point, polar_dual, support_lines_through)
+from .planar import (ConvexPolygon, DirPoint, RefNotInterior, chebyshev_center,
+                     contains_polygon, convex_hull, distance, hausdorff,
+                     interior_margin, minkowski_scaled_sum, nearest_point, polar_dual)
 from .fan import (CenterNotOnL, ProjectionProfile, SectionFan, ValidationReport,
                   gap_coefficients, hull_slice, is_pointed, project_from,
                   section_at, validate)

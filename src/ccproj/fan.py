@@ -35,7 +35,7 @@ from itertools import groupby
 import numpy as np
 
 from . import planar
-from .planar import ConvexPolygon, convex_hull, minkowski_scaled_sum
+from .planar import ConvexPolygon, minkowski_scaled_sum
 from .projcore import (PI, DEFAULT_TOL, ArcSegment, DegenerateInput, GeometryError,
                        PencilFrame, Tolerances, wrap_angle)
 
@@ -522,7 +522,7 @@ def is_pointed(section: ConvexPolygon, arc: ArcSegment, tol: Tolerances = DEFAUL
     corners does not grow it.
     """
     corners, _ = planar.tangent_quadrangle_corners(section, arc.start, arc.end, tol)
-    grown = convex_hull(np.vstack([section.vertices, corners]), tol)
+    grown = planar.hulls_with_corners(section.vertices, [0], corners[None], tol)[0]
     if eps is None:
         eps = 1e-7 * max(section.scale, 1.0)
     if planar.hausdorff(grown, section) <= eps:

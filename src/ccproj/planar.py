@@ -29,8 +29,8 @@ class RefNotInterior(DegenerateInput):
     """Polar-dual reference point is not strictly interior."""
 
 
-class DegenerateSupport(DegenerateInput):
-    """Support slab has zero width (polygon is a segment parallel to the direction)."""
+class DegenerateQuadrangle(DegenerateInput):
+    """Arc endpoints give a single direction class; no tangent quadrangle."""
 
 
 # ---------------------------------------------------------------------------
@@ -244,6 +244,18 @@ def _convex_cycle(points: np.ndarray, eps):
     return ok, points[by_row + ((start[:, None] + np.arange(n)) % n,)]
 
 
+def _certified_cycles(pts: np.ndarray, sizes, eps) -> list:
+    """`_convex_cycle` on the cycles stacked in pts, row i of sizes[i]
+    points, grouped by size: a ConvexPolygon where it certifies, else None."""
+    out, first = [None] * len(sizes), np.cumsum(sizes) - sizes
+    for n in np.unique(sizes):
+        rows = np.flatnonzero(sizes == n)
+        ok, cycles = _convex_cycle(pts[first[rows][:, None] + np.arange(n)], eps[rows])
+        for r, c in zip(rows[ok], cycles[ok]):
+            out[r] = ConvexPolygon(c)
+    return out
+
+
 def _hull_cycle(points: np.ndarray, eps: float) -> np.ndarray:
     """Andrew monotone chain; ccw from the lexicographic minimum.
 
@@ -355,41 +367,6 @@ def convex_hull(points, tol: Tolerances = DEFAULT_TOL) -> ConvexPolygon:
     scale = max(1.0, float(np.max(np.abs(pts))))
     cycle = _hull_cycle(pts, tol.eps_convex * scale)
     return ConvexPolygon(cycle)
-
-
-# ---------------------------------------------------------------------------
-# Support lines and slabs
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SupportLines:
-    """Two parallel support lines {x : n.x = c} of a polygon, direction d.
-
-    The polygon lies in the closed slab c_low <= n.x <= c_high.  degenerate
-    flags a zero-width slab (segment parallel to d); not fatal.
-    """
-
-    direction: DirPoint
-    normal: np.ndarray
-    c_low: float
-    c_high: float
-    degenerate: bool
-
-
-def support_lines_through(poly: ConvexPolygon, d, tol: Tolerances = DEFAULT_TOL,
-                          strict: bool = False) -> SupportLines:
-    """The two support lines of poly with direction d (a point at infinity).
-
-    A zero-width slab (poly is a segment parallel to d) is flagged, not
-    fatal; pass strict=True to raise DegenerateSupport instead.
-    """
-    dp = d if isinstance(d, DirPoint) else DirPoint(_as_angle(d))
-    n = dp.normal()
-    lo, hi = poly.support_interval(n)
-    degen = (hi - lo) <= tol.eps_convex * poly.scale
-    if degen and strict:
-        raise DegenerateSupport("support lines coincide for this direction")
-    return SupportLines(dp, n, lo, hi, degen)
 
 
 # ---------------------------------------------------------------------------
@@ -648,6 +625,8 @@ def chebyshev_center(poly: ConvexPolygon):
     if poly.n <= 2:
         return poly.centroid()
     nrm, b = _edge_halfplanes(poly.vertices)
+    good = ~np.isnan(b)  # zero-length edges skipped, as in interior_margin
+    nrm, b = nrm[good], b[good]
     a_ub = np.hstack([nrm, np.ones((len(b), 1))])
     res = linprog(c=[0.0, 0.0, -1.0], A_ub=a_ub, b_ub=b,
                   bounds=[(None, None), (None, None), (0.0, None)], method="highs")
@@ -660,29 +639,61 @@ def chebyshev_center(poly: ConvexPolygon):
 # Tangent quadrangle for pointing a set with respect to an arc on L
 # ---------------------------------------------------------------------------
 
-def tangent_quadrangle_corners(poly: ConvexPolygon, arc_start: float, arc_end: float,
-                               tol: Tolerances = DEFAULT_TOL):
-    """The two corners of the support quadrangle whose support cones avoid
-    the open direction arc (arc_start -> arc_end, ccw, period pi).
-
-    The quadrangle is bounded by the two support-line pairs with directions
-    arc_start and arc_end.  Returns (corners (2,2) array, degenerate flag).
-    """
-    a = wrap_angle(arc_start)
-    b = wrap_angle(arc_end)
+def quadrangle_corners(support, arc_start: float, arc_end: float,
+                       tol: Tolerances = DEFAULT_TOL):
+    """(corners, intervals): the two corners (..., 2, 2) of the support
+    quadrangle whose support cones avoid the open direction arc (ccw,
+    period pi), each a 2x2 solve of two support lines, from the support
+    intervals (..., 2, 2) = support(normals) along the endpoint normals.
+    Parallel endpoint directions raise before support is called."""
+    a, b = wrap_angle(arc_start), wrap_angle(arc_end)
     s = np.sin(b - a)
     if abs(s) <= tol.eps_convex:
-        raise DegenerateInput("arc endpoints give parallel tangent directions")
-    sla = support_lines_through(poly, a, tol)
-    slb = support_lines_through(poly, b, tol)
-    degen = sla.degenerate or slb.degenerate
-    # corner signs (s_a, s_b) with s_a*s_b = -sign(sin(b - a))
-    want = -1.0 if s > 0 else 1.0
-    pairs = [(1.0, want), (-1.0, -want)]
-    mat = np.vstack([sla.normal, slb.normal])
-    corners = []
-    for s_a, s_b in pairs:
-        ca = sla.c_high if s_a > 0 else sla.c_low
-        cb = slb.c_high if s_b > 0 else slb.c_low
-        corners.append(np.linalg.solve(mat, np.array([ca, cb])))
-    return np.array(corners), degen
+        raise DegenerateQuadrangle("arc endpoints give parallel tangent directions")
+    normals = np.array([DirPoint(a).normal(), DirPoint(b).normal()])
+    iv = support(normals)
+    b0, b1 = (0, 1) if s > 0 else (1, 0)
+    rhs = np.stack([iv[..., 0, 1], iv[..., 1, b0], iv[..., 0, 0], iv[..., 1, b1]], axis=-1)
+    return np.linalg.solve(normals, rhs.reshape(rhs.shape[:-1] + (2, 2, 1)))[..., 0], iv
+
+
+def tangent_quadrangle_corners(poly: ConvexPolygon, arc_start: float, arc_end: float,
+                               tol: Tolerances = DEFAULT_TOL):
+    """(`quadrangle_corners` of one polygon, flag for a zero-width slab)."""
+    corners, iv = quadrangle_corners(
+        lambda nrm: np.array([poly.support_interval(n) for n in nrm]), arc_start, arc_end, tol)
+    return corners, bool(np.any(iv[:, 1] - iv[:, 0] <= tol.eps_convex * poly.scale))
+
+
+def hulls_with_corners(verts: np.ndarray, starts, corners: np.ndarray,
+                       tol: Tolerances = DEFAULT_TOL) -> list:
+    """convex_hull(vstack(section i, corners[i])) for the ccw cycles
+    verts[starts[i]:starts[i + 1]] and corners (k, 2, 2).  The edges a
+    corner sees form one run on a convex cycle: the corner replaces the
+    vertices inside it, after the run's head, and `_convex_cycle` certifies
+    the spliced cycles (grouped by length) as the chain would.  Points,
+    segments, rows where a corner sees no edge or two runs, or both see one
+    edge, rows with two lexicographically consecutive points within eps
+    (the chain's dedup would drop one), and declined rows take the hull."""
+    k, counts = len(corners), np.diff(np.append(starts, len(verts)))
+    sec, idx = np.repeat(np.arange(k), counts), np.arange(len(verts))
+    nxt, prv = idx + 1, idx - 1
+    nxt[starts + counts - 1], prv[starts] = starts, starts + counts - 1
+    e, rel = verts[nxt] - verts, corners[sec] - verts[:, None, :]
+    vis = e[:, None, 0] * rel[..., 1] - e[:, None, 1] * rel[..., 0] < 0.0  # edge i, corner q
+    head, drop = vis & ~vis[prv], (vis & vis[prv]).any(axis=1)
+    runs = np.add.reduceat(np.c_[head, vis.all(axis=1)].astype(int), starts, axis=0)
+    ok = (counts >= 3) & np.all(runs == [1, 1, 0], axis=1)
+    eps = tol.eps_convex * np.maximum(1.0, np.maximum(
+        np.maximum.reduceat(np.abs(verts).max(axis=1), starts), np.abs(corners).max(axis=(1, 2))))
+    row, cloud = np.r_[sec, np.repeat(np.arange(k), 2)], np.r_[verts, corners.reshape(-1, 2)]
+    order = np.lexsort((cloud[:, 1], cloud[:, 0], row))
+    row, gap = row[order], np.abs(np.diff(cloud[order], axis=0)).max(axis=1)
+    ok[row[1:][(row[1:] == row[:-1]) & (gap <= eps[row[1:]])]] = False
+    keep = ok[sec] & ~drop
+    heads = [np.flatnonzero(head[:, q] & ok[sec]) + 0.5 for q in (0, 1)]
+    pts = np.concatenate([verts[keep], corners[ok, 0], corners[ok, 1]])
+    pts = pts[np.argsort(np.concatenate([idx[keep]] + heads), kind="stable")]
+    out = _certified_cycles(pts, np.add.reduceat(keep.astype(int), starts) + 2 * ok, eps)
+    return [convex_hull(np.vstack([verts[a:a + n], c]), tol) if o is None else o
+            for o, a, n, c in zip(out, starts, counts, corners)]

@@ -8,24 +8,30 @@ every section by the intersection of its four support slabs for four fixed
 direction classes; it equals the composition of the four pointing surgeries
 for the complementary arcs.
 
+Pointing and octagonalization are closed forms in support data, taken for
+the whole fan at once.  A pointed section is its cycle with the two
+admissible tangent-quadrangle corners (from the support intervals along the
+arc's endpoint normals) spliced in, each replacing the run of edges it
+sees.  Octagon vertex j is where slab sides j and j + 1 meet, found from
+their support points.  `planar._convex_cycle` certifies the results in
+stacks; only the rows it declines run the hull chain.
+
 Both surgeries preserve convex-concavity, so outputs inherit the input's
 validated flag.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import numpy as np
 
 from . import planar
 from .dualize import l_dual
-from .fan import SectionFan, THETA_EPS, section_at
-from .planar import ConvexPolygon, convex_hull, hausdorff
+from .fan import SectionFan, THETA_EPS, section_at, support_intervals
+from .planar import ConvexPolygon, DegenerateQuadrangle, DirPoint, convex_hull, hausdorff
 from .projcore import (PI, DEFAULT_TOL, ArcSegment, DegenerateInput, GeometryError,
                        Tolerances, dual_arc)
-
-
-class DegenerateQuadrangle(GeometryError):
-    """Arc endpoints give a single direction class; no tangent quadrangle."""
 
 
 class DuplicateDirections(GeometryError):
@@ -67,19 +73,19 @@ def pointify(section: ConvexPolygon, arc: ArcSegment,
     """Smallest convex superset of the section pointed w.r.t. the arc on L.
 
     Adds the two corners of the tangent quadrangle (support lines with the
-    arc's endpoint directions) whose support cones avoid the open arc.
+    arc's endpoint directions) whose support cones avoid the open arc, each
+    in place of the run of edges it sees (`planar.hulls_with_corners`).
     """
-    try:
-        corners, degen = planar.tangent_quadrangle_corners(
-            section, arc.start, arc.end, tol)
-    except DegenerateInput as exc:
-        raise DegenerateQuadrangle(str(exc)) from exc
-    return convex_hull(np.vstack([section.vertices, corners]), tol)
+    corners, _ = planar.tangent_quadrangle_corners(section, arc.start, arc.end, tol)
+    return planar.hulls_with_corners(section.vertices, [0], corners[None], tol)[0]
 
 
 def surgery_p(fan: SectionFan, arc: ArcSegment, tol: Tolerances = DEFAULT_TOL) -> SectionFan:
-    """Point every sample section with respect to the arc on L."""
-    new = tuple(pointify(s, arc, tol) for s in fan.sections)
+    """Point every sample section with respect to the arc on L: `pointify`
+    on the whole fan, its corners from one `support_intervals` call."""
+    corners, _ = planar.quadrangle_corners(
+        lambda nrm: support_intervals(fan, nrm).transpose(1, 0, 2), arc.start, arc.end, tol)
+    new = planar.hulls_with_corners(*fan.vertex_stack[:2], corners, tol)
     return SectionFan(fan.frame, fan.thetas, new, validated=fan.validated)
 
 
@@ -87,41 +93,60 @@ def surgery_p(fan: SectionFan, arc: ArcSegment, tol: Tolerances = DEFAULT_TOL) -
 # Octagonalization
 # ---------------------------------------------------------------------------
 
+def _oct_angles(dirs) -> np.ndarray:
+    angles = np.sort([planar._as_angle(d) for d in dirs])
+    if len(angles) != 4:
+        raise DuplicateDirections("exactly four direction classes required")
+    if np.min(np.diff(np.concatenate([angles, [angles[0] + PI]]))) <= 1e-9:
+        raise DuplicateDirections("direction classes must be distinct")
+    return angles
+
+
+def _octagons(verts: np.ndarray, starts, angles: np.ndarray, tol: Tolerances) -> list:
+    """Support octagons of the cycles stacked in verts (section i from row
+    starts[i]) for four sorted angles.  The 8 slab sides, with outward
+    normals s_j (n_i, then -n_i), touch the section at support points p_j:
+    vertex j is p_j + t (ccw direction of side j), t = s_{j+1} . (p_{j+1} -
+    p_j) / sin(gap) >= 0, exact where p_{j+1} = p_j even for nearly
+    parallel sides, where support values would lose it."""
+    sides = np.array([DirPoint(a).normal() for a in angles])
+    sides = np.concatenate([sides, -sides])
+    vals = verts @ sides.T
+    top = np.repeat(np.maximum.reduceat(vals, starts), np.diff(np.append(starts, len(verts))), 0)
+    rows = np.arange(len(verts))[:, None]
+    p = verts[np.minimum.reduceat(np.where(vals == top, rows, len(verts)), starts)]
+    nxt, step = np.roll(sides, -1, axis=0), np.roll(p, -1, axis=1) - p
+    sin_gap = [float(Fraction(a) * Fraction(d) - Fraction(b) * Fraction(c))  # no cancellation
+               for (a, b), (c, d) in zip(sides, nxt)]
+    t = (step[..., 0] * nxt[:, 0] + step[..., 1] * nxt[:, 1]) / np.array(sin_gap)
+    pts = p + t[..., None] * np.stack([-sides[:, 1], sides[:, 0]], axis=-1)
+    dup = np.all(pts == np.roll(pts, -1, axis=1), axis=-1)  # one support point, 3 sides
+    out = planar._certified_cycles(pts[~dup], 8 - dup.sum(axis=1),
+                                   tol.eps_convex * np.maximum(1.0, np.abs(pts).max(axis=(1, 2))))
+    return [convex_hull(q, tol) if o is None else o for o, q in zip(out, pts)]
+
+
 def octagonalize_section(section: ConvexPolygon, angles,
                          tol: Tolerances = DEFAULT_TOL) -> ConvexPolygon:
     """Intersection of the section's support slabs for the given directions."""
-    angles = np.asarray(angles, dtype=float)
-    halfplanes = []
-    for a in angles:
-        sl = planar.support_lines_through(section, float(a), tol)
-        halfplanes.append((sl.normal, sl.c_high))
-        halfplanes.append((-sl.normal, -sl.c_low))
-    c = section.centroid()
-    r = 4.0 * max(section.diameter(), section.scale)
-    seed = np.array([[c[0] - r, c[1] - r], [c[0] + r, c[1] - r],
-                     [c[0] + r, c[1] + r], [c[0] - r, c[1] + r]])
-    out = planar.intersect_halfplanes(halfplanes, seed, tol)
-    if out is None:
-        raise GeometryError("slab intersection is empty")
-    return out
+    return _octagons(section.vertices, [0], _oct_angles(angles), tol)[0]
 
 
 def octagonalize(fan: SectionFan, dirs, tol: Tolerances = DEFAULT_TOL) -> SectionFan:
     """Circumscribe every section by its four-direction support octagon.
 
-    Equal (within arithmetic) to composing the four pointing surgeries for
-    the complementary arcs between consecutive directions; each output
-    section has at most 8 edges with directions among dirs and contains the
-    input section.
+    The 8 vertices of every section come from its support points in one
+    pass (`_octagons`); repeats (one section vertex supporting consecutive
+    sides) are dropped, `planar._convex_cycle` certifies the rest in
+    stacks, and a row it declines (a segment, a point) takes the hull of
+    its 8 points.  Equal (within arithmetic) to composing the four
+    pointing surgeries for the complementary arcs between consecutive
+    directions; each output section has at most 8 edges with directions
+    among dirs and contains the input section.
     """
-    angles = np.sort([planar._as_angle(d) for d in dirs])
-    if len(angles) != 4:
-        raise DuplicateDirections("exactly four direction classes required")
-    gaps = np.diff(np.concatenate([angles, [angles[0] + PI]]))
-    if np.min(gaps) <= 1e-9:
-        raise DuplicateDirections("direction classes must be distinct")
-    new = tuple(octagonalize_section(s, angles, tol) for s in fan.sections)
-    return SectionFan(fan.frame, fan.thetas, new, validated=fan.validated)
+    angles = _oct_angles(dirs)
+    new = _octagons(*fan.vertex_stack[:2], angles, tol)
+    return SectionFan(fan.frame, fan.thetas, tuple(new), validated=fan.validated)
 
 
 def octagonalize_via_pointing(fan: SectionFan, dirs,
@@ -131,14 +156,9 @@ def octagonalize_via_pointing(fan: SectionFan, dirs,
     For consecutive directions a_i, a_{i+1} (cyclic), the surgery arc is the
     complement of the short arc between them.
     """
-    angles = np.sort([planar._as_angle(d) for d in dirs])
-    if len(angles) != 4:
-        raise DuplicateDirections("exactly four direction classes required")
-    out = fan
+    angles, out = _oct_angles(dirs), fan
     for i in range(4):
-        a = angles[i]
-        b = angles[(i + 1) % 4]
-        out = surgery_p(out, ArcSegment(b, a), tol)
+        out = surgery_p(out, ArcSegment(angles[(i + 1) % 4], angles[i]), tol)
     return out
 
 

@@ -51,7 +51,7 @@ GOLDEN = {
         "surgery-p":
             "0:b618d1c69147cf313e5420b9fdd67d8ded4896af6b8b3a06bebe66deffe40e5d",
         "octagonalize":
-            "0:82d5953bf0fdaf23ddb7fcc90f705407937545acd8d392ccec3d23ed6b5eaff9",
+            "0:cfe5a47f1ab8a33a4de96ad0bc0e6399ebfcd62ff9fd97bb81e60bfb514a6b75",
         "dualize":
             "0:36b8fe4480f5a5f812cd86d79c457e639755c167a250b42e285ec203e4bc8c0c",
         "roundtrip":
@@ -83,7 +83,7 @@ GOLDEN = {
         "surgery-p":
             "0:58199128818f0f443c7c76db8691a474495f26a363f0065c4f34502ef41ec01c",
         "octagonalize":
-            "0:ebab9fb59a64af3833d0cb50c5b601e8eab8f1225fd81b3d13fe2c76d293c0e0",
+            "0:f7d7e8f9bde5c960d5e62ed8d03fe0b85d553f844b0062a4136ba5696f11e289",
         "dualize":
             "0:438a38ca18913d0926235487ff23b2854eabede8e937c54e675df7e6c6eb36c6",
         "roundtrip":
@@ -115,7 +115,7 @@ GOLDEN = {
         "surgery-p":
             "0:7b226a13aac7920cbf4e78b0a91032d3dc39ff4d28f922b9acf0e9330a9823da",
         "octagonalize":
-            "0:6a73e3b4e28e8f8e80cc952078faf7f49be8e3341c0bd3d9ef9e0a206a7babbf",
+            "0:005f759f6daacc41f0397bcc2d31d9144ae7effc347a5af93ee221e5b69d7572",
         "dualize":
             "0:c84f79fc02a0f4277c4ec5ed464e4bffdc9c6285d02dff1a65510e9ca13ef551",
         "roundtrip":
@@ -147,7 +147,7 @@ GOLDEN = {
         "surgery-p":
             "0:6e15f1c614315418d4761a6357b4a8b8c3449b5162cc155b76e126a967f5be0b",
         "octagonalize":
-            "0:409d1369c7c8b05d20df575c54c55af1ddbba3a4a27050a8175f5cefe02d7b2b",
+            "0:c71d18501af96697b53045c7776d56b0d4060f2f30edad7763d281ac1837eefc",
         "dualize":
             "0:fb513e963b0a77609cafcb55a37e9ac360e149bbaf9993fb954b6fc7d99b646e",
         "roundtrip":
@@ -179,7 +179,7 @@ GOLDEN = {
         "surgery-p":
             "0:1a4589eb5de29f86d41659dd7db46c1b6057712b99a526dbd38e58254c982a2a",
         "octagonalize":
-            "0:08b01050935312edde3e2b8c3e20ebdaaa6a094f64739948ad2a0355f05544c8",
+            "0:14e127a630fb8ae79b49b3a9b8447e9e221e6553b115f786e10e9fa5a8ac4982",
         "dualize":
             "0:7e04a5191f4b6472b2b9fe1bc4cfce2f02330ffb2e7064c4288d24c105e93a7f",
         "roundtrip":
@@ -211,7 +211,7 @@ GOLDEN = {
         "surgery-p":
             "0:737766836ecaaa233f0289af60e902704101f43d0d5febc71f9a11d0f9dd8907",
         "octagonalize":
-            "0:94ab92b7a78c2f56be0c3b8e34bdc675f79414e9ace91b76b81df43d5fa5f283",
+            "0:785952c661510af9bcb73cb12cae82945f0911e190c0a016afe797dd2b5aeada",
         "dualize":
             "0:812e1126d3664d383576e2dfe48e9ee1e8926c33c916b0cd60f851766d0e4187",
         "roundtrip":
@@ -243,7 +243,7 @@ GOLDEN = {
         "surgery-p":
             "0:a1636451e175703c0680fc7b1010d36cd8c53de7ed5577eeb97d15998e4a5bb7",
         "octagonalize":
-            "0:2fe70b4e8384982ddfc0ce1dfc978ff1c893dbca17e7735e39eb40b8bede6183",
+            "0:d1804e13e951228592dd6d6b87b3a9b6228b492f3060a76d96c87b21bc6c721b",
         "dualize":
             "0:f154e8d2ca36f1588cf380d52739d821934f051f70b7215bac7978f3482dafd9",
         "roundtrip":

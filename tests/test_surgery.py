@@ -1,15 +1,21 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from ccproj import (DEFAULT_TOL, ArcSegment, DegenerateQuadrangle, DuplicateDirections,
-                    SectionFan, contains_polygon, convex_hull,
+from ccproj import cli, planar, surgery
+from ccproj import (DEFAULT_TOL, ArcSegment, DegenerateQuadrangle, DirPoint,
+                    DuplicateDirections, SectionFan, contains_polygon, convex_hull,
                     gen_quadric, gen_random_fan, hausdorff, is_pointed, l_dual, octagonalize,
-                    octagonalize_via_pointing, pointify,
-                    section_at, sp_duality_check, surgery_p, surgery_s,
+                    octagonalize_section, octagonalize_via_pointing, pointify,
+                    section_at, serialize, sp_duality_check, surgery_p, surgery_s,
                     validate)
 from ccproj.planar import ConvexPolygon, tangent_quadrangle_corners
-from ccproj.projcore import PI, DegenerateInput, dual_arc
+from ccproj.projcore import PI, DegenerateInput, dual_arc, wrap_angle
 from conftest import default_dual_params, interior_points, mark_validated, merged_angles, mgon
+from test_planar import clouds, coord
 
 
 @pytest.fixture(scope="module")
@@ -119,7 +125,6 @@ def test_surgery_p_quadric(quad_sym):
 
 def test_octagonalize_unit_disk(oct_dirs):
     disk = mgon(1.0, 64)
-    from ccproj import octagonalize_section
     octo = octagonalize_section(disk, oct_dirs)
     assert octo.n == 8
     # support slabs of the unit circle: |u| <= 1, |v| <= 1, |u +- v| <= sqrt(2)
@@ -259,16 +264,16 @@ def test_octagon_sections_pointed_for_all_four_arcs(oct_fan, oct_dirs):
 
 def test_support_slab_property(quad12):
     # polygon inside the closed slab, both lines touching
-    from ccproj import support_lines_through
     rng = np.random.default_rng(9)
     for s in quad12.sections[:3]:
         for _ in range(5):
-            sl = support_lines_through(s, float(rng.uniform(0, PI)))
-            vals = s.vertices @ sl.normal
-            assert np.all(vals <= sl.c_high + 1e-12)
-            assert np.all(vals >= sl.c_low - 1e-12)
-            assert np.min(np.abs(vals - sl.c_high)) < 1e-9
-            assert np.min(np.abs(vals - sl.c_low)) < 1e-9
+            n = DirPoint(float(rng.uniform(0, PI))).normal()
+            lo, hi = s.support_interval(n)
+            vals = s.vertices @ n
+            assert np.all(vals <= hi + 1e-12)
+            assert np.all(vals >= lo - 1e-12)
+            assert np.min(np.abs(vals - hi)) < 1e-9
+            assert np.min(np.abs(vals - lo)) < 1e-9
 
 
 def test_surgery_closure_seeds():
@@ -282,3 +287,268 @@ def test_surgery_closure_seeds():
         arc_p = ArcSegment(b, (b + rng.uniform(0.3, 1.2)) % PI)
         assert validate(surgery_s(fan, arc_s)).ok
         assert validate(surgery_p(fan, arc_p)).ok
+
+
+# ---------------------------------------------------------------------------
+# Reference surgeries: pointify as the hull of the section and its two
+# tangent-quadrangle corners, and octagonalize_section as a seed box clipped
+# by the eight slab half-planes.  The closed forms must match them.
+# ---------------------------------------------------------------------------
+
+def ref_support_lines(poly, a):
+    """Unit normal of direction a and the (low, high) offsets of the two
+    support lines with that direction."""
+    n = DirPoint(a).normal()
+    return n, *poly.support_interval(n)
+
+
+def ref_tangent_quadrangle_corners(poly, arc_start, arc_end, tol=DEFAULT_TOL):
+    a, b = wrap_angle(arc_start), wrap_angle(arc_end)
+    s = np.sin(b - a)
+    if abs(s) <= tol.eps_convex:
+        raise DegenerateInput("arc endpoints give parallel tangent directions")
+    na, lo_a, hi_a = ref_support_lines(poly, a)
+    nb, lo_b, hi_b = ref_support_lines(poly, b)
+    want = -1.0 if s > 0 else 1.0
+    mat = np.vstack([na, nb])
+    corners = []
+    for s_a, s_b in [(1.0, want), (-1.0, -want)]:
+        ca = hi_a if s_a > 0 else lo_a
+        cb = hi_b if s_b > 0 else lo_b
+        corners.append(np.linalg.solve(mat, np.array([ca, cb])))
+    return np.array(corners)
+
+
+def ref_pointify(section, arc, tol=DEFAULT_TOL):
+    corners = ref_tangent_quadrangle_corners(section, arc.start, arc.end, tol)
+    return convex_hull(np.vstack([section.vertices, corners]), tol)
+
+
+def ref_octagonalize_section(section, angles, tol=DEFAULT_TOL):
+    halfplanes = []
+    for a in np.asarray(angles, dtype=float):
+        n, lo, hi = ref_support_lines(section, float(a))
+        halfplanes.append((n, hi))
+        halfplanes.append((-n, -lo))
+    c = section.centroid()
+    r = 4.0 * max(section.diameter(), section.scale)
+    seed = np.array([[c[0] - r, c[1] - r], [c[0] + r, c[1] - r],
+                     [c[0] + r, c[1] + r], [c[0] - r, c[1] + r]])
+    return planar.intersect_halfplanes(halfplanes, seed, tol)
+
+
+def assert_close_superset(out, ref, section, tol=DEFAULT_TOL):
+    """Same vertex count as the oracle, within eps = eps_convex * scale of it
+    in Hausdorff distance, and containing the input section within 2 eps:
+    the hull's dedup keeps the first of two points within eps in max-norm,
+    up to sqrt(2) eps away, as the oracles' hulls do."""
+    eps = tol.eps_convex * max(out.scale, ref.scale)
+    assert out.n == ref.n
+    assert hausdorff(out, ref) <= eps
+    assert contains_polygon(out, section, 2.0 * eps)
+
+
+@pytest.fixture(scope="module")
+def bench():
+    """The benchmark's scenes: quadrics and random fans 0-19 (k=10,
+    complexity 2), plus the exact duals of the first quadrics."""
+    fans = [gen_quadric(k, m).fan for k, m in ((12, 64), (12, 256), (48, 64), (48, 256))]
+    fans += [gen_random_fan(s, k=10, complexity=2).fan for s in range(20)]
+    return fans + [l_dual(f) for f in fans[:2]]
+
+
+def test_surgery_p_matches_oracle_bit_for_bit(bench):
+    # seeded arcs on the bench fans, then the same arc again on the pointed
+    # fan, where each corner lies on a vertex
+    rng = np.random.default_rng(13)
+    for fan in bench:
+        for _ in range(2):
+            a = rng.uniform(0.0, PI)
+            arc = ArcSegment(a, (a + rng.uniform(0.05, 0.95) * PI) % PI)
+            once = surgery_p(fan, arc)
+            twice = surgery_p(once, arc)
+            for src, out in ((fan, once), (once, twice)):
+                for s, o in zip(src.sections, out.sections):
+                    assert np.array_equal(o.vertices, ref_pointify(s, arc).vertices)
+
+
+def test_octagonalize_matches_oracle_on_bench_fans(bench):
+    rng = np.random.default_rng(17)
+    for fan in bench:
+        dirs = (rng.uniform(0.0, PI / 4) + np.arange(4) * PI / 4
+                + rng.uniform(-0.05, 0.05, size=4)) % PI
+        out = octagonalize(fan, dirs)
+        for s, o in zip(fan.sections, out.sections):
+            assert_close_superset(o, ref_octagonalize_section(s, np.sort(dirs)), s)
+
+
+def test_tangent_corners_match_oracle(bench):
+    rng = np.random.default_rng(19)
+    for fan in bench[:6]:
+        for s in fan.sections:
+            a, b = rng.uniform(0.0, PI, size=2)
+            got, _ = tangent_quadrangle_corners(s, a, b)
+            assert np.array_equal(got, ref_tangent_quadrangle_corners(s, a, b))
+
+
+hull_sections = clouds().map(convex_hull)  # polygons, segments and points
+near_parallel = st.floats(1.01e-9, 1e-8)
+
+
+@st.composite
+def oct_angle_sets(draw, near=True):
+    """Four sorted direction classes: some gaps just above 1e-9 when near,
+    else every gap at least 0.4."""
+    gap = st.one_of(near_parallel, st.floats(0.05, 1.0)) if near else st.floats(0.4, 0.9)
+    gaps = [draw(gap) for _ in range(3)]
+    if sum(gaps) >= PI - 2e-9:  # leave the fourth gap above 1e-9
+        gaps = [g * (PI - 1e-3) / sum(gaps) for g in gaps]
+    start = draw(st.floats(0.0, PI))
+    return np.sort((start + np.concatenate([[0.0], np.cumsum(gaps)])) % PI)
+
+
+@st.composite
+def pointing_arcs(draw):
+    """Arcs on L, including endpoint directions just above parallel."""
+    a = draw(st.floats(0.0, PI))
+    length = draw(st.one_of(st.floats(0.05, PI - 0.05), near_parallel,
+                            near_parallel.map(lambda g: PI - g)))
+    return ArcSegment(a, (a + length) % PI)
+
+
+def exact_octagon(section, angles):
+    """The slab intersection in rational arithmetic: the float normals and
+    vertices taken exactly, each vertex one exact 2x2 solve of two
+    consecutive slab sides, rounded once, then hulled."""
+    nrm = [DirPoint(a).normal() for a in angles]
+    sides = ([(Fraction(x), Fraction(y)) for x, y in nrm]
+             + [(-Fraction(x), -Fraction(y)) for x, y in nrm])
+    verts = [(Fraction(x), Fraction(y)) for x, y in section.vertices]
+    h = [max(a * x + b * y for x, y in verts) for a, b in sides]
+    out = []
+    for j in range(8):
+        (a, b), (c, d) = sides[j], sides[(j + 1) % 8]
+        h0, h1 = h[j], h[(j + 1) % 8]
+        det = a * d - b * c
+        out.append([float((h0 * d - h1 * b) / det), float((a * h1 - c * h0) / det)])
+    return convex_hull(np.array(out))
+
+
+@settings(max_examples=300, deadline=None)
+@given(hull_sections, oct_angle_sets())
+def test_octagonalize_section_matches_exact_oracle(section, angles):
+    surgery._oct_angles(angles)  # the drawn gaps are distinct classes
+    assert_close_superset(octagonalize_section(section, angles),
+                          exact_octagon(section, angles), section)
+
+
+@st.composite
+def plain_sections(draw):
+    """Points, segments and ellipse-inscribed m-gons, without features
+    near eps."""
+    center = np.array(draw(st.tuples(coord, coord)))
+    phase, size = draw(st.floats(0.0, PI)), draw(st.floats(0.1, 10.0))
+    kind = draw(st.sampled_from(["point", "segment", "polygon"]))
+    if kind == "point":
+        return ConvexPolygon(center)
+    if kind == "segment":
+        d = size * np.array([np.cos(phase), np.sin(phase)])
+        return convex_hull([center - d, center + d])
+    m = draw(st.integers(3, 24))
+    a = 2.0 * PI * np.arange(m) / m
+    ell = np.stack([np.cos(a), draw(st.floats(0.2, 1.0)) * np.sin(a)], axis=1)
+    rot = np.array([[np.cos(phase), -np.sin(phase)], [np.sin(phase), np.cos(phase)]])
+    return convex_hull(center + size * ell @ rot.T)
+
+
+@settings(max_examples=300, deadline=None)
+@given(plain_sections(), oct_angle_sets(near=False))
+def test_octagonalize_section_matches_clipping_oracle(section, angles):
+    # The clipping oracle is accurate when its seed box holds the octagon
+    # (no two directions close: see test_octagon_reaches_beyond_the_seed_box)
+    # and the section has no feature near its clip tolerance, eps_convex
+    # times the box's scale (about 5 times the hull's eps): a segment within
+    # 1e-6 rad of a direction gives a slab of width near eps.
+    if section.n == 2:
+        e = section.edges()[0]
+        gap = np.abs((np.arctan2(e[1], e[0]) - angles + PI / 2) % PI - PI / 2)
+        assume(np.min(gap) > 1e-6)
+    assert_close_superset(octagonalize_section(section, angles),
+                          ref_octagonalize_section(section, angles), section)
+
+
+def test_octagon_reaches_beyond_the_seed_box():
+    # four directions within 0.02 rad: the slab intersection reaches 370
+    # from the section, the clipping oracle's seed box only 4 diameters
+    section = convex_hull([[-3.649034949775888, 2.214883401940817],
+                           [0.25354322475725866, -1.8975812444104436],
+                           [1.8844673057094015, -1.1107857602089624],
+                           [4.97209935789211, 4.808353387762302]])
+    angles = [1.2303073750654487, 1.2392133046255038, 1.2428554770729237,
+              1.2488390473719007]
+    out, exact = octagonalize_section(section, angles), exact_octagon(section, angles)
+    assert_close_superset(out, exact, section)
+    assert np.max(np.abs(out.vertices)) > 370.0
+    assert hausdorff(ref_octagonalize_section(section, angles), exact) > 100.0
+
+
+@settings(max_examples=300, deadline=None)
+@given(hull_sections, pointing_arcs())
+def test_pointify_matches_oracle(section, arc):
+    out = pointify(section, arc)
+    assert_close_superset(out, ref_pointify(section, arc), section)
+    assert_close_superset(pointify(out, arc), ref_pointify(out, arc), out)
+
+
+def count_chain_calls(monkeypatch):
+    calls = []
+    chain = planar._chain
+    monkeypatch.setattr(planar, "_chain", lambda pts: calls.append(1) or chain(pts))
+    return calls
+
+
+@pytest.mark.parametrize("km", [(12, 64), (48, 256)])
+def test_surgeries_skip_the_hull_chain_on_quadrics(km, monkeypatch):
+    fan = gen_quadric(*km).fan
+    calls = count_chain_calls(monkeypatch)
+    for dirs in ([0.0, PI / 4, PI / 2, 3 * PI / 4], [0.1, 0.9, 1.6, 2.5]):
+        octagonalize(fan, dirs)
+    for a, b in ((0.0, 1.5708), (0.3, 1.2), (2.0, 0.5)):
+        surgery_p(fan, ArcSegment(a, b))
+    assert calls == []
+
+
+def forbid_section_work(monkeypatch):
+    def boom(*args, **kwargs):
+        raise AssertionError("per-section work before the argument check")
+    for mod, name in ((surgery, "support_intervals"), (surgery, "_octagons"),
+                      (planar, "hulls_with_corners"), (ConvexPolygon, "support_interval")):
+        monkeypatch.setattr(mod, name, boom)
+
+
+PARALLEL_ARCS = [(0.3, 0.3 + 1e-12), (1.0, 1.0 - 1e-12)]
+BAD_DIRS = [[0.0, 0.0, 1.0, 2.0], [0.0, 1.0, 2.0], [0.0, 5e-10, 1.0, 2.0]]
+
+
+def test_argument_errors_fire_before_section_work(quad12, monkeypatch):
+    forbid_section_work(monkeypatch)
+    for a, b in PARALLEL_ARCS:
+        with pytest.raises(DegenerateQuadrangle):
+            surgery_p(quad12, ArcSegment(a, b))
+        with pytest.raises(DegenerateQuadrangle):
+            pointify(quad12.sections[0], ArcSegment(a, b))
+    for dirs in BAD_DIRS:
+        with pytest.raises(DuplicateDirections):
+            octagonalize(quad12, dirs)
+        with pytest.raises(DuplicateDirections):
+            octagonalize_section(quad12.sections[0], dirs)
+
+
+@pytest.mark.parametrize("argv", [["surgery-p", "--arc", "%r,%r" % arc] for arc in PARALLEL_ARCS]
+                         + [["octagonalize", "--dirs", " ".join(map(repr, d))] for d in BAD_DIRS])
+def test_cli_argument_errors_exit_1(argv, tmp_path, monkeypatch, capsys):
+    path = tmp_path / "quad.json"
+    path.write_text(serialize(gen_quadric(6, 16)), encoding="utf-8")
+    forbid_section_work(monkeypatch)
+    assert cli.main([argv[0], "--in", str(path), *argv[1:]]) == 1
+    assert capsys.readouterr().err.startswith("error=")
