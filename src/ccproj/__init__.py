@@ -7,11 +7,10 @@ pencil, hull and pointing surgeries, octagonalization, Euler-characteristic
 membership tests, and line-transversal search.
 """
 
-from .projcore import (ArcSegment, AtInfinity, Chart, DEFAULT_TOL,
-                       DegenerateInput, GeometryError, HPlane, HPoint,
-                       PencilFrame, ProjLine, Tolerances, canonicalize,
-                       chart_map, chart_unmap, dual_arc, dual_line, incident,
-                       join_points, meet_line_plane, meet_planes, pencil_plane,
+from .projcore import (ArcSegment, DEFAULT_TOL, DegenerateInput, GeometryError,
+                       HPlane, HPoint, PencilFrame, ProjLine, Tolerances,
+                       canonicalize, dual_arc, dual_line, incident, join_points,
+                       meet_line_plane, meet_planes, pencil_plane,
                        tolerances_from_env)
 from .planar import (ConvexPolygon, DirPoint, RefNotInterior, chebyshev_center,
                      contains_polygon, convex_hull, distance, hausdorff,

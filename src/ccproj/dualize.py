@@ -22,8 +22,8 @@ import numpy as np
 
 from . import planar
 from .fan import (ProjectionProfile, SectionFan, THETA_EPS, _distinct_angles, event_angles,
-                  hull_slice, is_pointed, plane_margin, section_at, support_intervals,
-                  validate)
+                  hull_slice, in_unwrapped_chart, is_pointed, plane_margin, section_at,
+                  support_intervals, validate)
 from .planar import ConvexPolygon, convex_hull, hausdorff, polar_dual
 from .projcore import (PI, DEFAULT_TOL, ArcSegment, GeometryError, PencilFrame,
                        ProjLine, Tolerances, dual_arc, dual_line, wrap_angle)
@@ -90,8 +90,7 @@ def _ensure_valid(fan: SectionFan, tol: Tolerances):
         raise InvalidInput("fan fails validation: %s" % "; ".join(report.messages[:3]))
 
 
-def l_dual(fan: SectionFan, dual_params=None, tol: Tolerances = DEFAULT_TOL,
-           check_input: bool = True) -> SectionFan:
+def l_dual(fan: SectionFan, dual_params=None, tol: Tolerances = DEFAULT_TOL) -> SectionFan:
     """Dual fan over L*: sections are the duals of the projection complements.
 
     dual_params selects the dual pencil parameters to sample, taken mod pi
@@ -101,10 +100,10 @@ def l_dual(fan: SectionFan, dual_params=None, tol: Tolerances = DEFAULT_TOL,
     with fixed normals and offsets linear in (cos psi, sin psi), and it is
     the hull interpolation of the dual sections at both ends: the default
     dual denotes the dual body exactly.  The result is marked validated:
-    duality preserves convex-concavity.
+    duality preserves convex-concavity.  An input not marked validated is
+    validated first.
     """
-    if check_input:
-        _ensure_valid(fan, tol)
+    _ensure_valid(fan, tol)
     params = event_angles(fan) if dual_params is None else _distinct_angles(dual_params)
     return SectionFan(fan.frame.dual(), params, tuple(_dual_sections(fan, params, tol)),
                       validated=True)
@@ -117,7 +116,7 @@ def involution_residual(fan: SectionFan, tol: Tolerances = DEFAULT_TOL):
     compared in identical charts.  Returns (per-sample distances, max).
     """
     d1 = l_dual(fan, tol=tol)
-    d2 = l_dual(d1, dual_params=fan.thetas, tol=tol, check_input=False)
+    d2 = l_dual(d1, dual_params=fan.thetas, tol=tol)
     if len(d2.thetas) != fan.k or np.max(np.abs(d2.thetas - fan.thetas)) > 1e-9:
         raise GeometryError("double dual sampling misaligned")
     dists = np.array([hausdorff(fan.sections[i], d2.sections[i])
@@ -162,11 +161,6 @@ def plane_meets_all_sections(fan: SectionFan, covector, tol: Tolerances = DEFAUL
 # Affine dependence on parameter and its duality with pointedness
 # ---------------------------------------------------------------------------
 
-def _unwrapped_section(fan: SectionFan, theta_u: float, tol: Tolerances) -> ConvexPolygon:
-    s = section_at(fan, theta_u % PI, tol)
-    return s.negated() if theta_u >= PI else s
-
-
 def affine_dependence_check(fan: SectionFan, arc: ArcSegment, t_dir=None,
                             tol: Tolerances = DEFAULT_TOL, eps: float = None) -> bool:
     """True when sections over the arc are the Minkowski interpolation of the
@@ -187,8 +181,8 @@ def affine_dependence_check(fan: SectionFan, arc: ArcSegment, t_dir=None,
         eps = tol.eps_affine * scale
     ta = arc.start
     tb = ta + arc.length
-    Sa = _unwrapped_section(fan, ta, tol)
-    Sb = _unwrapped_section(fan, tb, tol)
+    Sa = in_unwrapped_chart(section_at(fan, ta, tol), ta)
+    Sb = in_unwrapped_chart(section_at(fan, tb, tol), tb)
     probes = [float(t) for t in fan.thetas if arc.contains(float(t), closed=False)]
     if t_dir is not None:
         psi = (float(t_dir) if isinstance(t_dir, (int, float))
@@ -197,7 +191,7 @@ def affine_dependence_check(fan: SectionFan, arc: ArcSegment, t_dir=None,
     for t in probes:
         tu = t if t >= ta - THETA_EPS else t + PI
         expected = hull_slice(ta, Sa, tb, Sb, tu, tol)
-        actual = _unwrapped_section(fan, tu, tol)
+        actual = in_unwrapped_chart(section_at(fan, tu, tol), tu)
         if t_dir is None:
             if hausdorff(expected, actual) > eps:
                 return False

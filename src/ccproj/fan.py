@@ -41,6 +41,7 @@ from .projcore import (PI, DEFAULT_TOL, ArcSegment, DegenerateInput, GeometryErr
 
 THETA_EPS = 1e-12
 SUPPORT_BLOCK = 1 << 16  # most vertex-functional products support_intervals holds at once
+POINTED_EPS = 1e-7       # how far (times its scale) a pointed section's corners may lie outside
 
 
 class CenterNotOnL(GeometryError):
@@ -140,6 +141,13 @@ class SectionFan:
         return np.sort(np.arctan2(e[:, 1], e[:, 0]) % PI)
 
 
+def in_unwrapped_chart(poly: ConvexPolygon, theta_u: float) -> ConvexPolygon:
+    """A polygon of the unit chart of plane(theta_u mod pi) in the chart of
+    the unwrapped parameter theta_u in [0, 2 pi): negated when theta_u >= pi,
+    since the chart origin is antiperiodic."""
+    return poly.negated() if theta_u >= PI else poly
+
+
 def gap_coefficients(theta_i: float, theta_j: float, theta: float):
     """Minkowski weights (a, b) of the hull slice at theta in [theta_i, theta_j]:
     A / kappa and B / kappa, with kappa = sin(theta_j - theta_i) exactly."""
@@ -153,7 +161,7 @@ def hull_slice(theta_a: float, Pa: ConvexPolygon, theta_b: float, Pb: ConvexPoly
 
     Requires theta_a <= theta <= theta_b and theta_b - theta_a < pi; the
     polygons must be expressed in the unit charts of the unwrapped
-    parameters (negate vertices when a parameter is shifted by pi).
+    parameters (in_unwrapped_chart).
     """
     if not (theta_a - THETA_EPS <= theta <= theta_b + THETA_EPS):
         raise ValueError("theta outside the arc")
@@ -172,11 +180,8 @@ def section_at(fan: SectionFan, theta: float, tol: Tolerances = DEFAULT_TOL) -> 
     if hit is not None:
         return fan.sections[hit]
     i, j, ti, tj, tu = fan.gap_of(theta)
-    Pj = fan.sections[j].negated() if tj >= PI else fan.sections[j]
-    out = hull_slice(ti, fan.sections[i], tj, Pj, tu, tol)
-    if tu >= PI:
-        out = out.negated()
-    return out
+    out = hull_slice(ti, fan.sections[i], tj, in_unwrapped_chart(fan.sections[j], tj), tu, tol)
+    return in_unwrapped_chart(out, tu)
 
 
 # ---------------------------------------------------------------------------
@@ -513,18 +518,15 @@ def validate(fan: SectionFan, tol: Tolerances = DEFAULT_TOL) -> ValidationReport
 # Pointedness
 # ---------------------------------------------------------------------------
 
-def is_pointed(section: ConvexPolygon, arc: ArcSegment, tol: Tolerances = DEFAULT_TOL,
-               eps: float = None):
+def is_pointed(section: ConvexPolygon, arc: ArcSegment, tol: Tolerances = DEFAULT_TOL):
     """Two vertices making the section pointed w.r.t. the arc on L, or None.
 
     The section is pointed exactly when it already equals the smallest
-    pointed superset, i.e. when adding the two admissible tangent-quadrangle
-    corners does not grow it.
+    pointed superset, its hull with the two admissible tangent-quadrangle
+    corners, i.e. when it contains both corners (within POINTED_EPS of its
+    scale).
     """
     corners, _ = planar.tangent_quadrangle_corners(section, arc.start, arc.end, tol)
-    grown = planar.hulls_with_corners(section.vertices, [0], corners[None], tol)[0]
-    if eps is None:
-        eps = 1e-7 * max(section.scale, 1.0)
-    if planar.hausdorff(grown, section) <= eps:
+    if max(planar.distance(c, section) for c in corners) <= POINTED_EPS * section.scale:
         return corners[0], corners[1]
     return None

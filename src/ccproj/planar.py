@@ -265,8 +265,12 @@ def _hull_cycle(points: np.ndarray, eps: float) -> np.ndarray:
     discarding a point that strictly sticks out, however slightly);
     near-collinear survivors are merged afterwards under a point-to-chord
     distance guard: each pop moves the hull by up to eps, and pops add up
-    (`_merge_collinear`).  The scans run on Python floats, in the same IEEE
-    operations as the numpy formulas."""
+    (`_merge_collinear`).  Before the chain, a point within eps in max-norm
+    of the last one kept (in lexicographic order) is dropped, up to
+    sqrt(2) eps from a kept point.  In all, every input point lies within
+    sqrt(2) eps + pops * eps of the result, plus sqrt(2) eps when a segment
+    within eps collapses to its first point.  The scans run on Python
+    floats, in the same IEEE operations as the numpy formulas."""
     ok, fast = _convex_cycle(points, eps)
     if ok:
         return fast

@@ -32,10 +32,6 @@ class DegenerateInput(GeometryError):
     """Join/meet arguments coincide projectively (rank collapse)."""
 
 
-class AtInfinity(GeometryError):
-    """Chart evaluation requested for a point on the chart's infinity plane."""
-
-
 # ---------------------------------------------------------------------------
 # Tolerance policy
 # ---------------------------------------------------------------------------
@@ -364,61 +360,6 @@ class PencilFrame:
 def pencil_plane(frame: PencilFrame, theta: float) -> HPlane:
     """Plane of the pencil at parameter theta; injective on [0, pi)."""
     return HPlane(frame.plane_covector(theta))
-
-
-# ---------------------------------------------------------------------------
-# Affine charts of RP^3
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Chart:
-    """Affine chart of RP^3: an infinity plane plus a projective point frame.
-
-    origin maps to (0,0,0) and basis[i] maps to the i-th unit point.
-    """
-
-    inf_plane: HPlane
-    origin: HPoint
-    basis: tuple
-
-    def __post_init__(self):
-        reps = [self.origin.coords] + [b.coords for b in self.basis]
-        scaled = []
-        for r in reps:
-            w = float(np.dot(self.inf_plane.coeffs, r))
-            if abs(w) <= DEFAULT_TOL.eps_incid * _scale_inf(r) * _scale_inf(self.inf_plane.coeffs):
-                raise DegenerateInput("chart frame point lies on the infinity plane")
-            scaled.append(r / w)
-        e = scaled[0]
-        m = np.array([scaled[1] - e, scaled[2] - e, scaled[3] - e])
-        if abs(np.linalg.det(m @ m.T)) < 1e-24:
-            raise DegenerateInput("chart frame points are affinely dependent")
-        object.__setattr__(self, "_e", e)
-        object.__setattr__(self, "_mt", m.T)
-        object.__setattr__(self, "_pinv", np.linalg.pinv(m.T))
-
-    @staticmethod
-    def standard() -> "Chart":
-        return Chart(
-            HPlane.of(0, 0, 0, 1),
-            HPoint.of(0, 0, 0, 1),
-            (HPoint.of(1, 0, 0, 1), HPoint.of(0, 1, 0, 1), HPoint.of(0, 0, 1, 1)),
-        )
-
-
-def chart_map(chart: Chart, p: HPoint, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Affine 3-vector of p in the chart; AtInfinity if p is on the infinity plane."""
-    x = p.coords
-    w = float(np.dot(chart.inf_plane.coeffs, x))
-    if abs(w) <= tol.eps_incid * _scale_inf(x) * _scale_inf(chart.inf_plane.coeffs):
-        raise AtInfinity("point lies on the chart's infinity plane")
-    return chart._pinv @ (x / w - chart._e)
-
-
-def chart_unmap(chart: Chart, a) -> HPoint:
-    """Inverse of chart_map; chart_unmap(chart_map(p)) projectively equals p."""
-    a = np.asarray(a, dtype=float)
-    return HPoint(chart._e + chart._mt @ a)
 
 
 # ---------------------------------------------------------------------------

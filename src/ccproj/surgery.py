@@ -174,10 +174,11 @@ def sp_duality_check(fan: SectionFan, arc: ArcSegment, tol: Tolerances = DEFAULT
     arc* the dual arc, at the samples of either fan: both duals are exact
     and between two samples both sides interpolate their sections there
     with the same weights, so this is the largest sectionwise Hausdorff
-    distance over all parameters.  Returns (ok, that distance).
+    distance over all parameters.  Returns (ok, that distance).  A fan not
+    marked validated is validated first (by l_dual).
     """
-    lhs = l_dual(surgery_p(fan, arc, tol), tol=tol, check_input=False)
-    rhs = surgery_s(l_dual(fan, tol=tol, check_input=False), dual_arc(arc), tol)
+    lhs = l_dual(surgery_p(fan, arc, tol), tol=tol)
+    rhs = surgery_s(l_dual(fan, tol=tol), dual_arc(arc), tol)
     worst = max(hausdorff(section_at(lhs, float(t), tol), section_at(rhs, float(t), tol))
                 for t in np.union1d(lhs.thetas, rhs.thetas))
     if eps is None:

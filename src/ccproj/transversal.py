@@ -30,11 +30,10 @@ import numpy as np
 
 from . import planar
 from .dualize import dual_of_found_line, l_dual
-from .fan import SectionFan, event_angles, section_at, validate
+from .fan import SectionFan, event_angles, in_unwrapped_chart, section_at, validate
 from .planar import ConvexPolygon, chebyshev_center, distance, nearest_point
-from .projcore import (PI, DEFAULT_TOL, Chart, DegenerateInput, GeometryError,
-                       HPlane, HPoint, PencilFrame, ProjLine, Tolerances,
-                       wrap_angle)
+from .projcore import (PI, DEFAULT_TOL, DegenerateInput, GeometryError, PencilFrame,
+                       ProjLine, Tolerances, wrap_angle)
 
 MAX_ITER = 400          # Kelley iterations per solve_minimax call
 N_SEED_POINTS = 3       # random box points seeding Kelley besides the LP point
@@ -115,13 +114,6 @@ class SolverChart:
         p2 = self.lift(q[2], q[3], float(self.heights[-1]))
         return ProjLine(np.vstack([p1, p2]))
 
-    def chart(self) -> Chart:
-        f = self.frame
-        cov = f.plane_covector(self.theta_inf)
-        o = f.origin(self.theta_inf)
-        return Chart(HPlane(cov), HPoint(-cov),
-                     (HPoint(f.g0 - cov), HPoint(f.g1 - cov), HPoint(o - cov)))
-
     def scale(self) -> float:
         return max(max(p.scale for p in self.polys), 1.0)
 
@@ -157,14 +149,9 @@ def build_solver_chart(fan: SectionFan, subset=None) -> SolverChart:
     delta = th_u - theta_inf
     sig = 1.0 / np.sin(delta)
     h = np.cos(delta) / np.sin(delta)
-    polys = []
-    for j, i in enumerate(idx):
-        p = fan.sections[i]
-        if th_u[j] >= PI:
-            p = p.negated()
-        polys.append(p.scaled(float(sig[j])))
-    return SolverChart(fan.frame, float(theta_inf), th_u, h, sig, tuple(polys),
-                       tuple(idx))
+    polys = tuple(in_unwrapped_chart(fan.sections[i], t).scaled(float(s))
+                  for i, t, s in zip(idx, th_u, sig))
+    return SolverChart(fan.frame, float(theta_inf), th_u, h, sig, polys, tuple(idx))
 
 
 # ---------------------------------------------------------------------------
@@ -208,6 +195,14 @@ class MinimaxProblem:
 
 
 def minimax_problem(fan: SectionFan, subset=None) -> MinimaxProblem:
+    """The minimax instance over a search box that holds every minimizer.
+
+    Both reference-plane points range over the sections' chart bounding
+    box (largest side D) padded by D + 1.  A q with either point on a box
+    face puts that hit point at least D + 1 from the first or last section,
+    while the line through the box centre (c, c) comes within (sqrt 2 / 2) D
+    of every section, so no minimizer lies on the box.
+    """
     chart = build_solver_chart(fan, subset)
     all_v = np.vstack([p.vertices for p in chart.polys])
     lo = np.min(all_v, axis=0)
@@ -236,8 +231,6 @@ class TransversalLine:
 
     line: ProjLine
     residuals: np.ndarray
-    chart: Chart
-    theta_inf: float
     subset: tuple
     value: float
     gap: float
@@ -249,9 +242,9 @@ class TransversalLine:
 def _transversal_line(problem: MinimaxProblem, q, residuals: np.ndarray, value: float,
                       gap: float, iterations: int) -> TransversalLine:
     chart = problem.chart
-    return TransversalLine(chart.line_of(q), residuals, chart.chart(), chart.theta_inf,
-                           tuple(sorted(chart.indices)), value, gap, iterations,
-                           np.asarray(q, dtype=float), chart.depth(q))
+    return TransversalLine(chart.line_of(q), residuals, tuple(sorted(chart.indices)),
+                           value, gap, iterations, np.asarray(q, dtype=float),
+                           chart.depth(q))
 
 
 def _depth_rows(poly: ConvexPolygon):
@@ -295,17 +288,17 @@ def _deepest_point(problem: MinimaxProblem):
     return np.array(res.x[:4])
 
 
-def solve_minimax(problem: MinimaxProblem, tol_solver: float = None,
-                  target: float = None, seed: int = 0, tol: Tolerances = DEFAULT_TOL):
+def solve_minimax(problem: MinimaxProblem, target: float = None, seed: int = 0,
+                  tol: Tolerances = DEFAULT_TOL):
     """Minimizer of the minimax objective: the depth LP, then Kelley.
 
     The depth LP's point is evaluated first; when its Euclidean value is 0
     or at most target it is returned with one iteration.  Otherwise (the LP
     failed or found t > 0) Kelley's cutting-plane method runs from the LP
     point plus N_SEED_POINTS random points of the box.  It stops when the
-    optimality gap drops below tol_solver * scale, when the incumbent value
-    reaches target, or after MAX_ITER iterations.  Returns (q_best, value, gap,
-    iterations).
+    optimality gap drops below tol.tol_solver times the chart's scale, when
+    the incumbent value reaches target, or after MAX_ITER iterations.
+    Returns (q_best, value, gap, iterations).
     """
     from scipy.optimize import linprog
 
@@ -314,10 +307,7 @@ def solve_minimax(problem: MinimaxProblem, tol_solver: float = None,
         f0 = problem.objective(deep)
         if f0 == 0.0 or (target is not None and f0 <= target):
             return deep, f0, f0, 1
-    scale = problem.chart.scale()
-    if tol_solver is None:
-        tol_solver = tol.tol_solver
-    stop_gap = tol_solver * scale
+    stop_gap = tol.tol_solver * problem.chart.scale()
     lo, hi = problem.box[:, 0], problem.box[:, 1]
     starts = [deep if deep is not None else (lo + hi) / 2.0]
     rng = np.random.default_rng(seed)
@@ -357,8 +347,7 @@ def solve_minimax(problem: MinimaxProblem, tol_solver: float = None,
 
 
 def chebyshev_line(fan: SectionFan, subset=None, tol: Tolerances = DEFAULT_TOL,
-                   tol_solver: float = None, target: float = None,
-                   seed: int = 0) -> TransversalLine:
+                   target: float = None, seed: int = 0) -> TransversalLine:
     """Global minimizer of the maximum line-to-section distance.
 
     The depth LP runs first: when the selected sections have a common
@@ -366,23 +355,11 @@ def chebyshev_line(fan: SectionFan, subset=None, tol: Tolerances = DEFAULT_TOL,
     with residual zero, in a single LP.  Only when it finds none does the
     cutting-plane fallback minimize the Euclidean objective.  At a positive
     optimum the maximum is attained by at least two sections (the discrete
-    form of the equal-distance property).  If the minimizer lands on the
-    search box (a near-reference-parallel line) with a nonzero value, the
-    solve is retried with an enlarged box.
+    form of the equal-distance property).  The minimizer lies strictly
+    inside the search box (see minimax_problem).
     """
     problem = minimax_problem(fan, subset)
-    for attempt in range(3):
-        q, f, gap, it = solve_minimax(problem, tol_solver=tol_solver,
-                                      target=target, seed=seed, tol=tol)
-        width = problem.box[:, 1] - problem.box[:, 0]
-        on_edge = np.any((q - problem.box[:, 0] < 1e-6 * width)
-                         | (problem.box[:, 1] - q < 1e-6 * width))
-        # a zero value is the global optimum wherever it lies
-        if not on_edge or f == 0.0 or (target is not None and f <= target):
-            break
-        grown = np.stack([problem.box[:, 0] - 1.5 * width,
-                          problem.box[:, 1] + 1.5 * width], axis=1)
-        problem = MinimaxProblem(problem.chart, grown)
+    q, f, gap, it = solve_minimax(problem, target=target, seed=seed, tol=tol)
     return _transversal_line(problem, q, problem.residuals(q), f, gap, it)
 
 
@@ -476,15 +453,15 @@ class BrowderResult:
 
 
 def browder_four_sections(fan: SectionFan, indices=(0, 1, 2, 3),
-                          tol: Tolerances = DEFAULT_TOL,
-                          tol_fp: float = None) -> BrowderResult:
+                          tol: Tolerances = DEFAULT_TOL) -> BrowderResult:
     """Fixed-point search for a line meeting four sections.
 
     From a point a1 of the first section, choose the line through a1
     meeting sections 2 and 3 (selection: Chebyshev center of the admissible
     hit-point set), then the line through its third-section hit meeting
     sections 4 and 1 (selection: return point nearest to a1).  Stops when
-    the return point converges or after BROWDER_MAX_ITER steps;
+    the return point moves at most tol.tol_fp times the chart's scale or
+    after BROWDER_MAX_ITER steps;
     non-convergence is a legal outcome and the caller falls back to
     chebyshev_line.
     """
@@ -493,9 +470,7 @@ def browder_four_sections(fan: SectionFan, indices=(0, 1, 2, 3),
     chart = build_solver_chart(fan, list(indices))
     h = chart.heights
     A1, A2, A3, A4 = chart.polys
-    if tol_fp is None:
-        tol_fp = tol.tol_fp
-    scale = chart.scale()
+    stop = tol.tol_fp * chart.scale()
     a1 = chebyshev_center(A1)
     step = np.inf
     x2s = None
@@ -517,9 +492,9 @@ def browder_four_sections(fan: SectionFan, indices=(0, 1, 2, 3),
         a1p = nearest_point(a1, X1)
         step = float(np.linalg.norm(a1p - a1))
         a1 = a1p
-        if step <= tol_fp * scale:
+        if step <= stop:
             break
-    converged = step <= tol_fp * scale
+    converged = step <= stop
     if not converged:
         return BrowderResult(False, it, step, None)
     beta1 = float(chart.betas()[1])
@@ -659,8 +634,7 @@ def support_halfplane_transversal(fan: SectionFan, halfplanes,
     from .surgery import octagonalize
 
     octa = octagonalize(fan, dirs, tol)
-    dual = l_dual(octa, dual_params=np.concatenate([event_angles(octa), dirs]),
-                  tol=tol, check_input=not fan.validated)
+    dual = l_dual(octa, dual_params=np.concatenate([event_angles(octa), dirs]), tol=tol)
     kink_idx = [int(np.argmin(np.minimum(np.abs(dual.thetas - d),
                                          PI - np.abs(dual.thetas - d))))
                 for d in dirs]

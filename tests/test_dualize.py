@@ -9,8 +9,8 @@ from ccproj import (ArcSegment, InvalidInput, IntersectsDualL, ProjLine,
                     project_from, section_at)
 from ccproj import (DEFAULT_TOL, contains_polygon, gen_quadric, gen_random_fan, is_pointed,
                     octagonalize, surgery_p, surgery_s)
-from ccproj.dualize import _ensure_valid, _unwrapped_section
-from ccproj.fan import THETA_EPS, event_angles, hull_slice
+from ccproj.dualize import _ensure_valid
+from ccproj.fan import THETA_EPS, event_angles, hull_slice, in_unwrapped_chart
 from ccproj.projcore import PI, dual_arc
 from conftest import (default_dual_params, interior_points, mark_validated, mgon,
                       quadric_fan)
@@ -153,14 +153,14 @@ def probe_affine_dependence_check(fan, arc, t_dir=None, tol=DEFAULT_TOL, eps=Non
     which also compares at n_check evenly spaced interior parameters."""
     eps = tol.eps_affine * fan.scale() if eps is None else eps
     ta, tb = arc.start, arc.start + arc.length
-    Sa, Sb = _unwrapped_section(fan, ta, tol), _unwrapped_section(fan, tb, tol)
+    Sa, Sb = (in_unwrapped_chart(section_at(fan, t, tol), t) for t in (ta, tb))
     probes = list(interior_points(arc, n_check))
     probes += [float(t) for t in fan.thetas if arc.contains(float(t), closed=False)]
     func = None if t_dir is None else np.array([-np.sin(t_dir), np.cos(t_dir)])
     for t in probes:
         tu = t if t >= ta - THETA_EPS else t + PI
         expected = hull_slice(ta, Sa, tb, Sb, tu, tol)
-        actual = _unwrapped_section(fan, tu, tol)
+        actual = in_unwrapped_chart(section_at(fan, tu, tol), tu)
         if func is None:
             if hausdorff(expected, actual) > eps:
                 return False
@@ -271,7 +271,7 @@ def probe_pointedness_duality_check(fan, arc, tol=DEFAULT_TOL, eps=None, n_check
     darc = dual_arc(arc)
     params = default_dual_params(fan, extra=np.concatenate(
         [interior_points(darc, n_check), [darc.start, darc.end]]))
-    dfan = l_dual(fan, dual_params=params, tol=tol, check_input=False)
+    dfan = l_dual(mark_validated(fan), dual_params=params, tol=tol)
     rows = [(is_pointed(s, arc, tol) is not None,
              affine_dependence_check(dfan, darc, t_dir=float(t), tol=tol, eps=eps))
             for t, s in zip(fan.thetas, fan.sections)]
@@ -362,7 +362,7 @@ def test_l_dual_matches_reference_on_quadrics(k, m):
     dual = l_dual(fan)
     _assert_sections_match_reference(fan, dual)
     _assert_sections_match_reference(
-        dual, l_dual(dual, dual_params=fan.thetas, check_input=False))
+        dual, l_dual(dual, dual_params=fan.thetas))
 
 
 def test_l_dual_matches_reference_on_random_fans_and_double_duals():
@@ -373,7 +373,7 @@ def test_l_dual_matches_reference_on_random_fans_and_double_duals():
         dual = l_dual(fan)
         _assert_sections_match_reference(fan, dual)
         _assert_sections_match_reference(
-            dual, l_dual(dual, dual_params=fan.thetas, check_input=False))
+            dual, l_dual(dual, dual_params=fan.thetas))
 
 
 def test_l_dual_matches_reference_on_surgery_p_output(quad8):
@@ -397,7 +397,7 @@ def test_l_dual_names_the_first_center_that_fails_to_straddle(quad12):
             break
     assert first is not None and first > params[0]
     with pytest.raises(InvalidInput, match="psi=%.6f " % first):
-        l_dual(bad, check_input=False)
+        l_dual(mark_validated(bad))
 
 
 def support_gap(a, b, m=256):

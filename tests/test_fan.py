@@ -2,14 +2,18 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ccproj import (DEFAULT_TOL, ArcSegment, CenterNotOnL, SectionFan, Tolerances,
                     convex_hull, gen_quadric, gen_random_fan, hausdorff, interior_margin,
-                    is_pointed, l_dual, planar, project_from, section_at, validate)
+                    is_pointed, l_dual, planar, pointify, project_from, section_at,
+                    validate)
 from ccproj.fan import THETA_EPS, CenterCheck, event_angles, gap_coefficients, plane_margin
 from ccproj.planar import ConvexPolygon, contains_polygon, tangent_quadrangle_corners
 from ccproj.projcore import PI, DegenerateInput
 from conftest import mgon, quadric_fan
+from test_surgery import hull_sections, pointing_arcs
 
 
 def theta_of_w(w):
@@ -480,6 +484,53 @@ def test_is_pointed_disk_and_pointified():
     v = sorted(map(tuple, np.round(np.vstack(got), 9)))
     assert v == [(-1.0, -1.0), (1.0, 1.0)]
     assert contains_polygon(grown, disk, 1e-12)
+
+
+def hausdorff_is_pointed(section, arc, tol=DEFAULT_TOL):
+    """Reference oracle: the former is_pointed, which hulls the section with
+    the two admissible tangent-quadrangle corners and compares the result
+    with the section by Hausdorff distance."""
+    corners, _ = tangent_quadrangle_corners(section, arc.start, arc.end, tol)
+    grown = planar.hulls_with_corners(section.vertices, [0], corners[None], tol)[0]
+    if hausdorff(grown, section) <= 1e-7 * max(section.scale, 1.0):
+        return corners[0], corners[1]
+    return None
+
+
+@st.composite
+def pointing_cases(draw):
+    """(section, arc): a random hull, its pointed superset for the arc, or
+    that superset with a corner cut off 1e-10 to 1e-5 times its scale
+    along both edges, around the pointedness threshold."""
+    section, arc = draw(hull_sections), draw(pointing_arcs())
+    kind = draw(st.sampled_from(["raw", "pointed", "cut"]))
+    if kind == "raw":
+        return section, arc
+    pointed = pointify(section, arc)
+    if kind == "pointed" or pointed.n < 3:
+        return pointed, arc
+    corners, _ = tangent_quadrangle_corners(pointed, arc.start, arc.end)
+    v = pointed.vertices
+    i = int(np.argmin(np.linalg.norm(v - corners[draw(st.integers(0, 1))], axis=1)))
+    d = 10.0 ** draw(st.floats(-10.0, -5.0)) * pointed.scale
+    cut = [v[i] + d * (v[j] - v[i]) / np.linalg.norm(v[j] - v[i])
+           for j in (i - 1, (i + 1) % len(v))]
+    return convex_hull(np.vstack([np.delete(v, i, axis=0)] + cut)), arc
+
+
+@settings(max_examples=400, deadline=None)
+@given(pointing_cases())
+def test_is_pointed_matches_hausdorff_oracle(case):
+    # the corner distances decide pointedness as the hull's Hausdorff
+    # distance did, away from the hull's own eps around the threshold
+    section, arc = case
+    corners, _ = tangent_quadrangle_corners(section, arc.start, arc.end)
+    far = max(planar.distance(c, section) for c in corners)
+    assume(abs(far - 1e-7 * section.scale) > 1e-8 * section.scale)
+    got, ref = is_pointed(section, arc), hausdorff_is_pointed(section, arc)
+    assert (got is None) == (ref is None) == (far > 1e-7 * section.scale)
+    if got is not None:
+        assert np.array_equal(np.vstack(got), np.vstack(ref))
 
 
 def test_support_intervals_stack_rows_equal_single_calls(frame):

@@ -740,7 +740,7 @@ def test_distance_many_matches_einsum_oracle_on_roundtrip_sections():
 
     for make in SCENES.values():
         fan = make().fan
-        dd = l_dual(l_dual(fan), dual_params=fan.thetas, check_input=False)
+        dd = l_dual(l_dual(fan), dual_params=fan.thetas)
         for P, Q in zip(fan.sections, dd.sections):
             for a, b in ((P, Q), (Q, P)):
                 assert np.array_equal(planar.distance_many(a.vertices, b),

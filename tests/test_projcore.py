@@ -3,10 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ccproj import (ArcSegment, AtInfinity, Chart, DegenerateInput, HPlane,
-                    HPoint, PencilFrame, ProjLine, canonicalize, chart_map,
-                    chart_unmap, dual_arc, dual_line, incident, join_points,
-                    meet_line_plane, meet_planes, pencil_plane)
+from ccproj import (ArcSegment, DegenerateInput, HPlane, HPoint, PencilFrame,
+                    ProjLine, canonicalize, dual_arc, dual_line, incident,
+                    join_points, meet_line_plane, meet_planes, pencil_plane)
 from ccproj.projcore import PI
 
 
@@ -75,24 +74,6 @@ def test_join_meet_degenerate():
     l = ProjLine(np.array([[1.0, 0, 0, 0], [0, 1, 0, 0]]))
     with pytest.raises(DegenerateInput):
         meet_line_plane(l, HPlane.of(0, 0, 1, 0))  # plane contains the line
-
-
-def test_chart_map_examples():
-    ch = Chart.standard()
-    assert np.allclose(chart_map(ch, HPoint.of(1, 2, 3, 1)), [1, 2, 3])
-    assert np.allclose(chart_map(ch, HPoint.of(2, 4, 6, 2)), [1, 2, 3])
-    with pytest.raises(AtInfinity):
-        chart_map(ch, HPoint.of(1, 0, 0, 0))
-
-
-def test_chart_roundtrip_random():
-    ch = Chart.standard()
-    rng = np.random.default_rng(0)
-    for _ in range(50):
-        v = rng.normal(size=4)
-        v[3] = v[3] + 2.0 if abs(v[3]) < 0.1 else v[3]
-        p = HPoint(v)
-        assert chart_unmap(ch, chart_map(ch, p)).same_as(p)
 
 
 def test_dual_line_annihilators():

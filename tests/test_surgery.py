@@ -224,8 +224,8 @@ def probe_sp_duality_check(fan, arc, tol=DEFAULT_TOL, eps=None, n_extra=0):
     pfan = surgery_p(fan, arc, tol)
     params = default_dual_params(pfan, extra=np.concatenate(
         [default_dual_params(fan, extra=extra), merged_angles(pfan.edge_angles(), 1e-9)]))
-    lhs = l_dual(pfan, dual_params=params, tol=tol, check_input=False)
-    rhs = surgery_s(l_dual(fan, dual_params=params, tol=tol, check_input=False), darc, tol)
+    lhs = l_dual(mark_validated(pfan), dual_params=params, tol=tol)
+    rhs = surgery_s(l_dual(mark_validated(fan), dual_params=params, tol=tol), darc, tol)
     worst = max(hausdorff(section_at(lhs, float(t), tol), section_at(rhs, float(t), tol))
                 for t in params)
     if eps is None:

@@ -90,11 +90,16 @@ def grid_minimax(fan):
     return best
 
 
-def test_chebyshev_three_disks_vs_grid_oracle(frame):
+def three_disks(frame):
+    """Three unit disks with no common transversal; the minimax optimum is 4."""
     samples = [w_disk(frame, -1.0, (-10, 0), 1.0),
                w_disk(frame, 0.0, (0, 10), 1.0),
                w_disk(frame, 1.0, (10, 0), 1.0)]
-    fan = SectionFan.create(frame, samples)
+    return SectionFan.create(frame, samples)
+
+
+def test_chebyshev_three_disks_vs_grid_oracle(frame):
+    fan = three_disks(frame)
     r = chebyshev_line(fan)
     assert abs(r.value - grid_minimax(fan)) <= 1e-3
     # the analytic optimum of this symmetric configuration is exactly 4
@@ -212,11 +217,7 @@ def test_subset_indices_checked(quad12):
 
 
 def test_residual_spread_at_positive_optimum(frame):
-    samples = [w_disk(frame, -1.0, (-10, 0), 1.0),
-               w_disk(frame, 0.0, (0, 10), 1.0),
-               w_disk(frame, 1.0, (10, 0), 1.0)]
-    fan = SectionFan.create(frame, samples)
-    r = chebyshev_line(fan)
+    r = chebyshev_line(three_disks(frame))
     at_max = np.sum(r.residuals >= r.value - 1e-6)
     assert at_max >= 2
     assert r.depth < 0
@@ -239,15 +240,57 @@ def test_residuals_follow_subset_order(frame):
         assert np.array_equal(r.residuals == 0.0, passes)
 
 
-def test_solver_chart_matches_chart_object(quad12):
-    from ccproj import HPoint, build_solver_chart, chart_map
-    sc = build_solver_chart(quad12)
-    ch = sc.chart()
+def test_solver_chart_lift_matches_unit_charts(quad12):
+    # a point of section j's plane in the solver chart is its unit-chart
+    # point scaled by scales[j], negated past pi (in_unwrapped_chart); the
+    # subset's largest gap is interior, so its first three wrap past pi
+    from ccproj import build_solver_chart
     rng = np.random.default_rng(2)
-    for _ in range(10):
-        y = rng.normal(size=3)
-        x = sc.lift(*y)
-        assert np.allclose(chart_map(ch, HPoint(x)), y, atol=1e-9)
+    for subset in (None, [0, 1, 2, 9, 10, 11]):
+        sc = build_solver_chart(quad12, subset)
+        assert np.sum(sc.thetas_u >= PI) == (0 if subset is None else 3)
+        for j, i in enumerate(sc.indices):
+            y = rng.normal(size=2)
+            x = sc.lift(y[0], y[1], float(sc.heights[j]))
+            u, v, _ = quad12.frame.chart_coords(float(quad12.thetas[i]), x)
+            sign = -1.0 if sc.thetas_u[j] >= PI else 1.0
+            assert np.allclose([u, v], sign * y / sc.scales[j], rtol=1e-12, atol=1e-12)
+
+
+def test_box_faces_score_above_the_centre_line(frame):
+    # the search box holds every minimizer (minimax_problem): a q with a
+    # coordinate on the box scores above the line through the box centre
+    from ccproj import gen_random_fan
+    rng = np.random.default_rng(5)
+    cases = [(three_disks(frame), None)]
+    for s in range(20):
+        fan = gen_random_fan(s, k=10, complexity=2).fan
+        cases += [(fan, None)] + [(fan, rng.choice(fan.k, size=n, replace=False))
+                                  for n in (3, 5)]
+    for fan, subset in cases:
+        prob = minimax_problem(fan, subset)
+        lo, hi = prob.box[:, 0], prob.box[:, 1]
+        centre = prob.objective((lo + hi) / 2.0)
+        for face in range(8):
+            for _ in range(4):
+                q = lo + rng.random(4) * (hi - lo)
+                q[face % 4] = prob.box[face % 4, face // 4]
+                assert prob.objective(q) > centre
+
+
+def test_one_solve_per_chebyshev_line(frame, quad12, monkeypatch):
+    from ccproj import transversal
+    calls = []
+    solve = transversal.solve_minimax
+    monkeypatch.setattr(transversal, "solve_minimax",
+                        lambda *a, **kw: calls.append(1) or solve(*a, **kw))
+    shifted = list(quad12.sections)
+    shifted[3] = shifted[3].translated((2.5, 0.0))
+    for fan, subset in ((three_disks(frame), None), (quad12, None), (quad12, [0, 3, 6]),
+                        (quad12.with_sections(shifted), None)):
+        calls.clear()
+        chebyshev_line(fan, subset=subset)
+        assert calls == [1]
 
 
 def test_objective_convexity_probe(quad8):
