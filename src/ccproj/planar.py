@@ -18,6 +18,7 @@ All functions are pure and values are treated as immutable.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -282,13 +283,19 @@ def _hull_cycle(points: np.ndarray, eps: float) -> np.ndarray:
             keep.append(p)
     if len(keep) <= 2:
         return np.array(keep)
-    lower = _chain(keep)
-    upper = _chain(keep[::-1])
+    # chain on the points scaled by 2^k, largest coordinate near 2^500: a
+    # cross product of subnormal differences would round to 0 and pop a
+    # point that sticks out; scaling up by a power of two is exact both
+    # ways and leaves every sign test that does not underflow as it was
+    k = max(0, 500 - math.frexp(float(np.abs(keep).max()))[1])
+    scaled = np.ldexp(keep, k).tolist()
+    lower = _chain(scaled)
+    upper = _chain(scaled[::-1])
     cycle = lower[:-1] + upper[:-1]
     if len(cycle) < 3:
-        out = np.array([lower[0], lower[-1]])
+        out = np.ldexp([lower[0], lower[-1]], -k)
     else:
-        out = _merge_collinear(np.array(cycle), eps)
+        out = _merge_collinear(np.ldexp(cycle, -k), eps)
     if len(out) == 2 and np.max(np.abs(out[1] - out[0])) <= eps:
         return np.array([min(out.tolist())])  # a segment within eps is a point
     return _roll_to_min(out)

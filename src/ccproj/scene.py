@@ -3,6 +3,11 @@
 A scene is a fan plus tolerance overrides and the generator seed,
 serialized as UTF-8 JSON text with every number printed with 17
 significant digits, so parse(serialize(scene)) is byte-identical.
+serialize fills one fixed template, one %-format per sample and per vertex
+array ("%.17g" is the text of format(x, ".17g")).  parse reads the whole
+document at once: all thetas and all vertices in one conversion each, and
+one stacked `planar._convex_cycle` certificate per vertex count proves
+samples are their own hulls; only the rest take convex_hull, one by one.
 
 Generators produce validated fans: the quadric family (unit-disk sections
 in the canonical unit charts; in the chart x2 != 0 these are the disks
@@ -19,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fan import SectionFan, validate
-from .planar import ConvexPolygon, _roll_to_min, convex_hull
+from .planar import ConvexPolygon, _certified_cycles, _ear_terms, _roll_to_min, convex_hull
 from .projcore import (PI, DEFAULT_TOL, ArcSegment, DegenerateInput, GeometryError,
                        PencilFrame, Tolerances)
 
@@ -46,61 +51,31 @@ class Scene:
 # Serialization (byte-exact round trip)
 # ---------------------------------------------------------------------------
 
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        return format(x, ".17g")
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    raise TypeError(type(x))
+_VEC4 = "[%.17g, %.17g, %.17g, %.17g]"
+_SAMPLE = '{"theta": %.17g, "chart": {"origin": ' + _VEC4 + ', "u": %s, "v": %s}, "vertices": %s}'
 
 
-def _emit(obj) -> str:
-    if isinstance(obj, np.ndarray):  # (n, 2) vertices, in one pass
-        return "[" + ", ".join("[%s, %s]" % (format(a, ".17g"), format(b, ".17g"))
-                               for a, b in obj.tolist()) + "]"
-    if isinstance(obj, dict):
-        inner = ", ".join('"%s": %s' % (k, _emit(v)) for k, v in obj.items())
-        return "{" + inner + "}"
-    if isinstance(obj, (list, tuple)):
-        return "[" + ", ".join(_emit(v) for v in obj) + "]"
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if obj is None:
-        return "null"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    return _fmt(obj)
+def _pairs(v: np.ndarray) -> str:
+    """An (n, 2) vertex array as the JSON text [[x, y], ...], in one format."""
+    return ("[" + ", ".join(["[%.17g, %.17g]"] * len(v)) + "]") % tuple(v.ravel().tolist())
 
 
 def serialize(scene: Scene) -> str:
-    f = scene.fan
-    doc = {
-        "format": "ccproj-scene",
-        "version": 1,
-        "frame": {
-            "space": f.frame.space,
-            "g0": [float(x) for x in f.frame.g0],
-            "g1": [float(x) for x in f.frame.g1],
-            "h2": [float(x) for x in f.frame.h2],
-            "h3": [float(x) for x in f.frame.h3],
-        },
-        "samples": [
-            {
-                "theta": float(t),
-                "chart": {
-                    "origin": [float(x) for x in f.frame.origin(float(t))],
-                    "u": [float(x) for x in f.frame.g0],
-                    "v": [float(x) for x in f.frame.g1],
-                },
-                "vertices": s.vertices,
-            }
-            for t, s in zip(f.thetas, f.sections)
-        ],
-        "tolerances": {k: float(v) for k, v in sorted(scene.tolerances.items())},
-        "seed": scene.seed,
-        "validated": f.validated,
-    }
-    return _emit(doc) + "\n"
+    f, fr = scene.fan, scene.fan.frame
+    u, v = _VEC4 % tuple(fr.g0.tolist()), _VEC4 % tuple(fr.g1.tolist())
+    th = f.thetas[:, None]  # chart origins as PencilFrame.origin computes them
+    origins = (-np.sin(th) * fr.h2 + np.cos(th) * fr.h3).tolist()
+    samples = ", ".join(_SAMPLE % (t, *o, u, v, _pairs(s.vertices))
+                        for t, o, s in zip(f.thetas.tolist(), origins, f.sections))
+    tolerances = ", ".join('"%s": %.17g' % (k, float(x))
+                           for k, x in sorted(scene.tolerances.items()))
+    return ('{"format": "ccproj-scene", "version": 1, "frame": {"space": %s, "g0": %s, '
+            '"g1": %s, "h2": %s, "h3": %s}, "samples": [%s], "tolerances": {%s}, '
+            '"seed": %s, "validated": %s}\n'
+            % (json.dumps(fr.space), u, v, _VEC4 % tuple(fr.h2.tolist()),
+               _VEC4 % tuple(fr.h3.tolist()), samples, tolerances,
+               "null" if scene.seed is None else "%d" % scene.seed,
+               "true" if f.validated else "false"))
 
 
 def parse(text: str) -> Scene:
@@ -109,8 +84,8 @@ def parse(text: str) -> Scene:
     Total: any document that is not a scene (bad JSON, a NaN or infinite
     number, a missing key, a value of the wrong type or shape, fewer than 3
     samples, a sample that is not a strictly convex counterclockwise
-    polygon, a non-orthonormal frame) raises SceneFormatError.  validated
-    must be a JSON boolean and seed an integer or null."""
+    polygon, a non-orthonormal frame or one in neither space, validated not
+    a JSON boolean, seed neither an integer nor null) raises SceneFormatError."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -135,22 +110,55 @@ def _numbers(x, ndim: int) -> np.ndarray:
     return arr.astype(float)
 
 
+def _sample(s) -> tuple:
+    """(theta, polygon) of one sample document, or the error naming it."""
+    theta = float(_numbers(s["theta"], 0))
+    verts = _numbers(s["vertices"], 2)
+    if verts.shape[1] != 2:
+        raise SceneFormatError("sample at theta=%s: vertices are not (u, v) pairs" % theta)
+    poly = convex_hull(verts)
+    if not np.array_equal(poly.vertices, _roll_to_min(verts)):
+        raise SceneFormatError("sample at theta=%s: vertices are not in strictly convex "
+                               "counterclockwise position" % theta)
+    return theta, poly
+
+
+def _samples(raw) -> list:
+    """`_sample` of every sample document, stacked.  A certified row is its
+    own hull: the sample rotated, or reversed when clockwise, which its
+    first ear shows (`_ear_terms`' sign; the certificate's margin exceeds
+    its rounding).  Points, segments, clockwise and declined rows, and rows
+    of 0s and 1s alone (maybe JSON booleans, numbers only mixed with
+    numbers) take `_sample` in document order, so the first bad sample
+    raises its own error; so does every row of a document the stacked
+    conversion refuses (a missing key, a theta that is not a float, ...)."""
+    try:
+        thetas = [s["theta"] for s in raw]
+        counts = np.array([len(s["vertices"]) for s in raw], dtype=int)
+        verts = _numbers([p for s in raw for p in s["vertices"]], 2)
+        stacked = (all(type(t) is float for t in thetas) and np.isfinite(thetas).all()
+                   and counts.all() and verts.shape[1] == 2)
+    except (KeyError, TypeError, ValueError, SceneFormatError):
+        stacked = False
+    if not stacked:
+        return [_sample(s) for s in raw]
+    first = np.cumsum(counts) - counts
+    polys = _certified_cycles(verts, counts, DEFAULT_TOL.eps_convex * np.maximum(
+        1.0, np.maximum.reduceat(np.abs(verts).max(axis=1), first)))
+    ear = verts[np.stack([first + counts - 1, first, np.minimum(first + 1, len(verts) - 1)], 1)]
+    cw = _ear_terms(ear)[0][:, 1] > 0.0
+    binary = np.logical_and.reduceat(((verts == 0.0) | (verts == 1.0)).all(axis=1), first)
+    return [(t, p) if p is not None and not c and not b else _sample(s)
+            for t, p, c, b, s in zip(thetas, polys, cw, binary, raw)]
+
+
 def _scene_from_doc(doc: dict) -> Scene:
     fr = doc["frame"]
-    frame = PencilFrame(*(_numbers(fr[key], 1) for key in ("g0", "g1", "h2", "h3")),
-                        fr.get("space", "primal"))
-    samples = []
-    for s in doc["samples"]:
-        theta = float(_numbers(s["theta"], 0))
-        verts = _numbers(s["vertices"], 2)
-        if verts.shape[1] != 2:
-            raise SceneFormatError("sample at theta=%s: vertices are not (u, v) pairs" % theta)
-        poly = convex_hull(verts)
-        if not np.array_equal(poly.vertices, _roll_to_min(verts)):
-            raise SceneFormatError(
-                "sample at theta=%s: vertices are not in strictly convex "
-                "counterclockwise position" % theta)
-        samples.append((theta, poly))
+    g0, g1, h2, h3 = (_numbers(fr[key], 1) for key in ("g0", "g1", "h2", "h3"))
+    if fr.get("space", "primal") not in ("primal", "dual"):
+        raise SceneFormatError("frame space must be primal or dual")
+    frame = PencilFrame(g0, g1, h2, h3, fr.get("space", "primal"))
+    samples = _samples(doc["samples"])
     validated = doc.get("validated", False)
     seed = doc.get("seed")
     if not isinstance(validated, bool):
@@ -269,20 +277,12 @@ def export_mesh(fan: SectionFan) -> str:
     from .transversal import build_solver_chart
 
     chart = build_solver_chart(fan)
-    rings = []
-    for j in range(chart.m):
-        v = chart.polys[j].vertices
-        h = float(chart.heights[j])
-        rings.append(np.column_stack([v, np.full(len(v), h)]))
-
-    lines = ["ccmesh 1"]
-    offsets = []
-    count = 0
-    for ring in rings:
-        offsets.append(count)
-        for x, y, z in ring:
-            lines.append("v %s %s %s" % (_fmt(float(x)), _fmt(float(y)), _fmt(float(z))))
-        count += len(ring)
+    rings = [np.column_stack([p.vertices, np.full(p.n, float(h))])
+             for p, h in zip(chart.polys, chart.heights)]
+    offsets = np.cumsum([0] + [len(ring) for ring in rings])
+    xyz = np.vstack(rings)
+    lines = ["ccmesh 1",
+             "\n".join(["v %.17g %.17g %.17g"] * len(xyz)) % tuple(xyz.ravel().tolist())]
 
     def ring_angles(ring):
         c = ring[:, :2].mean(axis=0)

@@ -15,7 +15,8 @@ import hashlib
 
 import pytest
 
-from ccproj import cli, gen_quadric, gen_random_fan, helly_verify, serialize
+from ccproj import (ConvexPolygon, Scene, cli, export_mesh, gen_quadric, gen_random_fan,
+                    helly_verify, l_dual, parse, serialize)
 
 SCENES = {
     "quadric-12-64": lambda: gen_quadric(12, 64),
@@ -310,3 +311,57 @@ def helly_subset_digest(name):
 @pytest.mark.parametrize("name", sorted(SCENES))
 def test_golden_helly_subsets(name):
     assert helly_subset_digest(name) == HELLY_SUBSETS[name]
+
+
+def _unvalidated():
+    fan = gen_random_fan(2).fan
+    return Scene(fan.with_sections(fan.sections), {}, 2)
+
+
+def _short_sections():
+    fan = gen_quadric(6, 16).fan
+    secs = list(fan.sections)
+    secs[1] = ConvexPolygon([[0.5, 0.25]])
+    secs[4] = ConvexPolygon([[-0.5, 0.0], [0.25, 0.75]])
+    return Scene(fan.with_sections(secs), {}, None)
+
+
+# Scene shapes the generators never emit, so the scenes above do not pin
+# their text: tolerance overrides, a seed on a quadric and none on a random
+# fan, an unvalidated fan, a dual-space frame, point and segment sections.
+SHAPES = {
+    "tolerances": lambda: Scene(gen_quadric(6, 16).fan,
+                                {"eps_incid": 1e-7, "eps_convex": 3e-10}, None),
+    "seed-null": lambda: Scene(gen_random_fan(0).fan, {}, None),
+    "seed-int": lambda: Scene(gen_quadric(6, 16).fan, {}, 12345678901),
+    "unvalidated": _unvalidated,
+    "dual": lambda: Scene(l_dual(gen_random_fan(5).fan), {"eps_convex": 1e-8}, 5),
+    "short-sections": _short_sections,
+}
+
+SHAPE_DIGESTS = {
+    "dual": "0ba5f04c9938e7accc23564024a2db20895cc8a0393fe4406540aaef7631f6a4",
+    "seed-int": "3aeed72cad07ec395debab237bd91d888f696afc4eacabea9a27f7fb2b88c016",
+    "seed-null": "c5297f941b73a6207cee6c2a7295a51fc30a2f646798bea0e76498a01897be2d",
+    "short-sections": "f3cc87de27a9eb6d3955ac8a24f2cc45193ca32bb23423d506d89970da99fde4",
+    "tolerances": "8bf8b8790864c4f8cacbed08524462f0025e8c8273e227b7195237cfffd877bc",
+    "unvalidated": "41d49cad3aeecd3623f690eb8aa172a72ad707ae5f82599dd16089291dd7e7a9",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHAPES))
+def test_golden_scene_shapes(name):
+    text = serialize(SHAPES[name]())
+    assert _sha(text) == SHAPE_DIGESTS[name]
+    assert serialize(parse(text)) == text
+
+
+MESH_DIGESTS = {
+    "quadric-12-64": "29c42d2e8748d3be9db038725eaaab685d412d98d8ccf110a54e7b8fac2d69d0",
+    "random-0": "e4ff96e77dc598a5ca3eb73686beec0a997070839bdb4ffdd8b35186cadc6c44",
+}
+
+
+@pytest.mark.parametrize("name", sorted(MESH_DIGESTS))
+def test_golden_export_mesh(name):
+    assert _sha(export_mesh(SCENES[name]().fan)) == MESH_DIGESTS[name]

@@ -273,13 +273,16 @@ def ref_hull_cycle(points, eps):
             out.append(p)
         return out
 
-    lower = chain(pts)
-    upper = chain(pts[::-1])
-    cycle = lower[:-1] + upper[:-1]
+    # the chain runs on the points scaled by 2^k, the largest coordinate in
+    # [2^499, 2^500), so that no cross product underflows
+    k = max(0, 500 - int(np.frexp(np.abs(pts).max())[1]))
+    lower = chain(np.ldexp(pts, k))
+    upper = chain(np.ldexp(pts, k)[::-1])
+    cycle = np.ldexp(lower[:-1] + upper[:-1], -k)
     if len(cycle) < 3:
-        out = np.array([lower[0], lower[-1]]) if len(lower) >= 2 else np.array(lower)
+        out = np.ldexp([lower[0], lower[-1]] if len(lower) >= 2 else lower, -k)
     else:
-        out = ref_merge_collinear(np.array(cycle), eps)
+        out = ref_merge_collinear(cycle, eps)
     if len(out) == 2 and np.max(np.abs(out[1] - out[0])) <= eps:
         return np.array([min(out.tolist())])
     start = int(np.lexsort((out[:, 1], out[:, 0]))[0])
@@ -481,6 +484,17 @@ def test_hull_collapses_segment_within_eps():
     assert np.array_equal(planar._merge_collinear(cycle, 1.0), [[1.5, -0.25], [0.75, 0.75]])
     assert np.array_equal(planar._hull_cycle(cycle, 1.0), [[0.75, 0.75]])
     assert np.array_equal(ref_hull_cycle(cycle, 1.0), [[0.75, 0.75]])
+
+
+def test_hull_keeps_points_whose_cross_products_underflow():
+    # unscaled, both chains' cross products at (0, 0.3) are products of 0.3
+    # and 5e-324, which round to 0, so both chains pop it and the hull was
+    # the single point (0, 0), 0.3 from an input point
+    pts = np.array([[0.0, 0.0], [0.0, 0.3], [5e-324, 0.0]])
+    P = convex_hull(pts)
+    assert P.vertices.tolist() == [[0.0, 0.3], [5e-324, 0.0]]
+    assert max(distance(p, P) for p in pts) <= 1e-9
+    assert np.array_equal(ref_hull_cycle(pts, 1e-9), P.vertices)
 
 
 def test_hull_keeps_sliver_ends_beyond_eps():

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,8 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ccproj import scene
-from ccproj import (SceneFormatError, Scene, export_mesh, gen_quadric,
-                    gen_random_fan, hausdorff, parse, serialize, validate)
+from ccproj import (ConvexPolygon, PencilFrame, SceneFormatError, Scene, SectionFan,
+                    convex_hull, export_mesh, gen_quadric, gen_random_fan, hausdorff,
+                    parse, serialize, validate)
+from ccproj.planar import _roll_to_min
 
 
 def run_cli(args, stdin=None, env_extra=None):
@@ -370,15 +373,198 @@ def test_cli_roundtrip_report(tmp_path):
     assert float(vals["max_residual"]) <= 5e-2 * float(vals["diameter"])
 
 
+def _emit(obj) -> str:
+    """The generic JSON walker serialize used before its fixed template:
+    the oracle for the template's text."""
+    if isinstance(obj, np.ndarray):
+        return _emit(obj.tolist())
+    if isinstance(obj, dict):
+        return "{" + ", ".join('"%s": %s' % (k, _emit(v)) for k, v in obj.items()) + "}"
+    if isinstance(obj, (list, tuple)):
+        return "[" + ", ".join(_emit(v) for v in obj) + "]"
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    if obj is None:
+        return "null"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, float):
+        return format(obj, ".17g")
+    return str(int(obj))
+
+
+def _emitted(sc) -> str:
+    """serialize's document, written by the generic walker."""
+    f = sc.fan
+    vec = lambda x: [float(c) for c in x]  # noqa: E731
+    return _emit({
+        "format": "ccproj-scene",
+        "version": 1,
+        "frame": {"space": f.frame.space, "g0": vec(f.frame.g0), "g1": vec(f.frame.g1),
+                  "h2": vec(f.frame.h2), "h3": vec(f.frame.h3)},
+        "samples": [{"theta": float(t),
+                     "chart": {"origin": vec(f.frame.origin(float(t))),
+                               "u": vec(f.frame.g0), "v": vec(f.frame.g1)},
+                     "vertices": s.vertices}
+                    for t, s in zip(f.thetas, f.sections)],
+        "tolerances": {k: float(v) for k, v in sorted(sc.tolerances.items())},
+        "seed": sc.seed,
+        "validated": f.validated,
+    }) + "\n"
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.tuples(st.floats(allow_nan=False, allow_infinity=False),
                           st.floats(allow_nan=False, allow_infinity=False)),
                 min_size=1, max_size=12))
 def test_vertex_text_matches_generic_emitter(pairs):
-    # serialize writes a sample's vertex array in one pass; the text is the
-    # one the nested list of floats gets, byte for byte (signed zeros,
-    # subnormals and 17-digit round trips included)
+    # serialize writes a sample's vertex array in one format call; the text
+    # is the one the generic walker gives the nested list of floats, byte
+    # for byte (signed zeros, subnormals and 17-digit round trips included)
     v = np.array(pairs, dtype=float).reshape(-1, 2)
     nested = [[float(a), float(b)] for a, b in v]
-    assert scene._emit(v) == scene._emit(nested)
-    assert json.loads(scene._emit(v)) == nested
+    assert scene._pairs(v) == _emit(nested)
+    assert json.loads(scene._pairs(v)) == nested
+
+
+def _oracle_scene_from_doc(doc):
+    """parse's document reader as it was before the stacked pass: one
+    _numbers call and one convex_hull per sample."""
+    fr = doc["frame"]
+    frame = PencilFrame(*(scene._numbers(fr[key], 1) for key in ("g0", "g1", "h2", "h3")),
+                        fr.get("space", "primal"))
+    samples = []
+    for s in doc["samples"]:
+        theta = float(scene._numbers(s["theta"], 0))
+        verts = scene._numbers(s["vertices"], 2)
+        if verts.shape[1] != 2:
+            raise SceneFormatError("sample at theta=%s: vertices are not (u, v) pairs" % theta)
+        poly = convex_hull(verts)
+        if not np.array_equal(poly.vertices, _roll_to_min(verts)):
+            raise SceneFormatError(
+                "sample at theta=%s: vertices are not in strictly convex "
+                "counterclockwise position" % theta)
+        samples.append((theta, poly))
+    validated = doc.get("validated", False)
+    seed = doc.get("seed")
+    if not isinstance(validated, bool):
+        raise SceneFormatError("validated must be true or false")
+    if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int)):
+        raise SceneFormatError("seed must be an integer or null")
+    fan = SectionFan.create(frame, samples, validated=validated)
+    tolerances = {k: float(scene._numbers(v, 0))
+                  for k, v in dict(doc.get("tolerances", {})).items()}
+    return Scene(fan, tolerances, seed)
+
+
+def _outcome(read, text):
+    """(serialized scene, None) or (None, error message) of one reader."""
+    try:
+        return serialize(read(text)), None
+    except SceneFormatError as exc:
+        return None, str(exc)
+
+
+def _oracle_parse(text):
+    with mock.patch.object(scene, "_scene_from_doc", _oracle_scene_from_doc):
+        return parse(text)
+
+
+def _base_docs():
+    short = gen_quadric(6, 16).fan
+    secs = list(short.sections)
+    secs[1] = ConvexPolygon([[0.5, 0.25]])
+    secs[4] = ConvexPolygon([[-0.5, 0.0], [0.25, 0.75]])
+    return [json.loads(serialize(sc)) for sc in (
+        gen_quadric(6, 16), gen_random_fan(0, k=6, complexity=2, m=12),
+        Scene(short.with_sections(secs), {"eps_incid": 1e-7}, 3))]
+
+
+BASE_DOCS = _base_docs()
+OVERFLOW = 1.2345e-300  # written as 1e999 in the document text
+BAD_NUMBERS = [True, False, "0.5", float("nan"), OVERFLOW, None, 1, 10 ** 30]
+UNIT_SQUARES = [[[num(x), num(y)] for x, y in ((0, 0), (1, 0), (1, 1), (0, 1))]
+                for num in (int, float, bool)]
+
+
+@st.composite
+def edited_documents(draw):
+    """A scene document with one or two edits of its samples' vertices
+    (counts from 0 to 9, rotated, reversed, swapped, dented or duplicated
+    vertices, a unit square of integers, floats or booleans), then perhaps
+    a boolean, string, NaN, 1e999, null or integer as one theta or one
+    coordinate."""
+    doc = json.loads(json.dumps(draw(st.sampled_from(BASE_DOCS))))
+    samples = doc["samples"]
+    for _ in range(draw(st.integers(1, 2))):
+        s = samples[draw(st.integers(0, len(samples) - 1))]
+        v = s["vertices"]
+        j = draw(st.integers(0, max(len(v) - 1, 0)))
+        edit = draw(st.sampled_from(["count", "rotate", "reverse", "swap", "dent",
+                                     "duplicate", "square"]))
+        if edit == "count":
+            n = draw(st.integers(0, 9))
+            a = draw(st.floats(0, 7)) + 2 * np.pi * np.arange(n) / max(n, 1)
+            s["vertices"] = np.stack([np.cos(a), np.sin(a)], axis=1).tolist()
+        elif edit == "square":
+            s["vertices"] = [list(p) for p in draw(st.sampled_from(UNIT_SQUARES))]
+        elif not v:
+            continue
+        elif edit == "rotate":
+            s["vertices"] = v[j:] + v[:j]
+        elif edit == "reverse":
+            s["vertices"] = v[::-1]
+        elif edit == "swap":
+            v[j], v[-1] = v[-1], v[j]
+        elif edit == "dent":
+            v[j] = np.mean(v, axis=0).tolist()
+        else:
+            v.insert(j, list(v[j]))
+    s = samples[draw(st.integers(0, len(samples) - 1))]
+    where = draw(st.sampled_from(["none", "theta", "coordinate"]))
+    bad = draw(st.sampled_from(BAD_NUMBERS))
+    if where == "theta":
+        s["theta"] = bad
+    elif where == "coordinate" and s["vertices"]:
+        s["vertices"][draw(st.integers(0, len(s["vertices"]) - 1))][draw(st.integers(0, 1))] = bad
+    return json.dumps(doc).replace(repr(OVERFLOW), "1e999")
+
+
+@settings(max_examples=300, deadline=None)
+@given(edited_documents())
+def test_stacked_parse_matches_per_sample_oracle(text):
+    # same scene (compared by its serialized bytes) or the same error
+    got, want = _outcome(parse, text), _outcome(_oracle_parse, text)
+    assert got == want
+    if got[0] is not None:
+        assert got[0] == _emitted(parse(text))
+
+
+def test_parse_certifies_samples_in_one_stack_per_vertex_count(monkeypatch):
+    # a later edit must not fall back to one hull per sample
+    from ccproj import planar
+    quadrics = {m: gen_quadric(6, m).fan for m in (8, 12, 16)}
+    mixed = quadrics[8].with_sections(
+        [quadrics[m].sections[i] for i, m in enumerate((8, 12, 16, 16, 12, 8))])
+    texts = [serialize(gen_quadric(48, 256)), serialize(gen_random_fan(0)),
+             serialize(Scene(mixed))]
+    calls = []
+    cycle = planar._convex_cycle
+    monkeypatch.setattr(planar, "_convex_cycle",
+                        lambda points, eps: calls.append(points.shape) or cycle(points, eps))
+    monkeypatch.setattr(scene, "convex_hull", lambda *a, **kw: calls.append("hull"))
+    shapes = []
+    for text in texts:
+        calls.clear()
+        parse(text)
+        shapes.append(sorted(calls))
+    assert shapes == [[(48, 256, 2)], [(10, 24, 2)], [(2, 8, 2), (2, 12, 2), (2, 16, 2)]]
+
+
+def test_parse_rejects_unknown_space():
+    doc = json.loads(serialize(gen_quadric(6, 16)))
+    doc["frame"]["space"] = "Primal"
+    with pytest.raises(SceneFormatError, match="space"):
+        parse(json.dumps(doc))
+    doc["frame"]["space"] = "dual"
+    assert parse(json.dumps(doc)).fan.frame.space == "dual"
