@@ -47,7 +47,7 @@ def _resolve_tol(args, scene: Scene | None) -> Tolerances:
     if scene is not None:
         tol = scene.tol(tol)
     tol = tolerances_from_env(tol)
-    if getattr(args, "tol", None):
+    if args.tol is not None:
         tol = tol.with_base(args.tol)
     return tol
 

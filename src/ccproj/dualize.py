@@ -77,7 +77,7 @@ def _dual_sections(fan: SectionFan, params, tol: Tolerances) -> list:
     dual = -dual  # negated: the point reflection, rotated to the lexicographic minimum
     first = np.lexsort((dual[..., 1], dual[..., 0]))[:, :1]
     dual = dual[np.arange(len(dual))[:, None], (first + np.arange(dual.shape[1])) % dual.shape[1]]
-    return [ConvexPolygon(d, degenerate=False) if good
+    return [ConvexPolygon(d) if good
             else polar_dual(convex_hull(star, tol), np.zeros(2), tol).negated()
             for good, d, star in zip(ok & dual_ok, dual, stars)]
 

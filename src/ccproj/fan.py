@@ -526,7 +526,7 @@ def is_pointed(section: ConvexPolygon, arc: ArcSegment, tol: Tolerances = DEFAUL
     corners, i.e. when it contains both corners (within POINTED_EPS of its
     scale).
     """
-    corners, _ = planar.tangent_quadrangle_corners(section, arc.start, arc.end, tol)
+    corners = planar.tangent_quadrangle_corners(section, arc.start, arc.end, tol)
     if max(planar.distance(c, section) for c in corners) <= POINTED_EPS * section.scale:
         return corners[0], corners[1]
     return None

@@ -4,7 +4,7 @@ Convex polygons live in the affine chart of their plane in which the line L
 sits at infinity, so "direction points on L" are literal direction classes
 of parallel lines.  Polygons are canonically ordered (counterclockwise,
 starting at the lexicographic minimum) and degenerate polygons (single
-points and segments) are first-class, carrying an explicit flag.
+points and segments) are first-class.
 
 Hulls come from Andrew's monotone chain (de Berg et al., *Computational
 Geometry*, ch. 1) with a dedup and a collinear merge under eps.  Most hull
@@ -46,9 +46,6 @@ class DirPoint:
 
     def __post_init__(self):
         object.__setattr__(self, "angle", wrap_angle(self.angle))
-
-    def vector(self) -> np.ndarray:
-        return np.array([np.cos(self.angle), np.sin(self.angle)])
 
     def normal(self) -> np.ndarray:
         """Unit normal of lines with this direction."""
@@ -305,25 +302,26 @@ def _hull_cycle(points: np.ndarray, eps: float) -> np.ndarray:
 class ConvexPolygon:
     """Compact convex polygon; vertices ccw from the lexicographic minimum.
 
-    degenerate is True for single points and segments.
+    Degeneracy is the vertex count: single points and segments (n < 3) are
+    degenerate, every other polygon is not.
     """
 
     vertices: np.ndarray
-    degenerate: bool
 
-    def __init__(self, vertices, degenerate=None):
+    def __init__(self, vertices):
         verts = np.asarray(vertices, dtype=float).reshape(-1, 2).copy()
         if len(verts) == 0:
             raise DegenerateInput("polygon needs at least one vertex")
         verts.setflags(write=False)
         object.__setattr__(self, "vertices", verts)
-        object.__setattr__(
-            self, "degenerate", len(verts) < 3 if degenerate is None else bool(degenerate)
-        )
 
     @property
     def n(self) -> int:
         return len(self.vertices)
+
+    @property
+    def degenerate(self) -> bool:
+        return len(self.vertices) < 3
 
     @property
     def scale(self) -> float:
@@ -355,16 +353,15 @@ class ConvexPolygon:
         return np.roll(v, -1, axis=0) - v
 
     def translated(self, offset) -> "ConvexPolygon":
-        return ConvexPolygon(self.vertices + np.asarray(offset, dtype=float),
-                             degenerate=self.degenerate)
+        return ConvexPolygon(self.vertices + np.asarray(offset, dtype=float))
 
     def scaled(self, factor: float) -> "ConvexPolygon":
-        return ConvexPolygon(self.vertices * float(factor), degenerate=self.degenerate)
+        return ConvexPolygon(self.vertices * float(factor))
 
     def negated(self) -> "ConvexPolygon":
         """Point reflection through the origin, rotated back to start at
         the lexicographic minimum (a half-turn keeps ccw order)."""
-        return ConvexPolygon(_roll_to_min(-self.vertices), degenerate=self.degenerate)
+        return ConvexPolygon(_roll_to_min(-self.vertices))
 
     def __repr__(self):
         return "ConvexPolygon(n=%d%s)" % (self.n, ", degenerate" if self.degenerate else "")
@@ -651,12 +648,12 @@ def chebyshev_center(poly: ConvexPolygon):
 # ---------------------------------------------------------------------------
 
 def quadrangle_corners(support, arc_start: float, arc_end: float,
-                       tol: Tolerances = DEFAULT_TOL):
-    """(corners, intervals): the two corners (..., 2, 2) of the support
-    quadrangle whose support cones avoid the open direction arc (ccw,
-    period pi), each a 2x2 solve of two support lines, from the support
-    intervals (..., 2, 2) = support(normals) along the endpoint normals.
-    Parallel endpoint directions raise before support is called."""
+                       tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+    """The two corners (..., 2, 2) of the support quadrangle whose support
+    cones avoid the open direction arc (ccw, period pi), each a 2x2 solve of
+    two support lines, from the support intervals (..., 2, 2) =
+    support(normals) along the endpoint normals.  Parallel endpoint
+    directions raise before support is called."""
     a, b = wrap_angle(arc_start), wrap_angle(arc_end)
     s = np.sin(b - a)
     if abs(s) <= tol.eps_convex:
@@ -665,15 +662,14 @@ def quadrangle_corners(support, arc_start: float, arc_end: float,
     iv = support(normals)
     b0, b1 = (0, 1) if s > 0 else (1, 0)
     rhs = np.stack([iv[..., 0, 1], iv[..., 1, b0], iv[..., 0, 0], iv[..., 1, b1]], axis=-1)
-    return np.linalg.solve(normals, rhs.reshape(rhs.shape[:-1] + (2, 2, 1)))[..., 0], iv
+    return np.linalg.solve(normals, rhs.reshape(rhs.shape[:-1] + (2, 2, 1)))[..., 0]
 
 
 def tangent_quadrangle_corners(poly: ConvexPolygon, arc_start: float, arc_end: float,
-                               tol: Tolerances = DEFAULT_TOL):
-    """(`quadrangle_corners` of one polygon, flag for a zero-width slab)."""
-    corners, iv = quadrangle_corners(
+                               tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+    """`quadrangle_corners` of one polygon."""
+    return quadrangle_corners(
         lambda nrm: np.array([poly.support_interval(n) for n in nrm]), arc_start, arc_end, tol)
-    return corners, bool(np.any(iv[:, 1] - iv[:, 0] <= tol.eps_convex * poly.scale))
 
 
 def hulls_with_corners(verts: np.ndarray, starts, corners: np.ndarray,

@@ -42,7 +42,8 @@ class Tolerances:
 
     eps_incid and eps_rank are relative; the remaining entries are the
     defaults used by higher-level modules (relative to the scale they state
-    in their docstrings).
+    in their docstrings).  Every entry is finite and positive (ValueError
+    otherwise), whatever its source: a scene, CCPROJ_TOL or --tol.
     """
 
     eps_incid: float = 1e-9
@@ -54,6 +55,11 @@ class Tolerances:
     tol_fp: float = 1e-8
     eps_certify: float = 1e-5
     radius_cap: float = 1e8
+
+    def __post_init__(self):
+        for name, x in vars(self).items():
+            if not 0.0 < x < math.inf:  # NaN fails too
+                raise ValueError("tolerance %s must be finite and positive, got %r" % (name, x))
 
     def with_base(self, base: float) -> "Tolerances":
         """Rescale the incidence-level tolerances to a new base value."""
@@ -68,13 +74,10 @@ def finite_float(text) -> float:
     return x
 
 
-def tolerances_from_env(default: Tolerances | None = None) -> Tolerances:
-    """Default policy, honoring the CCPROJ_TOL environment override."""
-    tol = default if default is not None else Tolerances()
+def tolerances_from_env(tol: Tolerances) -> Tolerances:
+    """The policy, honoring the CCPROJ_TOL environment override."""
     raw = os.environ.get("CCPROJ_TOL")
-    if raw:
-        tol = tol.with_base(finite_float(raw))
-    return tol
+    return tol.with_base(finite_float(raw)) if raw else tol
 
 
 DEFAULT_TOL = Tolerances()
@@ -283,16 +286,15 @@ class PencilFrame:
             raise DegenerateInput("pencil frame is not orthonormal")
 
     @staticmethod
-    def standard(space: str = "primal") -> "PencilFrame":
+    def standard() -> "PencilFrame":
         e = np.eye(4)
-        return PencilFrame(e[0], e[1], e[2], e[3], space)
+        return PencilFrame(e[0], e[1], e[2], e[3])
 
     @staticmethod
-    def from_line(line: ProjLine, space: str = "primal",
-                  tol: Tolerances = DEFAULT_TOL) -> "PencilFrame":
+    def from_line(line: ProjLine, tol: Tolerances = DEFAULT_TOL) -> "PencilFrame":
         g = _orthonormal_rows(line.span, tol.eps_rank)
         h = _null_rows(g)
-        return PencilFrame(g[0], g[1], h[0], h[1], space)
+        return PencilFrame(g[0], g[1], h[0], h[1])
 
     @property
     def line(self) -> ProjLine:
@@ -366,43 +368,39 @@ def pencil_plane(frame: PencilFrame, theta: float) -> HPlane:
 # Arcs on period-pi circles (pencil parameters and direction points on L)
 # ---------------------------------------------------------------------------
 
-def wrap_angle(x: float, period: float = PI) -> float:
-    return float(x) % period
+def wrap_angle(x: float) -> float:
+    return float(x) % PI
 
 
 @dataclass(frozen=True)
 class ArcSegment:
-    """Closed arc traversed counterclockwise from start to end, period pi.
+    """Closed arc traversed counterclockwise from start to end.
 
-    Used both for pencil-parameter arcs and for arcs of direction points on L.
+    Used both for pencil-parameter arcs and for arcs of direction points on
+    L; both circles have period pi, so every arc does.
     """
 
     start: float
     end: float
-    period: float = PI
 
     def __post_init__(self):
-        object.__setattr__(self, "start", wrap_angle(self.start, self.period))
-        object.__setattr__(self, "end", wrap_angle(self.end, self.period))
+        object.__setattr__(self, "start", wrap_angle(self.start))
+        object.__setattr__(self, "end", wrap_angle(self.end))
         if abs(self.start - self.end) < 1e-15:
             raise DegenerateInput("arc endpoints coincide")
 
     @property
     def length(self) -> float:
-        return (self.end - self.start) % self.period
-
-    @property
-    def midpoint(self) -> float:
-        return wrap_angle(self.start + 0.5 * self.length, self.period)
+        return (self.end - self.start) % PI
 
     def contains(self, x: float, closed: bool = True, slack: float = 0.0) -> bool:
-        d = (wrap_angle(x, self.period) - self.start) % self.period
+        d = (wrap_angle(x) - self.start) % PI
         if closed:
             return -slack <= d <= self.length + slack
         return slack < d < self.length - slack
 
     def complement(self) -> "ArcSegment":
-        return ArcSegment(self.end, self.start, self.period)
+        return ArcSegment(self.end, self.start)
 
     def __repr__(self):
         return "ArcSegment(%.6f -> %.6f)" % (self.start, self.end)
@@ -415,4 +413,4 @@ def dual_arc(arc: ArcSegment) -> ArcSegment:
     between the duals of its endpoints, which with the canonical frames is
     the same-endpoint arc traversed the other way.
     """
-    return ArcSegment(arc.end, arc.start, arc.period)
+    return ArcSegment(arc.end, arc.start)

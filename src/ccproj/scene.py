@@ -19,7 +19,7 @@ surgeries, which preserves validity by construction.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -40,11 +40,7 @@ class Scene:
     seed: int | None = None
 
     def tol(self, base: Tolerances = DEFAULT_TOL) -> Tolerances:
-        if not self.tolerances:
-            return base
-        from dataclasses import replace
-        known = {k: v for k, v in self.tolerances.items() if hasattr(base, k)}
-        return replace(base, **known)
+        return replace(base, **self.tolerances)
 
 
 # ---------------------------------------------------------------------------
@@ -168,6 +164,7 @@ def _scene_from_doc(doc: dict) -> Scene:
     fan = SectionFan.create(frame, samples, validated=validated)
     tolerances = {k: float(_numbers(v, 0))
                   for k, v in dict(doc.get("tolerances", {})).items()}
+    replace(DEFAULT_TOL, **tolerances)  # TypeError for an unknown key, ValueError for a bad value
     return Scene(fan, tolerances, seed)
 
 
@@ -175,10 +172,9 @@ def _scene_from_doc(doc: dict) -> Scene:
 # Generators
 # ---------------------------------------------------------------------------
 
-def _mgon(radius: float, m: int, center=(0.0, 0.0), phase: float = 0.0) -> ConvexPolygon:
-    a = phase + 2.0 * PI * np.arange(m) / m
-    return convex_hull(np.stack([center[0] + radius * np.cos(a),
-                                 center[1] + radius * np.sin(a)], axis=1))
+def _mgon(radius: float, m: int) -> ConvexPolygon:
+    a = 2.0 * PI * np.arange(m) / m
+    return convex_hull(np.stack([radius * np.cos(a), radius * np.sin(a)], axis=1))
 
 
 def quadric_thetas(k: int) -> np.ndarray:

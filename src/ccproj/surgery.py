@@ -54,11 +54,10 @@ def surgery_s(fan: SectionFan, arc: ArcSegment, tol: Tolerances = DEFAULT_TOL) -
         raise DegenerateInput("surgery arc must be proper")
     keep = [(float(t), s) for t, s in zip(fan.thetas, fan.sections)
             if not arc.contains(float(t), closed=False, slack=THETA_EPS * 10)]
-    new = list(keep)
-    for endpoint in (arc.start, arc.end):
-        if all(abs(endpoint - t) > THETA_EPS * 10
-               and PI - abs(endpoint - t) > THETA_EPS * 10 for t, _ in keep):
-            new.append((endpoint, section_at(fan, endpoint, tol)))
+    # a removed sample is farther than THETA_EPS * 10 from both endpoints,
+    # so an endpoint at a sample is at a kept one
+    new = keep + [(e, section_at(fan, e, tol)) for e in (arc.start, arc.end)
+                  if fan.sample_index_at(e) is None]
     if len(new) < 3:
         raise DegenerateInput("surgery would leave fewer than 3 samples")
     return SectionFan.create(fan.frame, new, validated=fan.validated)
@@ -76,14 +75,14 @@ def pointify(section: ConvexPolygon, arc: ArcSegment,
     arc's endpoint directions) whose support cones avoid the open arc, each
     in place of the run of edges it sees (`planar.hulls_with_corners`).
     """
-    corners, _ = planar.tangent_quadrangle_corners(section, arc.start, arc.end, tol)
+    corners = planar.tangent_quadrangle_corners(section, arc.start, arc.end, tol)
     return planar.hulls_with_corners(section.vertices, [0], corners[None], tol)[0]
 
 
 def surgery_p(fan: SectionFan, arc: ArcSegment, tol: Tolerances = DEFAULT_TOL) -> SectionFan:
     """Point every sample section with respect to the arc on L: `pointify`
     on the whole fan, its corners from one `support_intervals` call."""
-    corners, _ = planar.quadrangle_corners(
+    corners = planar.quadrangle_corners(
         lambda nrm: support_intervals(fan, nrm).transpose(1, 0, 2), arc.start, arc.end, tol)
     new = planar.hulls_with_corners(*fan.vertex_stack[:2], corners, tol)
     return SectionFan(fan.frame, fan.thetas, new, validated=fan.validated)
@@ -108,13 +107,19 @@ def _octagons(verts: np.ndarray, starts, angles: np.ndarray, tol: Tolerances) ->
     normals s_j (n_i, then -n_i), touch the section at support points p_j:
     vertex j is p_j + t (ccw direction of side j), t = s_{j+1} . (p_{j+1} -
     p_j) / sin(gap) >= 0, exact where p_{j+1} = p_j even for nearly
-    parallel sides, where support values would lose it."""
+    parallel sides, where support values would lose it.  Vertices tying
+    for the float max of s_j . v (both ends of a short edge on a nearly
+    parallel side, say) yield their exact max, the first on exact ties."""
     sides = np.array([DirPoint(a).normal() for a in angles])
     sides = np.concatenate([sides, -sides])
-    vals = verts @ sides.T
-    top = np.repeat(np.maximum.reduceat(vals, starts), np.diff(np.append(starts, len(verts))), 0)
-    rows = np.arange(len(verts))[:, None]
-    p = verts[np.minimum.reduceat(np.where(vals == top, rows, len(verts)), starts)]
+    vals, counts = verts @ sides.T, np.diff(np.append(starts, len(verts)))
+    top = vals == np.repeat(np.maximum.reduceat(vals, starts), counts, 0)
+    first = np.minimum.reduceat(np.where(top, np.arange(len(verts))[:, None], len(verts)), starts)
+    for i, j in zip(*np.nonzero(np.add.reduceat(top.astype(int), starts) > 1)):
+        tied = starts[i] + np.flatnonzero(top[starts[i]:starts[i] + counts[i], j])
+        first[i, j] = max(tied, key=lambda r: sum(Fraction(a) * Fraction(x)
+                                                  for a, x in zip(sides[j], verts[r])))
+    p = verts[first]
     nxt, step = np.roll(sides, -1, axis=0), np.roll(p, -1, axis=1) - p
     sin_gap = [float(Fraction(a) * Fraction(d) - Fraction(b) * Fraction(c))  # no cancellation
                for (a, b), (c, d) in zip(sides, nxt)]

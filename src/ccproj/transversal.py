@@ -117,9 +117,6 @@ class SolverChart:
     def scale(self) -> float:
         return max(max(p.scale for p in self.polys), 1.0)
 
-    def diameter(self) -> float:
-        return max(p.diameter() for p in self.polys)
-
 
 def build_solver_chart(fan: SectionFan, subset=None) -> SolverChart:
     """Solver chart for a fan restricted to a sample subset.
@@ -448,7 +445,6 @@ def helly_verify(fan: SectionFan, tol: Tolerances = DEFAULT_TOL,
 class BrowderResult:
     converged: bool
     iterations: int
-    final_step: float
     line: TransversalLine | None
 
 
@@ -476,16 +472,14 @@ def browder_four_sections(fan: SectionFan, indices=(0, 1, 2, 3),
     x2s = None
     for it in range(1, BROWDER_MAX_ITER + 1):
         r13 = (h[2] - h[0]) / (h[1] - h[0])
-        pre3 = ConvexPolygon(a1[None, :] + (A3.vertices - a1[None, :]) / r13,
-                             degenerate=A3.degenerate)
+        pre3 = ConvexPolygon(a1[None, :] + (A3.vertices - a1[None, :]) / r13)
         X2 = planar.intersect_polygons(A2, pre3, tol)
         if X2 is None:
             raise EmptySelection("no line through a1 meets sections 2 and 3")
         x2s = chebyshev_center(X2)
         b3 = a1 + (x2s - a1) * r13
         r34 = (h[3] - h[2]) / (h[0] - h[2])
-        pre4 = ConvexPolygon(b3[None, :] + (A4.vertices - b3[None, :]) / r34,
-                             degenerate=A4.degenerate)
+        pre4 = ConvexPolygon(b3[None, :] + (A4.vertices - b3[None, :]) / r34)
         X1 = planar.intersect_polygons(A1, pre4, tol)
         if X1 is None:
             raise EmptySelection("no line through the third hit meets sections 4 and 1")
@@ -496,7 +490,7 @@ def browder_four_sections(fan: SectionFan, indices=(0, 1, 2, 3),
             break
     converged = step <= stop
     if not converged:
-        return BrowderResult(False, it, step, None)
+        return BrowderResult(False, it, None)
     beta1 = float(chart.betas()[1])
     q = np.zeros(4)
     # reconstruct reference-plane hits from a1 (height h1) and x2s (height h2)
@@ -505,8 +499,7 @@ def browder_four_sections(fan: SectionFan, indices=(0, 1, 2, 3),
     q[2:4] = a1 + d
     problem = MinimaxProblem(chart, np.zeros((4, 2)))
     res = problem.residuals(q)
-    return BrowderResult(True, it, step,
-                         _transversal_line(problem, q, res, float(np.max(res)), 0.0, it))
+    return BrowderResult(True, it, _transversal_line(problem, q, res, float(np.max(res)), 0.0, it))
 
 
 # ---------------------------------------------------------------------------
@@ -535,7 +528,7 @@ def _plane_hit(frame: PencilFrame, line: ProjLine, theta: float):
             float(x @ frame.origin(theta)))
 
 
-def line_hits_in_charts(fan: SectionFan, line: ProjLine, tol: Tolerances = DEFAULT_TOL):
+def line_hits_in_charts(fan: SectionFan, line: ProjLine):
     """Unit-chart coordinates of the line's hit point in every sample plane."""
     hits = []
     for t in fan.thetas:
@@ -560,7 +553,7 @@ def certify_line(fan: SectionFan, line: ProjLine, eps: float = None,
         raise DegenerateInput("line meets L")
     if eps is None:
         eps = tol.eps_certify * max(1.0, fan.diameter())
-    hits = line_hits_in_charts(fan, line, tol)
+    hits = line_hits_in_charts(fan, line)
     res = []
     for i, h in enumerate(hits):
         if h is None:
@@ -580,15 +573,12 @@ def certify_line(fan: SectionFan, line: ProjLine, eps: float = None,
 class HalfplaneTransversal:
     line: ProjLine
     margins: np.ndarray
-    hits: tuple
-    directions: np.ndarray
     dual_residual: float
     certificate: LineCertificate
 
 
 def support_halfplane_transversal(fan: SectionFan, halfplanes,
-                                  tol: Tolerances = DEFAULT_TOL,
-                                  seed: int = 0) -> HalfplaneTransversal:
+                                  tol: Tolerances = DEFAULT_TOL) -> HalfplaneTransversal:
     """Find a line meeting every supplied supporting half-plane.
 
     halfplanes: iterable of (theta, normal, offset) with the section at
@@ -639,16 +629,13 @@ def support_halfplane_transversal(fan: SectionFan, halfplanes,
                                          PI - np.abs(dual.thetas - d))))
                 for d in dirs]
     result = chebyshev_line(dual, subset=kink_idx, tol=tol,
-                            target=1e-9 * max(1.0, dual.diameter()), seed=seed)
+                            target=1e-9 * max(1.0, dual.diameter()))
     dual_resid = result.value
     line = dual_of_found_line(result.line, dual.frame, tol)
     cert = certify_line(octa, line, tol=tol)
 
-    hits = []
     margins = []
     for theta, n, c, _ in entries:
         _, xy, lam = _plane_hit(fan.frame, line, theta)
-        hits.append(xy / lam)
-        margins.append(c - float(n @ hits[-1]))
-    return HalfplaneTransversal(line, np.array(margins), tuple(hits), dirs,
-                                float(dual_resid), cert)
+        margins.append(c - float(n @ (xy / lam)))
+    return HalfplaneTransversal(line, np.array(margins), float(dual_resid), cert)

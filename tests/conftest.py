@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from ccproj import PencilFrame, SectionFan, convex_hull, gen_quadric
+from ccproj.projcore import PI
 
 
 def mgon(radius, m, center=(0.0, 0.0), phase=0.0):
@@ -20,7 +21,7 @@ def mark_validated(fan):
 
 def interior_points(arc, n):
     """n parameters strictly inside the arc, evenly spaced."""
-    return (arc.start + (np.arange(n) + 1.0) / (n + 1.0) * arc.length) % arc.period
+    return (arc.start + (np.arange(n) + 1.0) / (n + 1.0) * arc.length) % PI
 
 
 def merged_angles(angles, tol):

@@ -477,7 +477,7 @@ def test_is_pointed_disk_and_pointified():
     disk = mgon(1.0, 64)
     arc = ArcSegment(0.0, np.pi / 2)
     assert is_pointed(disk, arc) is None
-    corners, _ = tangent_quadrangle_corners(disk, arc.start, arc.end)
+    corners = tangent_quadrangle_corners(disk, arc.start, arc.end)
     grown = convex_hull(np.vstack([disk.vertices, corners]))
     got = is_pointed(grown, arc)
     assert got is not None
@@ -490,7 +490,7 @@ def hausdorff_is_pointed(section, arc, tol=DEFAULT_TOL):
     """Reference oracle: the former is_pointed, which hulls the section with
     the two admissible tangent-quadrangle corners and compares the result
     with the section by Hausdorff distance."""
-    corners, _ = tangent_quadrangle_corners(section, arc.start, arc.end, tol)
+    corners = tangent_quadrangle_corners(section, arc.start, arc.end, tol)
     grown = planar.hulls_with_corners(section.vertices, [0], corners[None], tol)[0]
     if hausdorff(grown, section) <= 1e-7 * max(section.scale, 1.0):
         return corners[0], corners[1]
@@ -509,7 +509,7 @@ def pointing_cases(draw):
     pointed = pointify(section, arc)
     if kind == "pointed" or pointed.n < 3:
         return pointed, arc
-    corners, _ = tangent_quadrangle_corners(pointed, arc.start, arc.end)
+    corners = tangent_quadrangle_corners(pointed, arc.start, arc.end)
     v = pointed.vertices
     i = int(np.argmin(np.linalg.norm(v - corners[draw(st.integers(0, 1))], axis=1)))
     d = 10.0 ** draw(st.floats(-10.0, -5.0)) * pointed.scale
@@ -524,7 +524,7 @@ def test_is_pointed_matches_hausdorff_oracle(case):
     # the corner distances decide pointedness as the hull's Hausdorff
     # distance did, away from the hull's own eps around the threshold
     section, arc = case
-    corners, _ = tangent_quadrangle_corners(section, arc.start, arc.end)
+    corners = tangent_quadrangle_corners(section, arc.start, arc.end)
     far = max(planar.distance(c, section) for c in corners)
     assume(abs(far - 1e-7 * section.scale) > 1e-8 * section.scale)
     got, ref = is_pointed(section, arc), hausdorff_is_pointed(section, arc)

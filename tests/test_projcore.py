@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ccproj import (ArcSegment, DegenerateInput, HPlane, HPoint, PencilFrame,
-                    ProjLine, canonicalize, dual_arc, dual_line, incident,
+                    ProjLine, Tolerances, canonicalize, dual_arc, dual_line, incident,
                     join_points, meet_line_plane, meet_planes, pencil_plane)
 from ccproj.projcore import PI
 
@@ -155,3 +155,12 @@ def test_arc_segment():
     assert d.start == arc.end and d.end == arc.start
     with pytest.raises(DegenerateInput):
         ArcSegment(1.0, 1.0)
+
+
+@pytest.mark.parametrize("bad", [0.0, -1e-9, np.nan, np.inf, -np.inf])
+def test_tolerances_must_be_finite_and_positive(bad):
+    for name in ("eps_incid", "eps_convex", "radius_cap"):
+        with pytest.raises(ValueError, match=name):
+            Tolerances(**{name: bad})
+    with pytest.raises(ValueError, match="eps_incid"):
+        Tolerances().with_base(bad)

@@ -96,12 +96,20 @@ def _swapped(vertices, i, j):
     lambda d: _put(d, "7", "seed"),
     lambda d: _put(d, d["samples"][2]["vertices"][::-1], "samples", 2, "vertices"),
     lambda d: _put(d, _swapped(d["samples"][2]["vertices"], 4, 5), "samples", 2, "vertices"),
+    lambda d: _put(d, {"with_base": 1e-9}, "tolerances"),
+    lambda d: _put(d, {"__doc__": 1e-9}, "tolerances"),
+    lambda d: _put(d, {"bogus": 1e-9}, "tolerances"),
+    lambda d: _put(d, {'eps"convex': 1e-9}, "tolerances"),
+    lambda d: _put(d, {"eps_convex": 0.0}, "tolerances"),
+    lambda d: _put(d, {"eps_convex": -1.0}, "tolerances"),
 ], ids=["no-frame", "no-samples", "no-theta", "no-vertices", "samples-int",
         "two-samples", "empty-vertices", "frame-int", "sample-int", "short-g0",
         "tolerances-int", "tolerance-str", "nan-theta", "nan-str-theta",
         "nan-vertex", "nan-point", "inf-vertex", "overflow-vertex",
         "minus-inf-frame", "nan-tolerance", "validated-str", "validated-int",
-        "seed-float", "seed-str", "clockwise", "two-vertices-swapped"])
+        "seed-float", "seed-str", "clockwise", "two-vertices-swapped",
+        "tolerance-method", "tolerance-dunder", "tolerance-unknown",
+        "tolerance-quote", "tolerance-zero", "tolerance-negative"])
 def test_malformed_scene_exits_2(edit, monkeypatch, capsys):
     import io
     from ccproj import cli
@@ -153,6 +161,25 @@ def test_cli_rejects_non_finite_numbers(argv, env, tmp_path, monkeypatch, capsys
     assert rc == 2
     assert captured.out == ""
     assert "finite" in captured.err
+
+
+@pytest.mark.parametrize("argv,env", [
+    (["--tol=-1", "validate"], None),
+    (["--tol=0", "validate"], None),
+    (["validate"], "-1"),
+    (["validate"], "0"),
+], ids=["tol-negative", "tol-zero", "env-tol-negative", "env-tol-zero"])
+def test_cli_rejects_nonpositive_tolerances(argv, env, tmp_path, monkeypatch, capsys):
+    from ccproj import cli
+    path = tmp_path / "q.json"
+    path.write_text(serialize(gen_quadric(6, 16)))
+    if env is not None:
+        monkeypatch.setenv("CCPROJ_TOL", env)
+    rc = cli.main(argv + ["--in", str(path)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert "finite and positive" in captured.err
 
 
 def test_parse_orders_short_samples():
@@ -291,7 +318,7 @@ def test_cli_browder_fallback_keeps_its_sections(tmp_path, monkeypatch, capsys):
     scene_path.write_text(serialize(gen_quadric(8, 24)))
     monkeypatch.setattr(transversal, "browder_four_sections",
                         lambda fan, idx, tol: transversal.BrowderResult(
-                            False, 500, 1.0, None))
+                            False, 500, None))
     subsets = []
     chebyshev_line = transversal.chebyshev_line
     monkeypatch.setattr(transversal, "chebyshev_line",

@@ -2,16 +2,17 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ccproj import cli, planar, surgery
 from ccproj import (DEFAULT_TOL, ArcSegment, DegenerateQuadrangle, DirPoint,
-                    DuplicateDirections, SectionFan, contains_polygon, convex_hull,
+                    DuplicateDirections, PencilFrame, SectionFan, contains_polygon, convex_hull,
                     gen_quadric, gen_random_fan, hausdorff, is_pointed, l_dual, octagonalize,
                     octagonalize_section, octagonalize_via_pointing, pointify,
                     section_at, serialize, sp_duality_check, surgery_p, surgery_s,
                     validate)
+from ccproj.fan import THETA_EPS
 from ccproj.planar import ConvexPolygon, tangent_quadrangle_corners
 from ccproj.projcore import PI, DegenerateInput, dual_arc, wrap_angle
 from conftest import default_dual_params, interior_points, mark_validated, merged_angles, mgon
@@ -61,6 +62,68 @@ def test_surgery_s_no_interior_samples(quad_sym):
                          section_at(quad_sym, float(t))) < 1e-12
 
 
+def surgery_s_oracle(fan, arc, tol=DEFAULT_TOL):
+    """surgery_s with its former endpoint test: an endpoint is inserted
+    unless it lies within THETA_EPS * 10 (mod pi) of a kept sample, every
+    kept sample compared in turn."""
+    if arc.length >= PI - THETA_EPS:
+        raise DegenerateInput("surgery arc must be proper")
+    keep = [(float(t), s) for t, s in zip(fan.thetas, fan.sections)
+            if not arc.contains(float(t), closed=False, slack=THETA_EPS * 10)]
+    new = list(keep)
+    for endpoint in (arc.start, arc.end):
+        if all(abs(endpoint - t) > THETA_EPS * 10
+               and PI - abs(endpoint - t) > THETA_EPS * 10 for t, _ in keep):
+            new.append((endpoint, section_at(fan, endpoint, tol)))
+    if len(new) < 3:
+        raise DegenerateInput("surgery would leave fewer than 3 samples")
+    return SectionFan.create(fan.frame, new, validated=fan.validated)
+
+
+@st.composite
+def fans_and_endpoint_arcs(draw):
+    """A fan of 3 to 7 scaled octagons and an arc whose endpoints are
+    either anywhere or 0 to 20 THETA_EPS from a sample, on either side
+    (across 0 and pi too)."""
+    thetas = draw(st.lists(st.one_of(st.just(0.0), st.floats(0.0, PI, exclude_max=True)),
+                           min_size=3, max_size=7, unique=True).map(sorted))
+    assume(np.all(np.diff(thetas) > THETA_EPS))
+    sizes = draw(st.lists(st.floats(0.5, 2.0), min_size=len(thetas), max_size=len(thetas)))
+    fan = SectionFan.create(PencilFrame.standard(),
+                            [(t, mgon(r, 8)) for t, r in zip(thetas, sizes)])
+
+    def endpoint():
+        if draw(st.booleans()):
+            return draw(st.floats(0.0, PI, exclude_max=True))
+        off = draw(st.floats(0.0, 20.0 * THETA_EPS)) * draw(st.sampled_from([-1.0, 1.0]))
+        return draw(st.sampled_from(thetas)) + off
+
+    a, b = endpoint(), endpoint()
+    assume(abs(wrap_angle(a) - wrap_angle(b)) >= 1e-15)
+    return fan, ArcSegment(a, b)
+
+
+@settings(max_examples=300, deadline=None)
+@given(fans_and_endpoint_arcs())
+def test_surgery_s_matches_endpoint_loop_oracle(case):
+    # an endpoint at a sample (sample_index_at) is at a kept sample: every
+    # removed sample lies farther than THETA_EPS * 10 from both endpoints
+    fan, arc = case
+    outcome = []
+    for run in (surgery_s, surgery_s_oracle):
+        try:
+            outcome.append(run(fan, arc))
+        except DegenerateInput as exc:
+            outcome.append(str(exc))
+    got, want = outcome
+    if isinstance(want, str):
+        assert got == want
+        return
+    assert np.array_equal(got.thetas, want.thetas)
+    assert all(np.array_equal(p.vertices, q.vertices)
+               for p, q in zip(got.sections, want.sections))
+
+
 def test_pointify_disk():
     disk = mgon(1.0, 64)
     arc = ArcSegment(0.0, np.pi / 2)
@@ -84,7 +147,7 @@ def test_pointify_minimality_vertex_deletion():
     disk = mgon(1.0, 32)
     arc = ArcSegment(0.0, np.pi / 2)
     out = pointify(disk, arc)
-    added, _ = tangent_quadrangle_corners(disk, arc.start, arc.end)
+    added = tangent_quadrangle_corners(disk, arc.start, arc.end)
     for v in added:
         rest = [u for u in out.vertices if np.linalg.norm(u - v) > 1e-9]
         assert is_pointed(convex_hull(rest), arc) is None
@@ -97,7 +160,7 @@ def test_pointify_degenerate_segment():
     seg = ConvexPolygon([[-1.0, 0.0], [1.0, 0.0]])
     arc = ArcSegment(0.0, np.pi / 2)
     out = pointify(seg, arc)
-    corners, _ = tangent_quadrangle_corners(seg, arc.start, arc.end)
+    corners = tangent_quadrangle_corners(seg, arc.start, arc.end)
     assert sorted(map(tuple, np.round(corners, 12))) == [(-1.0, 0.0), (1.0, 0.0)]
     assert hausdorff(out, seg) < 1e-12  # the segment is already pointed here
     got = is_pointed(seg, arc)
@@ -387,7 +450,7 @@ def test_tangent_corners_match_oracle(bench):
     for fan in bench[:6]:
         for s in fan.sections:
             a, b = rng.uniform(0.0, PI, size=2)
-            got, _ = tangent_quadrangle_corners(s, a, b)
+            got = tangent_quadrangle_corners(s, a, b)
             assert np.array_equal(got, ref_tangent_quadrangle_corners(s, a, b))
 
 
@@ -436,6 +499,10 @@ def exact_octagon(section, angles):
 
 @settings(max_examples=300, deadline=None)
 @given(hull_sections, oct_angle_sets())
+# both ends of a short edge round to one support value on the near-parallel
+# sides; the support point must be the far end, the exact maximum
+@example(convex_hull([[0.0, 1.0], [1.01e-9, 1.0]]),
+         np.array([0.0, 1.01e-9, 2.02e-9, 3.03e-9]))
 def test_octagonalize_section_matches_exact_oracle(section, angles):
     surgery._oct_angles(angles)  # the drawn gaps are distinct classes
     assert_close_superset(octagonalize_section(section, angles),
