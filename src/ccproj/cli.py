@@ -10,14 +10,16 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
 from . import dualize, eulercalc, surgery, transversal
 from .fan import section_at, validate
-from .projcore import (PI, ArcSegment, GeometryError, ProjLine, Tolerances,
-                       finite_float, tolerances_from_env)
+from .projcore import (PI, DEFAULT_TOL, ArcSegment, GeometryError, ProjLine, Tolerances,
+                       finite_float)
 from .scene import (Scene, SceneFormatError, export_mesh, gen_quadric,
                     gen_random_fan, parse, serialize)
 
@@ -43,10 +45,12 @@ def _write_fan(path: str | None, fan, scene: Scene):
 
 
 def _resolve_tol(args, scene: Scene | None) -> Tolerances:
-    tol = Tolerances()
-    if scene is not None:
-        tol = scene.tol(tol)
-    tol = tolerances_from_env(tol)
+    """--tol > CCPROJ_TOL > scene > default, each applied over the next, so
+    a bad CCPROJ_TOL exits 2 even under --tol."""
+    tol = DEFAULT_TOL if scene is None else replace(DEFAULT_TOL, **scene.tolerances)
+    raw = os.environ.get("CCPROJ_TOL")
+    if raw:
+        tol = tol.with_base(finite_float(raw))
     if args.tol is not None:
         tol = tol.with_base(args.tol)
     return tol

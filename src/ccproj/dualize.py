@@ -21,9 +21,9 @@ from __future__ import annotations
 import numpy as np
 
 from . import planar
-from .fan import (ProjectionProfile, SectionFan, THETA_EPS, _distinct_angles, event_angles,
-                  hull_slice, in_unwrapped_chart, is_pointed, plane_margin, section_at,
-                  support_intervals, validate)
+from .fan import (SectionFan, THETA_EPS, _distinct_angles, event_angles, hull_slice,
+                  in_unwrapped_chart, is_pointed, plane_margin, profile_stars, section_at,
+                  validate)
 from .planar import ConvexPolygon, convex_hull, hausdorff, polar_dual
 from .projcore import (PI, DEFAULT_TOL, ArcSegment, GeometryError, PencilFrame,
                        ProjLine, Tolerances, dual_arc, dual_line, wrap_angle)
@@ -44,25 +44,21 @@ class IntersectsDualL(GeometryError):
 def _dual_sections(fan: SectionFan, params, tol: Tolerances) -> list:
     """Dual sections at the centers params on L, in one stacked pass.
 
-    Per center psi: the support intervals W of (-sin psi, cos psi) (one
-    `support_intervals` row, as `project_from` takes it), the straddle
-    test, the hull of the 2k profile endpoints, the polar dual around the
-    marked point and the chart's point reflection.  Both hulls are taken by
+    Per center psi: the straddle test and the profile star polygon
+    (`fan.profile_stars`, the projection profile of `project_from`), the
+    hull of its 2k endpoints, the polar dual around the marked point and
+    the chart's point reflection.  Both hulls are taken by
     `planar._convex_cycle` on the whole (P, 2k, 2) stack, and every other
     step is elementwise or a reduction along one row, in the float
     operations of `convex_hull`, `polar_dual` and `negated`, so each
     certified section equals the per-center result bit for bit.  Rows
     either certificate declines run through those functions themselves.
     """
-    psi = [wrap_angle(float(p)) for p in params]
-    W = support_intervals(fan, [[-np.sin(p), np.cos(p)] for p in psi])
-    eps_w = tol.eps_convex * np.maximum(np.max(np.abs(W), axis=(1, 2)), 1e-30)[:, None]
-    straddle = np.all(W[..., 0] < -eps_w, axis=1) & np.all(W[..., 1] > eps_w, axis=1)
+    straddle, stars = profile_stars(fan, np.array([wrap_angle(float(p)) for p in params]), tol)
     if not straddle.all():
         raise InvalidInput(
             "projection from psi=%.6f does not surround the marked point; "
             "the fan is outside the validated envelope" % params[np.argmin(straddle)])
-    stars = ProjectionProfile(fan.frame, np.array(psi), fan.thetas, W).endpoints()
     scale = np.maximum(1.0, np.max(np.abs(stars), axis=(1, 2)))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # declined rows
         ok, v = planar._convex_cycle(stars, tol.eps_convex * scale)

@@ -19,7 +19,8 @@ covered part of the ray at angle phi starts at radius 1/upper(phi), and
 inside a gap r * upper(phi) is a linear function of the chart point, since
 kappa equals the constant sin(theta_j - theta_i) there.  So the closure of
 the projection complement is the star polygon through the 2k profile
-endpoints, and validate decides its convexity vertex by vertex, for every
+endpoints (profile_stars, with the test that the profile straddles the
+marked point), and validate decides its convexity vertex by vertex, for every
 center on L: between two event_angles each star vertex moves with one
 support vertex, and every check is monotone or has a closed-form extreme.
 
@@ -188,44 +189,15 @@ def section_at(fan: SectionFan, theta: float, tol: Tolerances = DEFAULT_TOL) -> 
 # Projection profiles
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ProjectionProfile:
-    """Radial profile of the body's projection from a center t on L.
+def project_from(fan: SectionFan, t, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+    """Projection profile of the fan from a center t on L: the (k, 2)
+    support intervals of w = -u sin(psi) + v cos(psi) over the sections.
 
     The projection lives in RP^2 with marked point c = pi(L); the chart is
-    centered at c with the polar line of c at infinity.  For each sample,
-    w_intervals[i] is the (min, max) of the linear functional
-    w = -u sin(psi) + v cos(psi) over the section polygon; the covered part
-    of the pencil line at theta_i is the set of points d(theta_i)/w,
-    w in the interval, which never contains c.
-    """
-
-    frame: PencilFrame
-    center_psi: float
-    thetas: np.ndarray
-    w_intervals: np.ndarray
-
-    def endpoints(self) -> np.ndarray:
-        """Vertices of the profile star polygon in angular order, (2k, 2):
-        d(theta_i)/max_i for every sample, then d(theta_i)/min_i.  When the
-        profile straddles c, this polygon is the closure of the projection
-        complement (see the module docstring).  A (P, k, 2) stack of
-        intervals gives a (P, 2k, 2) stack of polygons."""
-        d = np.stack([-np.sin(self.thetas), np.cos(self.thetas)], axis=1)
-        w = self.w_intervals
-        return np.concatenate([d / w[..., 1:], d / w[..., :1]], axis=-2)
-
-    def straddles(self, eps: float) -> bool:
-        """True when every sample interval has endpoints on both sides of c."""
-        return bool(np.all(self.w_intervals[:, 0] < -eps)
-                    and np.all(self.w_intervals[:, 1] > eps))
-
-
-def project_from(fan: SectionFan, t, tol: Tolerances = DEFAULT_TOL) -> ProjectionProfile:
-    """Projection profile of the fan from a center t on L.
-
-    t may be an angle psi, a raw 4-vector, or an HPoint; it must lie on L
-    within the incidence tolerance.
+    centered at c with the polar line of c at infinity.  The covered part
+    of the pencil line at theta_i is the set of points d(theta_i)/w, w in
+    row i, which never contains c.  t may be an angle psi, a raw 4-vector,
+    or an HPoint; it must lie on L within the incidence tolerance.
     """
     frame = fan.frame
     if isinstance(t, (int, float)):
@@ -235,8 +207,26 @@ def project_from(fan: SectionFan, t, tol: Tolerances = DEFAULT_TOL) -> Projectio
         if frame.off_l_distance(coords) > tol.eps_incid * 1e3:
             raise CenterNotOnL("projection center must lie on L")
         psi = frame.angle_of_l_point(coords)
-    func = np.array([-np.sin(psi), np.cos(psi)])
-    return ProjectionProfile(frame, psi, fan.thetas, support_intervals(fan, func))
+    return support_intervals(fan, np.array([-np.sin(psi), np.cos(psi)]))
+
+
+def profile_stars(fan: SectionFan, psi: np.ndarray, tol: Tolerances):
+    """(straddle, stars) of the projections from the centers psi (P,) on L.
+
+    straddle[p] holds when every sample's support interval (project_from)
+    has its ends on both sides of c, beyond eps_convex times the center's
+    largest |w|.  stars[p] is the profile star polygon (2k, 2) in angular
+    order: d(theta_i)/max_i for every sample, then d(theta_i)/min_i, with
+    d(theta) = (-sin theta, cos theta).  Where the profile straddles c it
+    is the closure of the projection complement (see the module
+    docstring); a center that fails takes the stand-in interval [-1, 1].
+    """
+    W = support_intervals(fan, np.stack([-np.sin(psi), np.cos(psi)], axis=1))
+    eps_w = tol.eps_convex * np.maximum(np.max(np.abs(W), axis=(1, 2)), 1e-30)[:, None]
+    straddle = np.all((W[..., 0] < -eps_w) & (W[..., 1] > eps_w), axis=1)
+    W = np.where(straddle[:, None, None], W, [-1.0, 1.0])
+    d = np.stack([-np.sin(fan.thetas), np.cos(fan.thetas)], axis=1)
+    return straddle, np.concatenate([d / W[..., 1:], d / W[..., :1]], axis=-2)
 
 
 def support_intervals(fan: SectionFan, funcs) -> np.ndarray:
@@ -392,8 +382,8 @@ def _cross(p, q):
 
 
 def _center_checks(fan: SectionFan, tol: Tolerances) -> list:
-    """CenterCheck at every event angle, from one pass over the (P, k, 2)
-    support intervals and the (P, 2k, 2) profile star polygons p.
+    """CenterCheck at every event angle, from the straddle flags and the
+    (P, 2k, 2) profile star polygons p of one `profile_stars` pass.
 
     The chord from p[i-1] to p[i+1] crosses the ray of p[i] at s * p[i],
     s = (p[i-1] x p[i+1]) / (p[i] x (p[i+1] - p[i-1])); r * upper - 1 is
@@ -416,11 +406,7 @@ def _center_checks(fan: SectionFan, tol: Tolerances) -> list:
       |w| is concave on the span.
     """
     psi = event_angles(fan)
-    W = support_intervals(fan, np.stack([-np.sin(psi), np.cos(psi)], axis=1))
-    eps_w = tol.eps_convex * np.maximum(np.max(np.abs(W), axis=(1, 2)), 1e-30)[:, None]
-    straddle = np.all((W[..., 0] < -eps_w) & (W[..., 1] > eps_w), axis=1)
-    W = np.where(straddle[:, None, None], W, [-1.0, 1.0])  # stand-in for failed centers
-    pts = ProjectionProfile(fan.frame, psi, fan.thetas, W).endpoints()
+    straddle, pts = profile_stars(fan, psi, tol)
     prev, nxt = np.roll(pts, 1, axis=1), np.roll(pts, -1, axis=1)
     worst = np.max(_cross(prev, nxt) / _cross(pts, nxt - prev), axis=1) - 1.0
     na = (nxt - pts)[..., ::-1] * [1.0, -1.0] / _cross(pts, nxt)[..., None]

@@ -35,30 +35,6 @@ class DegenerateQuadrangle(DegenerateInput):
 
 
 # ---------------------------------------------------------------------------
-# Direction points on L
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class DirPoint:
-    """Point on the chart's line at infinity: a direction class, period pi."""
-
-    angle: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "angle", wrap_angle(self.angle))
-
-    def normal(self) -> np.ndarray:
-        """Unit normal of lines with this direction."""
-        return np.array([-np.sin(self.angle), np.cos(self.angle)])
-
-
-def _as_angle(d) -> float:
-    if isinstance(d, DirPoint):
-        return d.angle
-    return wrap_angle(float(d))
-
-
-# ---------------------------------------------------------------------------
 # Convex polygons
 # ---------------------------------------------------------------------------
 
@@ -658,7 +634,7 @@ def quadrangle_corners(support, arc_start: float, arc_end: float,
     s = np.sin(b - a)
     if abs(s) <= tol.eps_convex:
         raise DegenerateQuadrangle("arc endpoints give parallel tangent directions")
-    normals = np.array([DirPoint(a).normal(), DirPoint(b).normal()])
+    normals = np.array([[-np.sin(a), np.cos(a)], [-np.sin(b), np.cos(b)]])
     iv = support(normals)
     b0, b1 = (0, 1) if s > 0 else (1, 0)
     rhs = np.stack([iv[..., 0, 1], iv[..., 1, b0], iv[..., 0, 0], iv[..., 1, b1]], axis=-1)

@@ -12,7 +12,6 @@ sharing across threads is safe.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -72,12 +71,6 @@ def finite_float(text) -> float:
     if not math.isfinite(x):
         raise ValueError("not a finite number: %r" % text)
     return x
-
-
-def tolerances_from_env(tol: Tolerances) -> Tolerances:
-    """The policy, honoring the CCPROJ_TOL environment override."""
-    raw = os.environ.get("CCPROJ_TOL")
-    return tol.with_base(finite_float(raw)) if raw else tol
 
 
 DEFAULT_TOL = Tolerances()
@@ -204,10 +197,6 @@ class ProjLine:
         object.__setattr__(self, "span", basis)
         self.span.setflags(write=False)
 
-    @staticmethod
-    def through(p: HPoint, q: HPoint, tol: Tolerances = DEFAULT_TOL) -> "ProjLine":
-        return ProjLine(np.vstack([p.coords, q.coords]), tol)
-
     def projector(self) -> np.ndarray:
         """Rank-2 orthogonal projector onto the span (representation-free)."""
         return self.span.T @ self.span
@@ -226,7 +215,7 @@ class ProjLine:
 
 def join_points(p: HPoint, q: HPoint, tol: Tolerances = DEFAULT_TOL) -> ProjLine:
     """Line through two distinct points."""
-    return ProjLine.through(p, q, tol)
+    return ProjLine(np.vstack([p.coords, q.coords]), tol)
 
 
 def meet_planes(a: HPlane, b: HPlane, tol: Tolerances = DEFAULT_TOL) -> ProjLine:
@@ -281,9 +270,9 @@ class PencilFrame:
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         m = np.vstack([self.g0, self.g1, self.h2, self.h3])
-        if (not np.all(np.isfinite(m))
+        if (m.shape != (4, 4) or not np.all(np.isfinite(m))
                 or float(np.max(np.abs(m @ m.T - np.eye(4)))) > 1e-9):
-            raise DegenerateInput("pencil frame is not orthonormal")
+            raise DegenerateInput("pencil frame is not an orthonormal basis of R^4")
 
     @staticmethod
     def standard() -> "PencilFrame":

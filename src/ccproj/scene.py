@@ -20,6 +20,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
+from functools import reduce
+from operator import getitem
 
 import numpy as np
 
@@ -38,9 +40,6 @@ class Scene:
     fan: SectionFan
     tolerances: dict = field(default_factory=dict)
     seed: int | None = None
-
-    def tol(self, base: Tolerances = DEFAULT_TOL) -> Tolerances:
-        return replace(base, **self.tolerances)
 
 
 # ---------------------------------------------------------------------------
@@ -81,7 +80,8 @@ def parse(text: str) -> Scene:
     number, a missing key, a value of the wrong type or shape, fewer than 3
     samples, a sample that is not a strictly convex counterclockwise
     polygon, a non-orthonormal frame or one in neither space, validated not
-    a JSON boolean, seed neither an integer nor null) raises SceneFormatError."""
+    a JSON boolean, seed neither an integer nor null, a JSON boolean among
+    the numbers of a frame vector or a vertex array) raises SceneFormatError."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -100,7 +100,11 @@ def _numbers(x, ndim: int) -> np.ndarray:
     """x as a float array of ndim dimensions; only finite JSON numbers pass
     (Python's json reads NaN, Infinity and 1e999 as floats)."""
     arr = np.asarray(x)
-    if arr.ndim != ndim or arr.dtype.kind not in "iuf" or not np.all(np.isfinite(arr)):
+    ok = arr.ndim == ndim and arr.dtype.kind in "iuf" and np.all(np.isfinite(arr))
+    if ok and ndim:  # numpy reads a JSON boolean among numbers as 0 or 1
+        at = zip(*[i.tolist() for i in np.nonzero((arr == 0) | (arr == 1))])
+        ok = bool not in {type(reduce(getitem, i, x)) for i in at}
+    if not ok:
         raise SceneFormatError("expected finite numbers of rank %d, got %s"
                                % (ndim, json.dumps(x)[:80]))
     return arr.astype(float)
@@ -123,11 +127,10 @@ def _samples(raw) -> list:
     """`_sample` of every sample document, stacked.  A certified row is its
     own hull: the sample rotated, or reversed when clockwise, which its
     first ear shows (`_ear_terms`' sign; the certificate's margin exceeds
-    its rounding).  Points, segments, clockwise and declined rows, and rows
-    of 0s and 1s alone (maybe JSON booleans, numbers only mixed with
-    numbers) take `_sample` in document order, so the first bad sample
-    raises its own error; so does every row of a document the stacked
-    conversion refuses (a missing key, a theta that is not a float, ...)."""
+    its rounding).  Points, segments, clockwise and declined rows take
+    `_sample` in document order, so the first bad sample raises its own
+    error; so does every row of a document the stacked conversion refuses
+    (a missing key, a theta that is not a float, a JSON boolean, ...)."""
     try:
         thetas = [s["theta"] for s in raw]
         counts = np.array([len(s["vertices"]) for s in raw], dtype=int)
@@ -143,14 +146,13 @@ def _samples(raw) -> list:
         1.0, np.maximum.reduceat(np.abs(verts).max(axis=1), first)))
     ear = verts[np.stack([first + counts - 1, first, np.minimum(first + 1, len(verts) - 1)], 1)]
     cw = _ear_terms(ear)[0][:, 1] > 0.0
-    binary = np.logical_and.reduceat(((verts == 0.0) | (verts == 1.0)).all(axis=1), first)
-    return [(t, p) if p is not None and not c and not b else _sample(s)
-            for t, p, c, b, s in zip(thetas, polys, cw, binary, raw)]
+    return [(t, p) if p is not None and not c else _sample(s)
+            for t, p, c, s in zip(thetas, polys, cw, raw)]
 
 
 def _scene_from_doc(doc: dict) -> Scene:
     fr = doc["frame"]
-    g0, g1, h2, h3 = (_numbers(fr[key], 1) for key in ("g0", "g1", "h2", "h3"))
+    g0, g1, h2, h3 = _numbers([fr[key] for key in ("g0", "g1", "h2", "h3")], 2)
     if fr.get("space", "primal") not in ("primal", "dual"):
         raise SceneFormatError("frame space must be primal or dual")
     frame = PencilFrame(g0, g1, h2, h3, fr.get("space", "primal"))

@@ -29,9 +29,9 @@ import numpy as np
 from . import planar
 from .dualize import l_dual
 from .fan import SectionFan, THETA_EPS, section_at, support_intervals
-from .planar import ConvexPolygon, DegenerateQuadrangle, DirPoint, convex_hull, hausdorff
+from .planar import ConvexPolygon, convex_hull, hausdorff
 from .projcore import (PI, DEFAULT_TOL, ArcSegment, DegenerateInput, GeometryError,
-                       Tolerances, dual_arc)
+                       Tolerances, dual_arc, wrap_angle)
 
 
 class DuplicateDirections(GeometryError):
@@ -93,7 +93,7 @@ def surgery_p(fan: SectionFan, arc: ArcSegment, tol: Tolerances = DEFAULT_TOL) -
 # ---------------------------------------------------------------------------
 
 def _oct_angles(dirs) -> np.ndarray:
-    angles = np.sort([planar._as_angle(d) for d in dirs])
+    angles = np.sort([wrap_angle(float(d)) for d in dirs])
     if len(angles) != 4:
         raise DuplicateDirections("exactly four direction classes required")
     if np.min(np.diff(np.concatenate([angles, [angles[0] + PI]]))) <= 1e-9:
@@ -110,7 +110,7 @@ def _octagons(verts: np.ndarray, starts, angles: np.ndarray, tol: Tolerances) ->
     parallel sides, where support values would lose it.  Vertices tying
     for the float max of s_j . v (both ends of a short edge on a nearly
     parallel side, say) yield their exact max, the first on exact ties."""
-    sides = np.array([DirPoint(a).normal() for a in angles])
+    sides = np.array([[-np.sin(a), np.cos(a)] for a in angles])
     sides = np.concatenate([sides, -sides])
     vals, counts = verts @ sides.T, np.diff(np.append(starts, len(verts)))
     top = vals == np.repeat(np.maximum.reduceat(vals, starts), counts, 0)

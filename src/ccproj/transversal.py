@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
 import numpy as np
@@ -117,6 +118,53 @@ class SolverChart:
     def scale(self) -> float:
         return max(max(p.scale for p in self.polys), 1.0)
 
+    @cached_property
+    def box(self) -> np.ndarray:
+        """(4, 2) search box that holds every minimizer of the objective.
+
+        Both reference-plane points range over the sections' chart bounding
+        box (largest side D) padded by D + 1.  A q with either point on a box
+        face puts that hit point at least D + 1 from the first or last section,
+        while the line through the box centre (c, c) comes within (sqrt 2 / 2) D
+        of every section, so no minimizer lies on the box.
+        """
+        all_v = np.vstack([p.vertices for p in self.polys])
+        lo = np.min(all_v, axis=0)
+        hi = np.max(all_v, axis=0)
+        box_pad = float(np.max(hi - lo)) + 1.0
+        return np.array([[lo[0] - box_pad, hi[0] + box_pad],
+                         [lo[1] - box_pad, hi[1] + box_pad]] * 2)
+
+    def _distances(self, q) -> list:
+        """Distance from each hit point to its section, in height order."""
+        xs = self.hit_points(np.asarray(q, dtype=float))
+        return [distance(x, p) for x, p in zip(xs, self.polys)]
+
+    def objective(self, q) -> float:
+        """Convex minimax objective over the 4-dimensional line
+        parameterization: the largest hit-point-to-section distance."""
+        return max(self._distances(q))
+
+    def objective_grad(self, q):
+        """(value, subgradient) of the max-of-distances objective."""
+        q = np.asarray(q, dtype=float)
+        vals = self._distances(q)
+        i = int(np.argmax(vals))
+        f = vals[i]
+        g = np.zeros(4)
+        if f > 0.0:
+            x = self.hit_points(q)[i]
+            d2 = (x - nearest_point(x, self.polys[i])) / f
+            b = float(self.betas()[i])
+            g[0:2] = (1.0 - b) * d2
+            g[2:4] = b * d2
+        return f, g
+
+    def residuals(self, q) -> np.ndarray:
+        """Distance from each hit point to its section, in ascending order
+        of section index (not in the chart's height order)."""
+        return np.array(self._distances(q))[np.argsort(self.indices)]
+
 
 def build_solver_chart(fan: SectionFan, subset=None) -> SolverChart:
     """Solver chart for a fan restricted to a sample subset.
@@ -152,65 +200,6 @@ def build_solver_chart(fan: SectionFan, subset=None) -> SolverChart:
 
 
 # ---------------------------------------------------------------------------
-# Minimax problem
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class MinimaxProblem:
-    """Convex minimax instance over the 4-dimensional line parameterization."""
-
-    chart: SolverChart
-    box: np.ndarray
-
-    def _distances(self, q) -> list:
-        """Distance from each hit point to its section, in height order."""
-        xs = self.chart.hit_points(np.asarray(q, dtype=float))
-        return [distance(x, p) for x, p in zip(xs, self.chart.polys)]
-
-    def objective(self, q) -> float:
-        return max(self._distances(q))
-
-    def objective_grad(self, q):
-        """(value, subgradient) of the max-of-distances objective."""
-        q = np.asarray(q, dtype=float)
-        vals = self._distances(q)
-        i = int(np.argmax(vals))
-        f = vals[i]
-        g = np.zeros(4)
-        if f > 0.0:
-            x = self.chart.hit_points(q)[i]
-            d2 = (x - nearest_point(x, self.chart.polys[i])) / f
-            b = float(self.chart.betas()[i])
-            g[0:2] = (1.0 - b) * d2
-            g[2:4] = b * d2
-        return f, g
-
-    def residuals(self, q) -> np.ndarray:
-        """Distance from each hit point to its section, in ascending order
-        of section index (not in the chart's height order)."""
-        return np.array(self._distances(q))[np.argsort(self.chart.indices)]
-
-
-def minimax_problem(fan: SectionFan, subset=None) -> MinimaxProblem:
-    """The minimax instance over a search box that holds every minimizer.
-
-    Both reference-plane points range over the sections' chart bounding
-    box (largest side D) padded by D + 1.  A q with either point on a box
-    face puts that hit point at least D + 1 from the first or last section,
-    while the line through the box centre (c, c) comes within (sqrt 2 / 2) D
-    of every section, so no minimizer lies on the box.
-    """
-    chart = build_solver_chart(fan, subset)
-    all_v = np.vstack([p.vertices for p in chart.polys])
-    lo = np.min(all_v, axis=0)
-    hi = np.max(all_v, axis=0)
-    box_pad = float(np.max(hi - lo)) + 1.0
-    box = np.array([[lo[0] - box_pad, hi[0] + box_pad],
-                    [lo[1] - box_pad, hi[1] + box_pad]] * 2)
-    return MinimaxProblem(chart, box)
-
-
-# ---------------------------------------------------------------------------
 # Cutting-plane solver
 # ---------------------------------------------------------------------------
 
@@ -236,9 +225,8 @@ class TransversalLine:
     depth: float
 
 
-def _transversal_line(problem: MinimaxProblem, q, residuals: np.ndarray, value: float,
+def _transversal_line(chart: SolverChart, q, residuals: np.ndarray, value: float,
                       gap: float, iterations: int) -> TransversalLine:
-    chart = problem.chart
     return TransversalLine(chart.line_of(q), residuals, tuple(sorted(chart.indices)),
                            value, gap, iterations, np.asarray(q, dtype=float),
                            chart.depth(q))
@@ -262,7 +250,7 @@ def _depth_rows(poly: ConvexPolygon):
     return nrm, poly.support(nrm)
 
 
-def _deepest_point(problem: MinimaxProblem):
+def _deepest_point(chart: SolverChart):
     """Depth LP: minimize t over (q, t) subject to n·x_i(q) - c <= t for
     every row of every section, q inside the search box.
 
@@ -271,13 +259,12 @@ def _deepest_point(problem: MinimaxProblem):
     """
     from scipy.optimize import linprog
 
-    chart = problem.chart
     a_ub, b_ub = [], []
     for b, poly in zip(chart.betas(), chart.polys):
         nrm, c = _depth_rows(poly)
         a_ub.append(np.hstack([(1.0 - b) * nrm, b * nrm, -np.ones((len(c), 1))]))
         b_ub.append(c)
-    bounds = [tuple(problem.box[i]) for i in range(4)] + [(None, None)]
+    bounds = [tuple(chart.box[i]) for i in range(4)] + [(None, None)]
     res = linprog(np.array([0.0, 0.0, 0.0, 0.0, 1.0]), A_ub=np.vstack(a_ub),
                   b_ub=np.concatenate(b_ub), bounds=bounds, method="highs")
     if not res.success:
@@ -285,7 +272,7 @@ def _deepest_point(problem: MinimaxProblem):
     return np.array(res.x[:4])
 
 
-def solve_minimax(problem: MinimaxProblem, target: float = None, seed: int = 0,
+def solve_minimax(chart: SolverChart, target: float = None, seed: int = 0,
                   tol: Tolerances = DEFAULT_TOL):
     """Minimizer of the minimax objective: the depth LP, then Kelley.
 
@@ -299,13 +286,13 @@ def solve_minimax(problem: MinimaxProblem, target: float = None, seed: int = 0,
     """
     from scipy.optimize import linprog
 
-    deep = _deepest_point(problem)
+    deep = _deepest_point(chart)
     if deep is not None:
-        f0 = problem.objective(deep)
+        f0 = chart.objective(deep)
         if f0 == 0.0 or (target is not None and f0 <= target):
             return deep, f0, f0, 1
-    stop_gap = tol.tol_solver * problem.chart.scale()
-    lo, hi = problem.box[:, 0], problem.box[:, 1]
+    stop_gap = tol.tol_solver * chart.scale()
+    lo, hi = chart.box[:, 0], chart.box[:, 1]
     starts = [deep if deep is not None else (lo + hi) / 2.0]
     rng = np.random.default_rng(seed)
     starts += [lo + rng.random(4) * (hi - lo) for _ in range(N_SEED_POINTS)]
@@ -314,12 +301,12 @@ def solve_minimax(problem: MinimaxProblem, target: float = None, seed: int = 0,
     best_q = None
     best_f = np.inf
     for p in starts:
-        f, g = problem.objective_grad(p)
+        f, g = chart.objective_grad(p)
         rows.append(np.concatenate([g, [-1.0]]))
         rhs.append(float(g @ p - f))
         if f < best_f:
             best_f, best_q = f, np.asarray(p, dtype=float)
-    bounds = [tuple(problem.box[i]) for i in range(4)] + [(0.0, None)]
+    bounds = [tuple(chart.box[i]) for i in range(4)] + [(0.0, None)]
     c = np.array([0.0, 0.0, 0.0, 0.0, 1.0])
     lb = 0.0
     it = 0
@@ -333,7 +320,7 @@ def solve_minimax(problem: MinimaxProblem, target: float = None, seed: int = 0,
             break
         lb = max(lb, float(res.x[4]))
         q = res.x[:4]
-        f, g = problem.objective_grad(q)
+        f, g = chart.objective_grad(q)
         rows.append(np.concatenate([g, [-1.0]]))
         rhs.append(float(g @ q - f))
         if f < best_f:
@@ -353,11 +340,11 @@ def chebyshev_line(fan: SectionFan, subset=None, tol: Tolerances = DEFAULT_TOL,
     cutting-plane fallback minimize the Euclidean objective.  At a positive
     optimum the maximum is attained by at least two sections (the discrete
     form of the equal-distance property).  The minimizer lies strictly
-    inside the search box (see minimax_problem).
+    inside the search box (SolverChart.box).
     """
-    problem = minimax_problem(fan, subset)
-    q, f, gap, it = solve_minimax(problem, target=target, seed=seed, tol=tol)
-    return _transversal_line(problem, q, problem.residuals(q), f, gap, it)
+    chart = build_solver_chart(fan, subset)
+    q, f, gap, it = solve_minimax(chart, target=target, seed=seed, tol=tol)
+    return _transversal_line(chart, q, chart.residuals(q), f, gap, it)
 
 
 # ---------------------------------------------------------------------------
@@ -497,9 +484,8 @@ def browder_four_sections(fan: SectionFan, indices=(0, 1, 2, 3),
     d = (x2s - a1) / beta1 if beta1 != 0 else np.zeros(2)
     q[0:2] = a1
     q[2:4] = a1 + d
-    problem = MinimaxProblem(chart, np.zeros((4, 2)))
-    res = problem.residuals(q)
-    return BrowderResult(True, it, _transversal_line(problem, q, res, float(np.max(res)), 0.0, it))
+    res = chart.residuals(q)
+    return BrowderResult(True, it, _transversal_line(chart, q, res, float(np.max(res)), 0.0, it))
 
 
 # ---------------------------------------------------------------------------
@@ -637,5 +623,7 @@ def support_halfplane_transversal(fan: SectionFan, halfplanes,
     margins = []
     for theta, n, c, _ in entries:
         _, xy, lam = _plane_hit(fan.frame, line, theta)
+        # lam != 0: a hit at infinity lies on L, and certify_line above
+        # raises DegenerateInput for a line that meets L
         margins.append(c - float(n @ (xy / lam)))
     return HalfplaneTransversal(line, np.array(margins), float(dual_resid), cert)

@@ -19,6 +19,12 @@ def mark_validated(fan):
     return SectionFan(fan.frame, fan.thetas, fan.sections, validated=True)
 
 
+def dir_normal(a):
+    """Unit normal of the lines with direction angle a (mod pi)."""
+    a = float(a) % PI
+    return np.array([-np.sin(a), np.cos(a)])
+
+
 def interior_points(arc, n):
     """n parameters strictly inside the arc, evenly spaced."""
     return (arc.start + (np.arange(n) + 1.0) / (n + 1.0) * arc.length) % PI

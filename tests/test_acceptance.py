@@ -11,10 +11,10 @@ import time
 
 import numpy as np
 
-from ccproj import (ArcSegment, browder_four_sections, certify_line,
+from ccproj import (ArcSegment, browder_four_sections, build_solver_chart, certify_line,
                     chebyshev_line, chi_dual_crosscheck, chi_section,
                     gen_quadric, gen_random_fan, hausdorff, helly_verify,
-                    involution_residual, l_dual, minimax_problem,
+                    involution_residual, l_dual,
                     octagonalize, octagonalize_via_pointing,
                     pointedness_duality_check, section_at,
                     sp_duality_check, support_halfplane_transversal, surgery_p,
@@ -183,7 +183,7 @@ def test_criterion_7_octagonal_pipeline():
 def test_criterion_8_solver_soundness():
     # convexity probe
     quad = gen_quadric(8, 48).fan
-    prob = minimax_problem(quad)
+    prob = build_solver_chart(quad)
     rng = np.random.default_rng(8)
     lo, hi = prob.box[:, 0], prob.box[:, 1]
     convex_ok = True

@@ -5,8 +5,7 @@ from ccproj import (ArcSegment, InvalidInput, IntersectsDualL, ProjLine,
                     SectionFan, affine_dependence_check, convex_hull, distance,
                     dual_of_found_line, fan_contains_sectionwise, hausdorff,
                     involution_residual, l_dual, plane_meets_all_sections,
-                    point_in_fan, pointedness_duality_check, polar_dual,
-                    project_from, section_at)
+                    point_in_fan, pointedness_duality_check, polar_dual, section_at)
 from ccproj import (DEFAULT_TOL, contains_polygon, gen_quadric, gen_random_fan, is_pointed,
                     octagonalize, surgery_p, surgery_s)
 from ccproj.dualize import _ensure_valid
@@ -14,6 +13,7 @@ from ccproj.fan import THETA_EPS, event_angles, hull_slice, in_unwrapped_chart
 from ccproj.projcore import PI, dual_arc
 from conftest import (default_dual_params, interior_points, mark_validated, mgon,
                       quadric_fan)
+from test_fan import reference_star
 
 
 def dual_quadric_member(xi):
@@ -129,8 +129,7 @@ def test_projection_of_dual_is_polar_of_section(quad12):
     # the antipodal chart identification
     dual = l_dual(quad12)
     for theta0 in (float(quad12.thetas[2]), 1.234):
-        prof = project_from(dual, theta0)
-        hull = convex_hull(prof.endpoints())
+        hull = convex_hull(reference_star(dual, theta0))
         sec = section_at(quad12, theta0)
         expected = polar_dual(sec, [0.0, 0.0]).negated()
         assert hausdorff(hull, expected) <= 5e-2
@@ -342,11 +341,10 @@ def reference_dual_section(fan, psi, tol=DEFAULT_TOL):
     """The former per-center dual section: the projection profile from psi,
     the straddle test, the hull of the profile endpoints, its polar dual
     around the marked point, negated into the dual chart."""
-    profile = project_from(fan, psi, tol)
-    wscale = float(np.max(np.abs(profile.w_intervals)))
-    if not profile.straddles(tol.eps_convex * max(wscale, 1e-30)):
+    star = reference_star(fan, psi, tol)
+    if star is None:
         raise InvalidInput("projection from psi=%.6f does not surround the marked point" % psi)
-    hull = convex_hull(profile.endpoints(), tol)
+    hull = convex_hull(star, tol)
     return polar_dual(hull, np.zeros(2), tol).negated()
 
 

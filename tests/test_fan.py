@@ -126,16 +126,16 @@ def test_fan_constructor_invariants(frame):
 
 
 def test_project_from_quadric(quad12):
-    prof = project_from(quad12, 0.0)
+    W = project_from(quad12, 0.0)
     # shadows of unit disks: every interval is ~[-1, 1] and straddles the center
-    assert np.max(np.abs(prof.w_intervals[:, 1] - 1.0)) < 1e-2
-    assert np.max(np.abs(prof.w_intervals[:, 0] + 1.0)) < 1e-2
-    assert prof.straddles(1e-9)
-    pts = prof.endpoints()
+    assert np.max(np.abs(W[:, 1] - 1.0)) < 1e-2
+    assert np.max(np.abs(W[:, 0] + 1.0)) < 1e-2
+    assert np.all(W[:, 0] < -1e-9) and np.all(W[:, 1] > 1e-9)
+    pts = reference_star(quad12, 0.0)
     assert np.max(np.abs(np.linalg.norm(pts, axis=1) - 1.0)) < 2e-2
     # accepts a point of L as well
-    prof2 = project_from(quad12, np.array([np.cos(0.7), np.sin(0.7), 0, 0]))
-    assert abs(prof2.center_psi - 0.7) < 1e-12
+    W2 = project_from(quad12, np.array([np.cos(0.7), np.sin(0.7), 0, 0]))
+    assert np.max(np.abs(W2 - project_from(quad12, 0.7))) < 1e-12
     with pytest.raises(CenterNotOnL):
         project_from(quad12, np.array([1.0, 0.0, 0.1, 0.0]))
 
@@ -144,9 +144,9 @@ def test_project_from_common_line_marker(quad12):
     # every section contains the chart origin (the axis line), so every
     # profile segment covers the axis shadow w = 0
     for psi in (0.0, 0.9, 2.2):
-        prof = project_from(quad12, psi)
-        assert np.all(prof.w_intervals[:, 0] < 0.0)
-        assert np.all(prof.w_intervals[:, 1] > 0.0)
+        W = project_from(quad12, psi)
+        assert np.all(W[:, 0] < 0.0)
+        assert np.all(W[:, 1] > 0.0)
 
 
 def test_project_from_degenerate_points(frame):
@@ -154,8 +154,7 @@ def test_project_from_degenerate_points(frame):
     from ccproj.planar import ConvexPolygon
     pt = ConvexPolygon([[0.0, 0.0]])
     fan = SectionFan.create(frame, [(t, pt) for t in (0.3, 1.2, 2.1)])
-    prof = project_from(fan, 0.5)
-    assert np.max(np.abs(prof.w_intervals)) == 0.0
+    assert np.max(np.abs(project_from(fan, 0.5))) == 0.0
 
 
 def margin_branches(m, thetas):
@@ -232,12 +231,9 @@ def probe_center_ok(fan, psi, tol=DEFAULT_TOL, n_probe=64):
     Every chord between two profile endpoints, sampled at n_probe interior
     points, must stay outside the covered segments of the interpolated
     profile, after the straddle and marked-point checks."""
-    profile = project_from(fan, psi, tol)
-    wscale = float(np.max(np.abs(profile.w_intervals)))
-    if not profile.straddles(tol.eps_convex * max(wscale, 1e-30)):
+    pts = reference_star(fan, psi, tol)
+    if pts is None:
         return False
-    d = np.stack([-np.sin(profile.thetas), np.cos(profile.thetas)], axis=1)
-    pts = np.array([d[i] / w for i, ws in enumerate(profile.w_intervals) for w in ws])
     hull = convex_hull(pts, tol)
     if not interior_margin(hull, np.zeros(2)) > tol.eps_convex * hull.scale:
         return False
@@ -291,12 +287,14 @@ def test_validate_reflex_vertex_violation(frame):
 
 def reference_star(fan, psi, tol=DEFAULT_TOL):
     """Profile star polygon from the center at psi, or None when some shadow
-    fails to straddle the marked point."""
-    profile = project_from(fan, psi, tol)
-    wscale = float(np.max(np.abs(profile.w_intervals)))
-    if not profile.straddles(tol.eps_convex * max(wscale, 1e-30)):
+    fails to straddle the marked point: d(theta_i) / max_i, then
+    d(theta_i) / min_i, over the support intervals W of project_from."""
+    W = project_from(fan, psi, tol)
+    eps = tol.eps_convex * max(float(np.max(np.abs(W))), 1e-30)
+    if not (np.all(W[:, 0] < -eps) and np.all(W[:, 1] > eps)):
         return None
-    return profile.endpoints()
+    d = np.stack([-np.sin(fan.thetas), np.cos(fan.thetas)], axis=1)
+    return np.concatenate([d / W[:, 1:], d / W[:, :1]])
 
 
 def reference_violation(pts):

@@ -4,11 +4,11 @@ from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from ccproj import planar
-from ccproj import (ConvexPolygon, DirPoint, RefNotInterior, chebyshev_center,
+from ccproj import (ConvexPolygon, RefNotInterior, chebyshev_center,
                     convex_hull, distance, hausdorff, minkowski_scaled_sum,
                     nearest_point, polar_dual)
 from ccproj.planar import interior_margin, intersect_polygons, tangent_quadrangle_corners
-from conftest import mgon
+from conftest import dir_normal, mgon
 
 
 def brute_support(vertices, direction):
@@ -51,16 +51,16 @@ def test_convex_hull_of_collinear_points_keeps_both_ends():
 
 def test_support_lines_disk():
     disk = mgon(1.0, 64)
-    lo, hi = disk.support_interval(DirPoint(0.0).normal())
+    lo, hi = disk.support_interval(dir_normal(0.0))
     # analytic tangents of the unit circle are v = +-1
     assert abs(hi - 1.0) <= 1e-2 and abs(lo + 1.0) <= 1e-2
 
 
 def test_support_lines_square():
     sq = convex_hull([[-1, -1], [1, -1], [1, 1], [-1, 1]])
-    lo, hi = sq.support_interval(DirPoint(0.0).normal())
+    lo, hi = sq.support_interval(dir_normal(0.0))
     assert hi == 1.0 and lo == -1.0
-    n45 = DirPoint(np.pi / 4).normal()
+    n45 = dir_normal(np.pi / 4)
     lo45, hi45 = sq.support_interval(n45)
     assert abs(hi45 - brute_support(sq.vertices, n45)) < 1e-12
     assert abs(hi45 - np.sqrt(2)) < 1e-12
@@ -72,7 +72,7 @@ def test_support_lines_square():
 def test_support_lines_degenerate_segment():
     # a zero-width slab is not fatal to the tangent quadrangle
     seg = ConvexPolygon([[0, 0], [2, 0]])
-    lo, hi = seg.support_interval(DirPoint(0.0).normal())
+    lo, hi = seg.support_interval(dir_normal(0.0))
     assert abs(hi - lo) < 1e-12
     corners = tangent_quadrangle_corners(seg, 0.0, np.pi / 2)
     assert sorted(map(tuple, np.round(corners, 12))) == [(0.0, 0.0), (2.0, 0.0)]

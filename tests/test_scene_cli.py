@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ccproj import scene
-from ccproj import (ConvexPolygon, PencilFrame, SceneFormatError, Scene, SectionFan,
+from ccproj import (DEFAULT_TOL, ConvexPolygon, PencilFrame, SceneFormatError, Scene, SectionFan,
                     convex_hull, export_mesh, gen_quadric, gen_random_fan, hausdorff,
                     parse, serialize, validate)
 from ccproj.planar import _roll_to_min
@@ -102,6 +102,9 @@ def _swapped(vertices, i, j):
     lambda d: _put(d, {'eps"convex': 1e-9}, "tolerances"),
     lambda d: _put(d, {"eps_convex": 0.0}, "tolerances"),
     lambda d: _put(d, {"eps_convex": -1.0}, "tolerances"),
+    lambda d: _put(d, [True, 0, 0, 0], "frame", "g0"),
+    lambda d: _put(d, [[0.0, 0.0], [2.0, 0.0], [0.0, True]], "samples", 0, "vertices"),
+    lambda d: [_put(d, d["frame"][k] + [0.0], "frame", k) for k in ("g0", "g1", "h2", "h3")],
 ], ids=["no-frame", "no-samples", "no-theta", "no-vertices", "samples-int",
         "two-samples", "empty-vertices", "frame-int", "sample-int", "short-g0",
         "tolerances-int", "tolerance-str", "nan-theta", "nan-str-theta",
@@ -109,7 +112,8 @@ def _swapped(vertices, i, j):
         "minus-inf-frame", "nan-tolerance", "validated-str", "validated-int",
         "seed-float", "seed-str", "clockwise", "two-vertices-swapped",
         "tolerance-method", "tolerance-dunder", "tolerance-unknown",
-        "tolerance-quote", "tolerance-zero", "tolerance-negative"])
+        "tolerance-quote", "tolerance-zero", "tolerance-negative", "bool-in-frame",
+        "bool-in-vertices", "frame-5-vectors"])
 def test_malformed_scene_exits_2(edit, monkeypatch, capsys):
     import io
     from ccproj import cli
@@ -234,10 +238,24 @@ def test_gen_random_deterministic():
     assert a.fan.validated
 
 
-def test_scene_tolerance_override():
-    scene = Scene(gen_quadric(6, 16).fan, {"eps_incid": 1e-7}, None)
-    tol = scene.tol()
-    assert tol.eps_incid == 1e-7
+def test_scene_tolerance_override(monkeypatch):
+    # --tol > CCPROJ_TOL > scene > default
+    from ccproj import cli
+
+    def resolve(argv):
+        return cli._resolve_tol(cli._parser().parse_args(argv + ["validate"]), scene)
+
+    monkeypatch.delenv("CCPROJ_TOL", raising=False)
+    scene = Scene(gen_quadric(6, 16).fan, {"eps_incid": 1e-7, "eps_dual": 3e-8}, None)
+    tol = resolve([])
+    assert (tol.eps_incid, tol.eps_dual, tol.eps_rank) == (1e-7, 3e-8, DEFAULT_TOL.eps_rank)
+    monkeypatch.setenv("CCPROJ_TOL", "1e-6")
+    tol = resolve([])
+    assert (tol.eps_incid, tol.eps_dual, tol.eps_rank) == (1e-6, 3e-8, 1e-6)
+    assert resolve(["--tol", "1e-5"]).eps_incid == 1e-5
+    monkeypatch.setenv("CCPROJ_TOL", "-1")
+    with pytest.raises(ValueError):  # a bad CCPROJ_TOL is checked under --tol too
+        resolve(["--tol", "1e-5"])
 
 
 def test_mesh_format():

@@ -6,7 +6,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ccproj import cli, planar, surgery
-from ccproj import (DEFAULT_TOL, ArcSegment, DegenerateQuadrangle, DirPoint,
+from ccproj import (DEFAULT_TOL, ArcSegment, DegenerateQuadrangle,
                     DuplicateDirections, PencilFrame, SectionFan, contains_polygon, convex_hull,
                     gen_quadric, gen_random_fan, hausdorff, is_pointed, l_dual, octagonalize,
                     octagonalize_section, octagonalize_via_pointing, pointify,
@@ -15,7 +15,8 @@ from ccproj import (DEFAULT_TOL, ArcSegment, DegenerateQuadrangle, DirPoint,
 from ccproj.fan import THETA_EPS
 from ccproj.planar import ConvexPolygon, tangent_quadrangle_corners
 from ccproj.projcore import PI, DegenerateInput, dual_arc, wrap_angle
-from conftest import default_dual_params, interior_points, mark_validated, merged_angles, mgon
+from conftest import (default_dual_params, dir_normal, interior_points, mark_validated,
+                      merged_angles, mgon)
 from test_planar import clouds, coord
 
 
@@ -330,7 +331,7 @@ def test_support_slab_property(quad12):
     rng = np.random.default_rng(9)
     for s in quad12.sections[:3]:
         for _ in range(5):
-            n = DirPoint(float(rng.uniform(0, PI))).normal()
+            n = dir_normal(rng.uniform(0, PI))
             lo, hi = s.support_interval(n)
             vals = s.vertices @ n
             assert np.all(vals <= hi + 1e-12)
@@ -361,7 +362,7 @@ def test_surgery_closure_seeds():
 def ref_support_lines(poly, a):
     """Unit normal of direction a and the (low, high) offsets of the two
     support lines with that direction."""
-    n = DirPoint(a).normal()
+    n = dir_normal(a)
     return n, *poly.support_interval(n)
 
 
@@ -483,7 +484,7 @@ def exact_octagon(section, angles):
     """The slab intersection in rational arithmetic: the float normals and
     vertices taken exactly, each vertex one exact 2x2 solve of two
     consecutive slab sides, rounded once, then hulled."""
-    nrm = [DirPoint(a).normal() for a in angles]
+    nrm = [dir_normal(a) for a in angles]
     sides = ([(Fraction(x), Fraction(y)) for x, y in nrm]
              + [(-Fraction(x), -Fraction(y)) for x, y in nrm])
     verts = [(Fraction(x), Fraction(y)) for x, y in section.vertices]

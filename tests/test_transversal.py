@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 
 from ccproj import (ConvexPolygon, EmptySelection, NotSupporting, ProjLine,
-                    SectionFan, TooManyDirections, browder_four_sections, certify_line,
-                    chebyshev_line, convex_hull, helly_verify, minimax_problem,
+                    SectionFan, TooManyDirections, browder_four_sections, build_solver_chart,
+                    certify_line, chebyshev_line, convex_hull, helly_verify,
                     section_at, support_halfplane_transversal, validate)
 from ccproj.projcore import PI
-from ccproj.transversal import (N_SEED_POINTS, HellyReport, MinimaxProblem,
+from ccproj.transversal import (N_SEED_POINTS, HellyReport, SolverChart,
                                 _five_subsets, _unrank_combination)
 from conftest import mgon
 
@@ -55,9 +55,9 @@ def grid_minimax(fan):
     parameterization, with its own point-to-polygon distance.  The window
     shrinks slowly enough to follow the flat valley a segment section
     leaves (a factor of 0.6 stopped 7e-3 above the optimum there)."""
-    prob = minimax_problem(fan)
-    polys = [p.vertices for p in prob.chart.polys]
-    betas = prob.chart.betas()
+    chart = build_solver_chart(fan)
+    polys = [p.vertices for p in chart.polys]
+    betas = chart.betas()
 
     def obj_many(Q):
         out = np.zeros(len(Q))
@@ -136,24 +136,24 @@ def test_kelley_path_matches_reference_kernels(quad12, monkeypatch):
     sections = list(quad12.sections)
     sections[3] = sections[3].translated((2.5, 0.0))
     fan = SectionFan(quad12.frame, quad12.thetas, tuple(sections))
-    grad = MinimaxProblem.objective_grad
+    grad = SolverChart.objective_grad
     calls = []
 
     def checked(self, q):
         f, g = grad(self, q)
-        xs = self.chart.hit_points(np.asarray(q, dtype=float))
-        vals = [ref_distance(x, p) for x, p in zip(xs, self.chart.polys)]
+        xs = self.hit_points(np.asarray(q, dtype=float))
+        vals = [ref_distance(x, p) for x, p in zip(xs, self.polys)]
         i = int(np.argmax(vals))
-        d2 = (xs[i] - ref_nearest_point(xs[i], self.chart.polys[i])) / vals[i]
-        b = float(self.chart.betas()[i])
+        d2 = (xs[i] - ref_nearest_point(xs[i], self.polys[i])) / vals[i]
+        b = float(self.betas()[i])
         assert f == vals[i] == self.objective(q) > 0.0
         assert np.array_equal(g, np.concatenate([(1.0 - b) * d2, b * d2]))
         assert np.array_equal(self.residuals(q),
-                              np.array(vals)[np.argsort(self.chart.indices)])
+                              np.array(vals)[np.argsort(self.indices)])
         calls.append(q)
         return f, g
 
-    monkeypatch.setattr(MinimaxProblem, "objective_grad", checked)
+    monkeypatch.setattr(SolverChart, "objective_grad", checked)
     r = chebyshev_line(fan)
     assert r.iterations > 1 and r.depth < 0.0
     assert len(calls) == 1 + N_SEED_POINTS + r.iterations
@@ -244,7 +244,6 @@ def test_solver_chart_lift_matches_unit_charts(quad12):
     # a point of section j's plane in the solver chart is its unit-chart
     # point scaled by scales[j], negated past pi (in_unwrapped_chart); the
     # subset's largest gap is interior, so its first three wrap past pi
-    from ccproj import build_solver_chart
     rng = np.random.default_rng(2)
     for subset in (None, [0, 1, 2, 9, 10, 11]):
         sc = build_solver_chart(quad12, subset)
@@ -258,7 +257,7 @@ def test_solver_chart_lift_matches_unit_charts(quad12):
 
 
 def test_box_faces_score_above_the_centre_line(frame):
-    # the search box holds every minimizer (minimax_problem): a q with a
+    # the search box holds every minimizer (SolverChart.box): a q with a
     # coordinate on the box scores above the line through the box centre
     from ccproj import gen_random_fan
     rng = np.random.default_rng(5)
@@ -268,14 +267,14 @@ def test_box_faces_score_above_the_centre_line(frame):
         cases += [(fan, None)] + [(fan, rng.choice(fan.k, size=n, replace=False))
                                   for n in (3, 5)]
     for fan, subset in cases:
-        prob = minimax_problem(fan, subset)
-        lo, hi = prob.box[:, 0], prob.box[:, 1]
-        centre = prob.objective((lo + hi) / 2.0)
+        chart = build_solver_chart(fan, subset)
+        lo, hi = chart.box[:, 0], chart.box[:, 1]
+        centre = chart.objective((lo + hi) / 2.0)
         for face in range(8):
             for _ in range(4):
                 q = lo + rng.random(4) * (hi - lo)
-                q[face % 4] = prob.box[face % 4, face // 4]
-                assert prob.objective(q) > centre
+                q[face % 4] = chart.box[face % 4, face // 4]
+                assert chart.objective(q) > centre
 
 
 def test_one_solve_per_chebyshev_line(frame, quad12, monkeypatch):
@@ -294,15 +293,15 @@ def test_one_solve_per_chebyshev_line(frame, quad12, monkeypatch):
 
 
 def test_objective_convexity_probe(quad8):
-    prob = minimax_problem(quad8)
+    chart = build_solver_chart(quad8)
     rng = np.random.default_rng(0)
-    lo, hi = prob.box[:, 0], prob.box[:, 1]
+    lo, hi = chart.box[:, 0], chart.box[:, 1]
     for _ in range(300):
         x = lo + rng.random(4) * (hi - lo)
         y = lo + rng.random(4) * (hi - lo)
         t = float(rng.uniform(0, 1))
-        assert prob.objective(t * x + (1 - t) * y) \
-            <= t * prob.objective(x) + (1 - t) * prob.objective(y) + 1e-10
+        assert chart.objective(t * x + (1 - t) * y) \
+            <= t * chart.objective(x) + (1 - t) * chart.objective(y) + 1e-10
 
 
 def test_multi_start_agreement(frame):
@@ -477,8 +476,7 @@ def test_certify_shifted_line_fails(quad12):
 def test_certify_partial_miss(quad12):
     # line from the center of the first section to a far point: misses some
     # middle sections, and the failing indices are reported
-    prob = minimax_problem(quad12)
-    chart = prob.chart
+    chart = build_solver_chart(quad12)
     q = np.array([0.0, 0.0, 30.0, 0.0])
     line = chart.line_of(q)
     cert = certify_line(quad12, line)
@@ -501,6 +499,48 @@ def test_support_halfplane_transversal_quadric(quad12):
     assert np.all(out.margins >= -1e-7)
     assert out.certificate.contained
     assert out.dual_residual <= 1e-6
+
+
+@pytest.mark.parametrize("n_dirs", [2, 3])
+def test_support_halfplane_pads_directions(quad12, n_dirs, monkeypatch):
+    # fewer than four direction classes: the pipeline splits the largest
+    # gaps until there are four, keeping every supplied class
+    from ccproj import surgery
+    from ccproj.transversal import EPS_TOUCH
+    seen = []
+    octagonalize = surgery.octagonalize
+    monkeypatch.setattr(surgery, "octagonalize",
+                        lambda fan, dirs, tol: seen.append(dirs) or octagonalize(fan, dirs, tol))
+    rng = np.random.default_rng(n_dirs)
+    dirs = np.sort(rng.uniform(0, PI, size=n_dirs))
+    halfplanes = []
+    for i, t in enumerate(rng.choice(quad12.thetas, size=5, replace=False)):
+        a = float(dirs[i % n_dirs])
+        n = np.array([-np.sin(a), np.cos(a)]) * (-1.0 if i % 2 else 1.0)
+        s = section_at(quad12, float(t))
+        halfplanes.append((float(t), n, float(np.max(s.vertices @ n))))
+    out = support_halfplane_transversal(quad12, halfplanes)
+    (padded,) = seen
+    assert len(padded) == 4 and np.all(np.diff(padded) > 0.0)
+    assert all(np.min(np.abs(padded - d)) <= 1e-12 for d in dirs)
+    assert np.all(out.margins >= -EPS_TOUCH * max(1.0, quad12.scale()))
+    assert out.certificate.contained
+
+
+def test_support_halfplane_line_meeting_l_raises(quad12, monkeypatch):
+    # a line through L has a hit at infinity (lam = 0) in some plane;
+    # certify_line rejects it before the margins divide by lam
+    from ccproj import DegenerateInput, transversal
+    fr = quad12.frame
+    monkeypatch.setattr(transversal, "dual_of_found_line",
+                        lambda line, frame, tol: ProjLine(np.vstack([fr.g0, fr.h2])))
+    halfplanes = []
+    for i, t in enumerate(quad12.thetas[:4]):
+        a = i * PI / 4
+        n = np.array([-np.sin(a), np.cos(a)])
+        halfplanes.append((float(t), n, float(np.max(quad12.sections[i].vertices @ n))))
+    with pytest.raises(DegenerateInput, match="line meets L"):
+        support_halfplane_transversal(quad12, halfplanes)
 
 
 def test_support_halfplane_full_slabs(quad12, oct_dirs):

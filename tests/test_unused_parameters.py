@@ -1,8 +1,11 @@
-"""Every parameter of every function in the library is read.
+"""Every parameter of every function in the library is read, and every
+name a library module imports is used.
 
 A parameter no body reads is an option that changes nothing: callers can
-set it and see no effect.  The check parses the sources with `ast`; `self`,
-`cls` and names starting with `_` are exempt.
+set it and see no effect.  An import no line uses is a dependency that does
+nothing.  The checks parse the sources with `ast`; `self`, `cls` and
+parameter names starting with `_` are exempt, and so is the package's
+`__init__`, whose imports are its exports.
 """
 
 import ast
@@ -29,6 +32,36 @@ def _unread_parameters(tree: ast.AST) -> list:
                 if p.arg not in read and p.arg not in ("self", "cls")
                 and not p.arg.startswith("_")]
     return out
+
+
+def _unused_imports(tree: ast.AST) -> list:
+    """(line, name) for each name an import in tree binds (from __future__
+    aside) that no expression of the module loads."""
+    loaded = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)
+              and isinstance(n.ctx, ast.Load)}
+    return [(node.lineno, name) for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
+            for name in ((a.asname or a.name).split(".")[0] for a in node.names)
+            if name not in loaded]
+
+
+def test_every_import_is_used():
+    unused = ["%s:%d %s" % (path.name, line, name) for path in SOURCES
+              if path.name != "__init__.py"
+              for line, name in _unused_imports(ast.parse(path.read_text()))]
+    assert unused == []
+
+
+def test_guard_flags_an_unused_import():
+    tree = ast.parse("from __future__ import annotations\n"
+                     "import os.path\n"
+                     "import numpy as np\n"
+                     "from math import pi, tau\n"
+                     "def f():\n"
+                     "    from sys import argv\n"
+                     "    return np.zeros(1) * tau\n")
+    assert _unused_imports(tree) == [(2, "os"), (4, "pi"), (6, "argv")]
 
 
 def test_every_parameter_is_read():
