@@ -6,11 +6,12 @@ from L.  Every hit point is linear in these parameters, so "the line meets
 every selected section" is one polyhedral feasibility problem: the depth LP
 minimizes t subject to n·x_i(q) - c <= t over the edge half-planes of every
 section.  t <= 0 certifies a common transversal and -t is its interior
-depth.  When t > 0 the minimax objective (largest Euclidean distance from a
-hit point to its section), convex in this parameterization, is minimized
-by a cutting-plane method driven by subgradients of point-to-polygon
-distances, seeded at the LP point.  A residual of zero certifies a common
-transversal.
+depth.  Each such row is also a lower bound on the minimax objective
+(largest Euclidean distance from a hit point to its section), convex in
+this parameterization, so when t > 0 the same LP model goes on as Kelley's
+cutting-plane method: the depth rows stay as standing cuts, and
+subgradients of point-to-polygon distances add one cut per evaluated
+point.  A residual of zero certifies a common transversal.
 
 Also here: the 5-subset consistency check, the four-section set-valued
 fixed-point iteration, containment certificates, and the
@@ -36,8 +37,8 @@ from .planar import ConvexPolygon, chebyshev_center, distance, nearest_point
 from .projcore import (PI, DEFAULT_TOL, DegenerateInput, GeometryError, PencilFrame,
                        ProjLine, Tolerances, wrap_angle)
 
-MAX_ITER = 400          # Kelley iterations per solve_minimax call
-N_SEED_POINTS = 3       # random box points seeding Kelley besides the LP point
+MAX_ITER = 400          # LP solves per solve_minimax call
+N_SEED_POINTS = 3       # random box points cut at after the first solve
 BROWDER_MAX_ITER = 500  # fixed-point steps of browder_four_sections
 EPS_TOUCH = 1e-6        # how far (times the fan's scale) a supporting half-plane may miss
 
@@ -210,7 +211,8 @@ class TransversalLine:
     subset holds the selected section indices in ascending order, and
     residuals[j] is the distance in the solver chart between the line's hit
     point and section subset[j]; value is their maximum at the solution,
-    gap the final optimality gap of the cutting-plane method.
+    gap the optimality gap of solve_minimax's LP model: value minus the
+    model's lower bound.
     depth is the least interior margin of the hit points (SolverChart.depth):
     positive for a line through the interiors of all selected sections.
     """
@@ -250,12 +252,22 @@ def _depth_rows(poly: ConvexPolygon):
     return nrm, poly.support(nrm)
 
 
-def _deepest_point(chart: SolverChart):
-    """Depth LP: minimize t over (q, t) subject to n·x_i(q) - c <= t for
-    every row of every section, q inside the search box.
+def solve_minimax(chart: SolverChart, target: float = None, seed: int = 0,
+                  tol: Tolerances = DEFAULT_TOL):
+    """Minimizer of the minimax objective: one LP model, Kelley's
+    cutting-plane method.
 
-    Returns q, or None when the LP fails.  t <= 0 certifies a common
-    transversal, and -t is its depth when every section is a polygon.
+    The model minimizes a free t over (q, t), q in the search box, and each
+    row bounds the objective from below: the depth rows n·x_i(q) - c <= t of
+    every section (unit n: at most the hit point's distance) from the start,
+    and a cut f(p) + g·(q - p) <= t at each evaluated point p.  The first
+    solve, the depth rows alone, is the depth LP.  Its point is evaluated
+    first, then (unless that stops the search) N_SEED_POINTS random box
+    points, with the box centre in its place when the solve fails.  The
+    search stops as soon as the best value reaches target or comes within
+    tol.tol_solver times the chart's scale of the lower bound (the largest
+    of 0 and every solve's t), when a solve fails, or after MAX_ITER solves.
+    Returns (q_best, value, gap, iterations).
     """
     from scipy.optimize import linprog
 
@@ -264,68 +276,31 @@ def _deepest_point(chart: SolverChart):
         nrm, c = _depth_rows(poly)
         a_ub.append(np.hstack([(1.0 - b) * nrm, b * nrm, -np.ones((len(c), 1))]))
         b_ub.append(c)
+    a_ub, b_ub = np.vstack(a_ub), np.concatenate(b_ub)
     bounds = [tuple(chart.box[i]) for i in range(4)] + [(None, None)]
-    res = linprog(np.array([0.0, 0.0, 0.0, 0.0, 1.0]), A_ub=np.vstack(a_ub),
-                  b_ub=np.concatenate(b_ub), bounds=bounds, method="highs")
-    if not res.success:
-        return None
-    return np.array(res.x[:4])
-
-
-def solve_minimax(chart: SolverChart, target: float = None, seed: int = 0,
-                  tol: Tolerances = DEFAULT_TOL):
-    """Minimizer of the minimax objective: the depth LP, then Kelley.
-
-    The depth LP's point is evaluated first; when its Euclidean value is 0
-    or at most target it is returned with one iteration.  Otherwise (the LP
-    failed or found t > 0) Kelley's cutting-plane method runs from the LP
-    point plus N_SEED_POINTS random points of the box.  It stops when the
-    optimality gap drops below tol.tol_solver times the chart's scale, when
-    the incumbent value reaches target, or after MAX_ITER iterations.
-    Returns (q_best, value, gap, iterations).
-    """
-    from scipy.optimize import linprog
-
-    deep = _deepest_point(chart)
-    if deep is not None:
-        f0 = chart.objective(deep)
-        if f0 == 0.0 or (target is not None and f0 <= target):
-            return deep, f0, f0, 1
     stop_gap = tol.tol_solver * chart.scale()
     lo, hi = chart.box[:, 0], chart.box[:, 1]
-    starts = [deep if deep is not None else (lo + hi) / 2.0]
     rng = np.random.default_rng(seed)
-    starts += [lo + rng.random(4) * (hi - lo) for _ in range(N_SEED_POINTS)]
-    rows = []
-    rhs = []
-    best_q = None
-    best_f = np.inf
-    for p in starts:
-        f, g = chart.objective_grad(p)
-        rows.append(np.concatenate([g, [-1.0]]))
-        rhs.append(float(g @ p - f))
-        if f < best_f:
-            best_f, best_q = f, np.asarray(p, dtype=float)
-    bounds = [tuple(chart.box[i]) for i in range(4)] + [(0.0, None)]
-    c = np.array([0.0, 0.0, 0.0, 0.0, 1.0])
-    lb = 0.0
-    it = 0
+    seeds = [lo + rng.random(4) * (hi - lo) for _ in range(N_SEED_POINTS)]
+    best_q, best_f, lb, it = None, np.inf, 0.0, 0
     while it < MAX_ITER:
         it += 1
-        if target is not None and best_f <= target:
-            break
-        res = linprog(c, A_ub=np.array(rows), b_ub=np.array(rhs), bounds=bounds,
-                      method="highs")
+        res = linprog(np.array([0.0, 0.0, 0.0, 0.0, 1.0]), A_ub=a_ub, b_ub=b_ub,
+                      bounds=bounds, method="highs")
+        if res.success:
+            lb = max(lb, float(res.x[4]))
+            points = [np.array(res.x[:4])]
+        else:
+            points = [(lo + hi) / 2.0] if it == 1 else []
+        for p in points + (seeds if it == 1 else []):
+            f, g = chart.objective_grad(p)
+            if f < best_f:
+                best_f, best_q = f, p
+            if best_f - lb <= stop_gap or (target is not None and best_f <= target):
+                return best_q, float(best_f), float(max(best_f - lb, 0.0)), it
+            a_ub = np.vstack([a_ub, np.append(g, -1.0)])
+            b_ub = np.append(b_ub, g @ p - f)
         if not res.success:
-            break
-        lb = max(lb, float(res.x[4]))
-        q = res.x[:4]
-        f, g = chart.objective_grad(q)
-        rows.append(np.concatenate([g, [-1.0]]))
-        rhs.append(float(g @ q - f))
-        if f < best_f:
-            best_f, best_q = f, q.copy()
-        if best_f - lb <= stop_gap:
             break
     return best_q, float(best_f), float(max(best_f - lb, 0.0)), it
 
@@ -334,10 +309,10 @@ def chebyshev_line(fan: SectionFan, subset=None, tol: Tolerances = DEFAULT_TOL,
                    target: float = None, seed: int = 0) -> TransversalLine:
     """Global minimizer of the maximum line-to-section distance.
 
-    The depth LP runs first: when the selected sections have a common
-    transversal it returns the deepest one (largest least interior margin)
-    with residual zero, in a single LP.  Only when it finds none does the
-    cutting-plane fallback minimize the Euclidean objective.  At a positive
+    The first LP solve is the depth LP: when the selected sections have a
+    common transversal it returns the deepest one (largest least interior
+    margin) with residual zero.  Only when it finds none do Kelley's cuts
+    go into the same model and minimize the Euclidean objective.  At a positive
     optimum the maximum is attained by at least two sections (the discrete
     form of the equal-distance property).  The minimizer lies strictly
     inside the search box (SolverChart.box).

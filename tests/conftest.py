@@ -1,8 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from ccproj import PencilFrame, SectionFan, convex_hull, gen_quadric
 from ccproj.projcore import PI
+
+# print the reproduction blob of a failing example: a section's repr gives
+# only its vertex count, so the falsifying example alone cannot be replayed
+settings.register_profile("replayable", print_blob=True)
+settings.load_profile("replayable")
 
 
 def mgon(radius, m, center=(0.0, 0.0), phase=0.0):

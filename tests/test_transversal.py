@@ -3,20 +3,24 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ccproj import (ConvexPolygon, EmptySelection, NotSupporting, ProjLine,
                     SectionFan, TooManyDirections, browder_four_sections, build_solver_chart,
                     certify_line, chebyshev_line, convex_hull, helly_verify,
                     section_at, support_halfplane_transversal, validate)
 from ccproj.projcore import PI
-from ccproj.transversal import (N_SEED_POINTS, HellyReport, SolverChart,
+from ccproj.planar import distance
+from ccproj.transversal import (N_SEED_POINTS, HellyReport, SolverChart, _depth_rows,
                                 _five_subsets, _unrank_combination)
 from conftest import mgon
+from test_planar import kernel_polygons, point
 
 K_FORM = np.diag([1.0, 1.0, -1.0, -1.0])
 # test_kelley_path_matches_reference_kernels's line, as the written-out
 # point kernels of its reference found it
-KELLEY_DIGEST = "df4a8c64eb2d5a61ca2bfa62e9bad0e7704baec630397c7c82ede292efc04f5d"
+KELLEY_DIGEST = "22c84dbe3f0ee2ddd98e5eada8c3ac9304ae0911836bd195aa21190b0d875c7b"
 
 
 def restricted_form_eigs(line):
@@ -108,7 +112,7 @@ def test_chebyshev_three_disks_vs_grid_oracle(frame):
 
 def test_degenerate_sections_without_transversal_use_fallback(frame):
     # a point, a segment and a disk with no common transversal: the depth
-    # LP finds t > 0 and the cutting-plane fallback finds the optimum
+    # LP finds t > 0 and the Kelley cuts find the optimum
     th0, _ = w_disk(frame, -1.0, (0, 0), 1.0)
     th1, _ = w_disk(frame, 0.0, (0, 0), 1.0)
     s0, s1 = np.sin(th0), np.sin(th1)
@@ -129,8 +133,9 @@ def test_degenerate_sections_without_transversal_use_fallback(frame):
 def test_kelley_path_matches_reference_kernels(quad12, monkeypatch):
     # one section shifted by 2.5 leaves no common transversal, so the depth
     # LP finds t > 0 and the cutting-plane loop evaluates objective_grad at
-    # every cut: each evaluation must equal the written-out distance and
-    # nearest-point references, and the line found is pinned bit for bit
+    # every solve's point and at the seed points: each evaluation must equal
+    # the written-out distance and nearest-point references, and the line
+    # found is pinned bit for bit
     from test_planar import ref_distance, ref_nearest_point
 
     sections = list(quad12.sections)
@@ -156,10 +161,40 @@ def test_kelley_path_matches_reference_kernels(quad12, monkeypatch):
     monkeypatch.setattr(SolverChart, "objective_grad", checked)
     r = chebyshev_line(fan)
     assert r.iterations > 1 and r.depth < 0.0
-    assert len(calls) == 1 + N_SEED_POINTS + r.iterations
+    assert len(calls) == N_SEED_POINTS + r.iterations
     pinned = repr((r.q.tolist(), r.value, r.gap, r.iterations, r.residuals.tolist(),
                    r.depth, r.line.span.tolist()))
     assert hashlib.sha256(pinned.encode()).hexdigest() == KELLEY_DIGEST
+
+
+@settings(max_examples=300, deadline=None)
+@given(kernel_polygons(), st.lists(point, min_size=1, max_size=10), st.floats(0.0, 3.0))
+def test_depth_rows_bound_the_distance(poly, queries, spread):
+    # every row of the solver's LP is a lower bound on the minimax
+    # objective: n·x - c <= distance(x, poly) for unit n.  distance reads
+    # x as inside when every edge's cross product is >= -1e-15 scale^2,
+    # where an edge's row is -cross / |e|; the rest is rounding
+    nrm, c = _depth_rows(poly)
+    ln = np.linalg.norm(poly.edges(), axis=1)
+    screen = 1e-15 * poly.scale ** 2 / np.min(ln[ln > 0.0]) if poly.n >= 3 else 0.0
+    ctr = poly.centroid()
+    for x in np.vstack([np.array(queries, dtype=float), poly.vertices,
+                        ctr + spread * (poly.vertices - ctr)]):
+        slack = screen + 1e-13 * max(poly.scale, float(np.max(np.abs(x))))
+        assert np.max(nrm @ x - c) <= distance(x, poly) + slack
+
+
+def test_lp_failure_returns_the_best_seed(frame, monkeypatch):
+    # every linprog call fails: the box centre and the seed points are
+    # evaluated, and the best of them comes back after one iteration
+    import scipy.optimize
+    monkeypatch.setattr(scipy.optimize, "linprog",
+                        lambda *a, **kw: scipy.optimize.OptimizeResult(success=False))
+    fan = three_disks(frame)
+    chart = build_solver_chart(fan)
+    r = chebyshev_line(fan)
+    assert r.iterations == 1 and np.isfinite(r.value)
+    assert r.value == chart.objective(r.q) <= chart.objective(np.mean(chart.box, axis=1))
 
 
 def sections_around_line(frame, kinds):
