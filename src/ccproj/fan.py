@@ -38,7 +38,7 @@ import numpy as np
 from . import planar
 from .planar import ConvexPolygon, minkowski_scaled_sum
 from .projcore import (PI, DEFAULT_TOL, ArcSegment, DegenerateInput, GeometryError,
-                       PencilFrame, Tolerances, wrap_angle)
+                       PencilFrame, Tolerances, cached_method, wrap_angle)
 
 THETA_EPS = 1e-12
 SUPPORT_BLOCK = 1 << 16  # most vertex-functional products support_intervals holds at once
@@ -88,9 +88,11 @@ class SectionFan:
     def k(self) -> int:
         return len(self.thetas)
 
+    @cached_method
     def diameter(self) -> float:
         return max(s.diameter() for s in self.sections)
 
+    @cached_method
     def scale(self) -> float:
         return max(s.scale for s in self.sections)
 
@@ -133,6 +135,16 @@ class SectionFan:
         verts = np.concatenate([s.vertices for s in self.sections])
         starts = np.cumsum([0] + [s.n for s in self.sections[:-1]])
         return verts, starts, [i for i, s in enumerate(self.sections) if s.n == 1]
+
+    @cached_property
+    def section_stack(self) -> planar.SectionStack:
+        """The sections as one padded stack, for `planar.section_distances`."""
+        return planar.stack_sections(self.sections)
+
+    @cached_property
+    def plane_rows(self):
+        """`PencilFrame.plane_rows` of the sample angles."""
+        return self.frame.plane_rows(self.thetas)
 
     def edge_angles(self) -> np.ndarray:
         """Sorted direction angles (mod pi) of the section edges: one per

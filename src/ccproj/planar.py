@@ -19,11 +19,14 @@ All functions are pure and values are treated as immutable.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .projcore import PI, DEFAULT_TOL, DegenerateInput, Tolerances, wrap_angle
+from .projcore import (PI, DEFAULT_TOL, DegenerateInput, Tolerances, cached_method,
+                       wrap_angle)
 
 
 class RefNotInterior(DegenerateInput):
@@ -299,10 +302,11 @@ class ConvexPolygon:
     def degenerate(self) -> bool:
         return len(self.vertices) < 3
 
-    @property
+    @cached_property
     def scale(self) -> float:
         return max(1.0, float(np.max(np.abs(self.vertices))))
 
+    @cached_method
     def diameter(self) -> float:
         v = self.vertices
         if len(v) == 1:
@@ -310,6 +314,11 @@ class ConvexPolygon:
         dx = np.subtract.outer(v[:, 0], v[:, 0])
         dy = np.subtract.outer(v[:, 1], v[:, 1])
         return float(np.sqrt(np.max(dx * dx + dy * dy)))
+
+    @cached_property
+    def section_stack(self) -> "SectionStack":
+        """The polygon as a one-section `SectionStack`."""
+        return stack_sections((self,))
 
     def centroid(self) -> np.ndarray:
         return np.mean(self.vertices, axis=0)
@@ -449,21 +458,63 @@ def minkowski_scaled_sum(a: float, P: ConvexPolygon, b: float, Q: ConvexPolygon,
 # Distances and containment
 # ---------------------------------------------------------------------------
 
-def _edge_feet(p: np.ndarray, poly: ConvexPolygon):
-    """(feet, dists): the nearest point of every edge segment to p (n >= 2)
-    and its distance from p, or None when p is inside the polygon (n >= 3)."""
-    v = poly.vertices
-    e = np.roll(v, -1, axis=0) - v
-    rel = p[None, :] - v
-    if poly.n >= 3:
-        cross = e[:, 0] * rel[:, 1] - e[:, 1] * rel[:, 0]
-        if np.all(cross >= -1e-15 * poly.scale ** 2):
-            return None
-    ee = np.sum(e * e, axis=1)
+SectionStack = namedtuple("SectionStack", "v e ee screen real points")
+
+
+def stack_sections(polys) -> SectionStack:
+    """k polygons padded to n vertices, from one concatenation of their
+    vertex cycles: vertices v and edge vectors e (k, n, 2), where a padded
+    entry repeats the first vertex (it closes the cycle; its edge is 0),
+    squared edge lengths ee (k, n), 1 where 0, the inside screen (k,),
+    -1e-15 * scale**2 for a polygon and NaN for a point or segment, real
+    (k, n), False at the padding, and the indices of the point sections."""
+    counts = np.array([p.n for p in polys])
+    if len(polys) == 1:  # nothing to pad
+        v, real = polys[0].vertices[None], np.ones((1, counts[0]), dtype=bool)
+    else:
+        j = np.arange(counts.max())
+        real = j < counts[:, None]
+        first = (np.cumsum(counts) - counts)[:, None]
+        v = np.concatenate([p.vertices for p in polys])[first + np.where(real, j, 0)]
+    e = np.concatenate((v[:, 1:], v[:, :1]), axis=1) - v
+    ee = e[..., 0] * e[..., 0] + e[..., 1] * e[..., 1]
     ee[ee == 0.0] = 1.0
-    t = np.clip(np.sum(rel * e, axis=1) / ee, 0.0, 1.0)
-    foot = v + t[:, None] * e
-    return foot, np.linalg.norm(p[None, :] - foot, axis=1)
+    screen = [-1e-15 * p.scale ** 2 if p.n >= 3 else np.nan for p in polys]
+    stack = SectionStack(v, e, ee, np.array(screen), real, np.flatnonzero(counts == 1))
+    for a in stack:  # cached on immutable polygons, fans and charts
+        a.setflags(write=False)
+    return stack
+
+
+def _edge_feet(p: np.ndarray, s: SectionStack):
+    """(inside, feet, dists) of the query points p (k, 2), p[i] against
+    section i of s: whether p[i] passes the inside screen (cross >= screen
+    on every edge), and the nearest point of every edge to p[i] with its
+    distance (None when every p[i] is inside).  The distance is +inf at the
+    padding, whose foot, vertex 0, can come out an ulp nearer than the true
+    one.  Elementwise throughout, so every entry has the bits of the
+    one-polygon computation."""
+    rel = p[:, None, :] - s.v
+    cross = s.e[..., 0] * rel[..., 1] - s.e[..., 1] * rel[..., 0]
+    inside = np.all(cross >= s.screen[:, None], axis=1)  # a padded cross is 0
+    if inside.all():
+        return inside, None, None
+    t = np.clip((rel[..., 0] * s.e[..., 0] + rel[..., 1] * s.e[..., 1]) / s.ee, 0.0, 1.0)
+    feet = s.v + t[..., None] * s.e
+    d = p[:, None, :] - feet
+    dists = np.sqrt(d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1])
+    return inside, feet, np.where(s.real, dists, np.inf)
+
+
+def section_distances(pts: np.ndarray, s: SectionStack) -> np.ndarray:
+    """Distance from pts[i] (k, 2) to section i of s; 0 inside or on it.  A
+    point section takes the 1-D `np.linalg.norm`: a stacked norm rounds
+    differently."""
+    inside, _, dists = _edge_feet(pts, s)
+    out = np.zeros(len(pts)) if dists is None else np.where(inside, 0.0, dists.min(axis=1))
+    for i in s.points:
+        out[i] = np.linalg.norm(pts[i] - s.v[i, 0])
+    return out
 
 
 def distance(p, poly: ConvexPolygon) -> float:
@@ -472,10 +523,7 @@ def distance(p, poly: ConvexPolygon) -> float:
     Convex as a function of p.
     """
     p = np.asarray(p, dtype=float)
-    if poly.n == 1:
-        return float(np.linalg.norm(p - poly.vertices[0]))
-    feet = _edge_feet(p, poly)
-    return 0.0 if feet is None else float(np.min(feet[1]))
+    return float(section_distances(p[None], poly.section_stack)[0])
 
 
 def nearest_point(p, poly: ConvexPolygon) -> np.ndarray:
@@ -483,8 +531,8 @@ def nearest_point(p, poly: ConvexPolygon) -> np.ndarray:
     p = np.asarray(p, dtype=float)
     if poly.n == 1:
         return poly.vertices[0].copy()
-    feet = _edge_feet(p, poly)
-    return p.copy() if feet is None else feet[0][int(np.argmin(feet[1]))]
+    inside, feet, dists = _edge_feet(p[None], poly.section_stack)
+    return p.copy() if inside[0] else feet[0, int(np.argmin(dists[0]))]
 
 
 def distance_many(pts, poly: ConvexPolygon) -> np.ndarray:

@@ -13,10 +13,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property, wraps
 
 import numpy as np
 
 PI = float(np.pi)
+
+
+def cached_method(method):
+    """A zero-argument method of an immutable object, evaluated on the
+    first call only: its value is the cached_property `_<name>`."""
+    prop = cached_property(method)
+    prop.__set_name__(None, "_" + method.__name__)
+    return wraps(method)(lambda self: prop.__get__(self))
 
 
 # ---------------------------------------------------------------------------
@@ -307,6 +316,12 @@ class PencilFrame:
         Antiperiodic: origin(theta + pi) = -origin(theta).
         """
         return -np.sin(theta) * self.h2 + np.cos(theta) * self.h3
+
+    def plane_rows(self, thetas):
+        """(covectors, origins): `plane_covector` and `origin` of every
+        angle in thetas, as (k, 4) rows, from one vectorized cos and sin."""
+        c, s = np.cos(thetas)[:, None], np.sin(thetas)[:, None]
+        return c * self.h2 + s * self.h3, -s * self.h2 + c * self.h3
 
     def section_point(self, theta: float, u: float, v: float) -> np.ndarray:
         """Homogeneous point of plane(theta) with unit-chart coordinates (u, v)."""

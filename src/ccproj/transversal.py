@@ -33,9 +33,9 @@ import numpy as np
 from . import planar
 from .dualize import dual_of_found_line, l_dual
 from .fan import SectionFan, event_angles, in_unwrapped_chart, section_at, validate
-from .planar import ConvexPolygon, chebyshev_center, distance, nearest_point
+from .planar import ConvexPolygon, chebyshev_center, nearest_point, section_distances
 from .projcore import (PI, DEFAULT_TOL, DegenerateInput, GeometryError, PencilFrame,
-                       ProjLine, Tolerances, wrap_angle)
+                       ProjLine, Tolerances, cached_method, wrap_angle)
 
 MAX_ITER = 400          # LP solves per solve_minimax call
 N_SEED_POINTS = 3       # random box points cut at after the first solve
@@ -87,6 +87,7 @@ class SolverChart:
     def m(self) -> int:
         return len(self.heights)
 
+    @cached_method
     def betas(self) -> np.ndarray:
         h = self.heights
         return (h - h[0]) / (h[-1] - h[0])
@@ -116,6 +117,7 @@ class SolverChart:
         p2 = self.lift(q[2], q[3], float(self.heights[-1]))
         return ProjLine(np.vstack([p1, p2]))
 
+    @cached_method
     def scale(self) -> float:
         return max(max(p.scale for p in self.polys), 1.0)
 
@@ -136,22 +138,27 @@ class SolverChart:
         return np.array([[lo[0] - box_pad, hi[0] + box_pad],
                          [lo[1] - box_pad, hi[1] + box_pad]] * 2)
 
-    def _distances(self, q) -> list:
+    @cached_property
+    def section_stack(self) -> planar.SectionStack:
+        """The chart's sections as one padded stack, in height order."""
+        return planar.stack_sections(self.polys)
+
+    def _distances(self, q) -> np.ndarray:
         """Distance from each hit point to its section, in height order."""
-        xs = self.hit_points(np.asarray(q, dtype=float))
-        return [distance(x, p) for x, p in zip(xs, self.polys)]
+        return section_distances(self.hit_points(np.asarray(q, dtype=float)),
+                                 self.section_stack)
 
     def objective(self, q) -> float:
         """Convex minimax objective over the 4-dimensional line
         parameterization: the largest hit-point-to-section distance."""
-        return max(self._distances(q))
+        return float(np.max(self._distances(q)))
 
     def objective_grad(self, q):
         """(value, subgradient) of the max-of-distances objective."""
         q = np.asarray(q, dtype=float)
         vals = self._distances(q)
         i = int(np.argmax(vals))
-        f = vals[i]
+        f = float(vals[i])
         g = np.zeros(4)
         if f > 0.0:
             x = self.hit_points(q)[i]
@@ -164,7 +171,7 @@ class SolverChart:
     def residuals(self, q) -> np.ndarray:
         """Distance from each hit point to its section, in ascending order
         of section index (not in the chart's height order)."""
-        return np.array(self._distances(q))[np.argsort(self.indices)]
+        return self._distances(q)[np.argsort(self.indices)]
 
 
 def build_solver_chart(fan: SectionFan, subset=None) -> SolverChart:
@@ -479,24 +486,29 @@ class LineCertificate:
         return float(np.max(self.residuals))
 
 
-def _plane_hit(frame: PencilFrame, line: ProjLine, theta: float):
-    """(x, xy, lam): the line's meet x with the pencil plane at theta, whose
-    unit-chart point is xy / lam, at infinity when lam is 0."""
-    cov = frame.plane_covector(theta)
+def _chart_hits(frame: PencilFrame, rows, line: ProjLine):
+    """(pts, far): the line's meets with the pencil planes whose rows
+    (covectors, origins) are frame.plane_rows(thetas), as unit-chart points
+    (k, 2), and where a meet is at infinity (its row of pts is NaN).  Each
+    dot product is one 1-D `dot`, a BLAS ddot: numpy's stacked products
+    (gemv, einsum, sums) round differently."""
+    cov, org = rows
     a, b = line.span
-    x = float(cov @ b) * a - float(cov @ a) * b
-    return (x, np.array([float(x @ frame.g0), float(x @ frame.g1)]),
-            float(x @ frame.origin(theta)))
+    ab = np.array([(c.dot(a), c.dot(b)) for c in cov])
+    x = ab[:, 1:] * a - ab[:, :1] * b  # (cov·b) a - (cov·a) b lies in each plane
+    g0, g1 = frame.g0, frame.g1
+    u, v, lam, xx = np.array([(r.dot(g0), r.dot(g1), r.dot(o), r.dot(r))
+                              for r, o in zip(x, org)]).T
+    far = np.abs(lam) <= 1e-14 * np.maximum(1.0, np.sqrt(xx))  # xx: np.linalg.norm's dot
+    pts = np.full((len(x), 2), np.nan)
+    pts[~far] = np.stack([u, v], axis=1)[~far] / lam[~far, None]
+    return pts, far
 
 
 def line_hits_in_charts(fan: SectionFan, line: ProjLine):
     """Unit-chart coordinates of the line's hit point in every sample plane."""
-    hits = []
-    for t in fan.thetas:
-        x, xy, lam = _plane_hit(fan.frame, line, float(t))
-        hits.append(None if abs(lam) <= 1e-14 * max(1.0, float(np.linalg.norm(x)))
-                    else xy / lam)
-    return hits
+    pts, far = _chart_hits(fan.frame, fan.plane_rows, line)
+    return [None if f else h for h, f in zip(pts, far)]
 
 
 def certify_line(fan: SectionFan, line: ProjLine, eps: float = None,
@@ -514,14 +526,8 @@ def certify_line(fan: SectionFan, line: ProjLine, eps: float = None,
         raise DegenerateInput("line meets L")
     if eps is None:
         eps = tol.eps_certify * max(1.0, fan.diameter())
-    hits = line_hits_in_charts(fan, line)
-    res = []
-    for i, h in enumerate(hits):
-        if h is None:
-            res.append(np.inf)
-        else:
-            res.append(distance(h, fan.sections[i]))
-    res = np.array(res)
+    pts, far = _chart_hits(fan.frame, fan.plane_rows, line)
+    res = np.where(far, np.inf, section_distances(pts, fan.section_stack))
     failing = tuple(int(i) for i in np.nonzero(res > eps)[0])
     return LineCertificate(res, float(eps), len(failing) == 0, failing)
 
@@ -595,10 +601,9 @@ def support_halfplane_transversal(fan: SectionFan, halfplanes,
     line = dual_of_found_line(result.line, dual.frame, tol)
     cert = certify_line(octa, line, tol=tol)
 
-    margins = []
-    for theta, n, c, _ in entries:
-        _, xy, lam = _plane_hit(fan.frame, line, theta)
-        # lam != 0: a hit at infinity lies on L, and certify_line above
-        # raises DegenerateInput for a line that meets L
-        margins.append(c - float(n @ (xy / lam)))
+    thetas = np.array([theta for theta, _, _, _ in entries])
+    # no hit is at infinity: certify_line above raises DegenerateInput for
+    # a line that meets L
+    pts, _ = _chart_hits(fan.frame, fan.frame.plane_rows(thetas), line)
+    margins = [c - float(n @ p) for (_, n, c, _), p in zip(entries, pts)]
     return HalfplaneTransversal(line, np.array(margins), float(dual_resid), cert)

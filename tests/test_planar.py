@@ -875,6 +875,50 @@ def test_point_kernels_match_reference(poly, queries, spread):
         assert interior_margin(poly, p) == ref_interior_margin(poly, p)
 
 
+def test_stacked_kernel_masks_the_padding():
+    # the triangle is padded to the octagon's 8 vertices; a padded entry
+    # that repeated vertex 0 unmasked would come out an ulp nearer to the
+    # query than the true nearest foot on the first edge
+    tri = ConvexPolygon([[-1.2627784984786055, 0.8469605111846839],
+                         [1.122518095004468, -0.4451686263851543],
+                         [1.6182364884988185, -0.374036746682324]])
+    p = np.array([-3.3639523193225633, -3.0318489757688014])
+    stack = planar.stack_sections([tri, mgon(1.0, 8)])
+    got = planar.section_distances(np.array([p, [0.0, 0.0]]), stack)
+    assert got[0] == ref_distance(p, tri) == 4.4113597066528545
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(kernel_polygons(), min_size=1, max_size=6), st.data())
+def test_stacked_kernel_matches_distance(polys, data):
+    # one query per section of a padded stack (points, segments, polygons
+    # with near-collinear or repeated vertices, mixed vertex counts): a
+    # random point, one on the ray from the centroid through a vertex,
+    # inside, on or outside the section, or one outside the first edge
+    # just past vertex 0, where a padded entry repeating vertex 0 would
+    # beat the nearest foot by an ulp
+    pts = []
+    for poly in polys:
+        c, v = poly.centroid(), poly.vertices[data.draw(st.integers(0, poly.n - 1))]
+        spread = data.draw(st.sampled_from([None, 0.0, 0.5, 1.0, 1.0 + 1e-12, 1.5, 3.0]))
+        if data.draw(st.booleans()) and poly.n > 1:
+            e = poly.vertices[1] - poly.vertices[0]
+            pts.append(poly.vertices[0] + data.draw(st.floats(0.01, 2.0)) * np.array([e[1], -e[0]])
+                       + data.draw(st.sampled_from([-1e-16, 1e-16, 3e-16])) * e)
+        elif spread is None:
+            pts.append(np.array(data.draw(point)))
+        else:
+            pts.append(c + spread * (v - c))
+    pts = np.array(pts)
+    stack = planar.stack_sections(polys)
+    got = planar.section_distances(pts, stack)
+    inside, feet, dists = planar._edge_feet(pts, stack)
+    for i, (x, poly) in enumerate(zip(pts, polys)):
+        assert got[i] == distance(x, poly) == ref_distance(x, poly)
+        if poly.n > 1 and not inside[i]:
+            assert np.array_equal(feet[i, int(np.argmin(dists[i]))], ref_nearest_point(x, poly))
+
+
 @settings(max_examples=200, deadline=None)
 @given(kernel_polygons())
 def test_edge_halfplanes_match_chebyshev_and_dual_rows(poly):

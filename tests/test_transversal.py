@@ -1,3 +1,4 @@
+import functools
 import hashlib
 from itertools import combinations
 
@@ -10,12 +11,12 @@ from ccproj import (ConvexPolygon, EmptySelection, NotSupporting, ProjLine,
                     SectionFan, TooManyDirections, browder_four_sections, build_solver_chart,
                     certify_line, chebyshev_line, convex_hull, helly_verify,
                     section_at, support_halfplane_transversal, validate)
-from ccproj.projcore import PI
+from ccproj.projcore import DEFAULT_TOL, PI, cached_method
 from ccproj.planar import distance
 from ccproj.transversal import (N_SEED_POINTS, HellyReport, SolverChart, _depth_rows,
                                 _five_subsets, _unrank_combination)
 from conftest import mgon
-from test_planar import kernel_polygons, point
+from test_planar import kernel_polygons, point, ref_distance
 
 K_FORM = np.diag([1.0, 1.0, -1.0, -1.0])
 # test_kelley_path_matches_reference_kernels's line, as the written-out
@@ -517,6 +518,96 @@ def test_certify_partial_miss(quad12):
     cert = certify_line(quad12, line)
     assert not cert.contained
     assert 0 < len(cert.failing) < quad12.k
+
+
+def ref_plane_hit(frame, line, theta):
+    cov = frame.plane_covector(theta)
+    a, b = line.span
+    x = float(cov @ b) * a - float(cov @ a) * b
+    return (x, np.array([float(x @ frame.g0), float(x @ frame.g1)]),
+            float(x @ frame.origin(theta)))
+
+
+def ref_certify_line(fan, line, tol=DEFAULT_TOL):
+    """(residuals, eps, failing) of certify_line as it was written before
+    the stacked pass: one plane hit and one distance per sample plane."""
+    diam = max(float(np.sqrt(np.max(np.sum((s.vertices[:, None] - s.vertices) ** 2, axis=2))))
+               for s in fan.sections)
+    eps = tol.eps_certify * max(1.0, diam)
+    res = []
+    for t, section in zip(fan.thetas, fan.sections):
+        x, xy, lam = ref_plane_hit(fan.frame, line, float(t))
+        res.append(np.inf if abs(lam) <= 1e-14 * max(1.0, float(np.linalg.norm(x)))
+                   else ref_distance(xy / lam, section))
+    res = np.array(res)
+    return res, eps, tuple(int(i) for i in np.nonzero(res > eps)[0])
+
+
+@functools.cache
+def oracle_fans():
+    from ccproj import gen_quadric, gen_random_fan
+    return ([gen_random_fan(s).fan for s in range(20)]
+            + [gen_quadric(12, 64).fan, gen_quadric(48, 256).fan])
+
+
+@st.composite
+def section_point(draw, fan):
+    """A sample index and a unit-chart point inside, on or outside its
+    section: on the ray from the centroid through a vertex."""
+    i = draw(st.integers(0, fan.k - 1))
+    poly = fan.sections[i]
+    c, v = poly.centroid(), poly.vertices[draw(st.integers(0, poly.n - 1))]
+    return i, c + draw(st.sampled_from([0.0, 0.3, 0.9, 1.0, 1.1, 3.0])) * (v - c)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_certify_line_matches_per_plane_oracle(data):
+    fan = data.draw(st.sampled_from(oracle_fans()))
+    (i, p), (j, q) = data.draw(section_point(fan)), data.draw(section_point(fan))
+    if i == j:
+        j = (i + 1) % fan.k
+    line = ProjLine(np.vstack([fan.frame.section_point(float(fan.thetas[i]), *p),
+                               fan.frame.section_point(float(fan.thetas[j]), *q)]))
+    cert = certify_line(fan, line)
+    res, eps, failing = ref_certify_line(fan, line)
+    assert np.array_equal(cert.residuals, res)
+    assert cert.eps == eps and cert.failing == failing
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_chart_distances_match_per_section_oracle(data):
+    fan = data.draw(st.sampled_from(oracle_fans()))
+    subset = data.draw(st.lists(st.integers(0, fan.k - 1), min_size=2, max_size=8,
+                                unique=True))
+    chart = build_solver_chart(fan, subset)
+    lo, hi = chart.box[:, 0], chart.box[:, 1]
+    q = lo + np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4))) * (hi - lo)
+    ref = [ref_distance(x, p) for x, p in zip(chart.hit_points(q), chart.polys)]
+    assert np.array_equal(chart._distances(q), ref)
+
+
+def test_certify_line_reads_cached_fan_invariants(monkeypatch):
+    # two certify_line calls on quadric (48, 256): no per-section distance
+    # call, and each section's diameter computed once in all
+    from ccproj import gen_quadric, planar
+    quad = gen_quadric(48, 256).fan
+    fan = quad.with_sections([ConvexPolygon(s.vertices) for s in quad.sections])
+    calls = []
+    monkeypatch.setattr(planar, "distance", lambda *a: calls.append("distance"))
+    inner = ConvexPolygon.diameter.__wrapped__
+
+    def diameter(self):
+        calls.append("diameter")
+        return inner(self)
+
+    monkeypatch.setattr(ConvexPolygon, "diameter", cached_method(diameter))
+    for x in (0.0, 0.5):
+        line = ProjLine(np.vstack([fan.frame.section_point(float(fan.thetas[0]), x, 0.0),
+                                   fan.frame.section_point(float(fan.thetas[7]), 0.0, x)]))
+        certify_line(fan, line)
+    assert calls == ["diameter"] * fan.k
 
 
 def test_support_halfplane_transversal_quadric(quad12):
