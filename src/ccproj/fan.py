@@ -146,6 +146,35 @@ class SectionFan:
         """`PencilFrame.plane_rows` of the sample angles."""
         return self.frame.plane_rows(self.thetas)
 
+    @cached_property
+    def gap_plans(self) -> dict:
+        """The Minkowski plans (`planar.minkowski_plan`) of the gaps that
+        `gap_plan` has been asked for, by gap index."""
+        return {}
+
+    def gap_plan(self, i: int) -> planar.MinkowskiPlan:
+        """The plan of gap i, from sample i to the next, built on first use:
+        the wrap gap's far section is negated into the unwrapped chart
+        (in_unwrapped_chart), so it is negated once per fan."""
+        plan = self.gap_plans.get(i)
+        if plan is None:
+            j = (i + 1) % self.k
+            far = self.sections[j] if j else self.sections[0].negated()
+            plan = self.gap_plans[i] = planar.minkowski_plan(self.sections[i], far)
+        return plan
+
+    @cached_property
+    def gap_trig(self):
+        """(t0, span, cos(span), sin(span), sin(t0), cos(t0)) of the gaps,
+        t0 the sample angles and span the gap widths, the wrap gap's up to
+        theta_0 + pi; cos(span) and sin(span) as (k, 1) columns."""
+        t0 = self.thetas
+        span = np.diff(t0, append=t0[0] + PI)
+        out = t0, span, np.cos(span)[:, None], np.sin(span)[:, None], np.sin(t0), np.cos(t0)
+        for a in out[1:]:
+            a.setflags(write=False)
+        return out
+
     def edge_angles(self) -> np.ndarray:
         """Sorted direction angles (mod pi) of the section edges: one per
         edge, one per segment section, none for a point section."""
@@ -192,9 +221,9 @@ def section_at(fan: SectionFan, theta: float, tol: Tolerances = DEFAULT_TOL) -> 
     hit = fan.sample_index_at(theta)
     if hit is not None:
         return fan.sections[hit]
-    i, j, ti, tj, tu = fan.gap_of(theta)
-    out = hull_slice(ti, fan.sections[i], tj, in_unwrapped_chart(fan.sections[j], tj), tu, tol)
-    return in_unwrapped_chart(out, tu)
+    i, _, ti, tj, tu = fan.gap_of(theta)
+    a, b = gap_coefficients(ti, tj, tu)
+    return in_unwrapped_chart(planar.planned_sum(fan.gap_plan(i), float(a), float(b), tol), tu)
 
 
 # ---------------------------------------------------------------------------
@@ -312,13 +341,12 @@ def plane_margin(fan: SectionFan, xi) -> PlaneMargin:
     near = support_intervals(fan, nu)
     far = np.roll(near, -1, axis=0)
     far[-1] = -near[0, ::-1]
-    t0 = fan.thetas
-    span = np.diff(t0, append=t0[0] + PI)
+    t0, span, cos_span, sin_span, sin_t0, cos_t0 = fan.gap_trig
     # v(t0 + tau) = v_near cos(tau) + (v_far - v_near cos(span)) / sin(span) sin(tau)
-    slope = (far - near * np.cos(span)[:, None]) / np.sin(span)[:, None]
+    slope = (far - near * cos_span) / sin_span
     # offs(t0 + tau) = offs(t0) cos(tau) + offs'(t0) sin(tau)
-    offs = -np.sin(t0) * c2 + np.cos(t0) * c3
-    doffs = -np.cos(t0) * c2 - np.sin(t0) * c3
+    offs = -sin_t0 * c2 + cos_t0 * c3
+    doffs = -cos_t0 * c2 - sin_t0 * c3
     alpha = np.stack([near[:, 0] + offs, -(near[:, 1] + offs)], axis=1)
     beta = np.stack([slope[:, 0] + doffs, -(slope[:, 1] + doffs)], axis=1)
     return PlaneMargin(t0, span, alpha, beta)

@@ -304,7 +304,7 @@ class ConvexPolygon:
 
     @cached_property
     def scale(self) -> float:
-        return max(1.0, float(np.max(np.abs(self.vertices))))
+        return max(1.0, float(np.abs(self.vertices).max()))
 
     @cached_method
     def diameter(self) -> float:
@@ -411,19 +411,135 @@ def polar_dual(poly: ConvexPolygon, ref, tol: Tolerances = DEFAULT_TOL) -> Conve
 # Minkowski combinations
 # ---------------------------------------------------------------------------
 
+MERGE_TINY = 1e-12  # radians: sorted edges of a sum at most this far apart merge
+PLAN_WEIGHTS = 2.0 ** -500, 2.0 ** 500  # the weights an exact plan holds for
+MinkowskiPlan = namedtuple("MinkowskiPlan", "P Q starts cur nxt heads wrap exact")
+
+
+def minkowski_plan(P: ConvexPolygon, Q: ConvexPolygon) -> MinkowskiPlan:
+    """What a*P + b*Q takes from P and Q alone (see `minkowski_scaled_sum`):
+    each operand's min-(y, x) vertex (starts, rows of the concatenated
+    vertices of P and Q), the (current, next) vertex rows of every edge in
+    sorted-angle order (cur, nxt), the heads of the merge runs, the length
+    of the wrap run, moved to the front (wrap, 0 for none), and whether the
+    operands scaled by any weights in PLAN_WEIGHTS make the same decisions
+    (exact, `_weight_free`)."""
+    v = np.concatenate((P.vertices, Q.vertices))
+    starts, cur, nxt = [], [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)]
+    for first, w in ((0, P.vertices), (P.n, Q.vertices)):
+        n, s = len(w), int(np.lexsort((w[:, 0], w[:, 1]))[0])
+        starts.append(first + s)
+        if n > 1:  # a point has no edge
+            cur.append(first + (s + np.arange(n)) % n)
+            nxt.append(first + (s + np.arange(1, n + 1)) % n)
+    cur, nxt = np.concatenate(cur), np.concatenate(nxt)
+    e = v[nxt] - v[cur]
+    ang = np.arctan2(e[:, 1], e[:, 0]) % (2.0 * PI)
+    order = np.argsort(ang, kind="stable")
+    ang, cur, nxt, e = ang[order], cur[order], nxt[order], e[order]
+    heads = np.flatnonzero(np.diff(ang, prepend=-np.inf) > MERGE_TINY)
+    wrap = 0
+    if len(heads) > 1 and ang[0] + 2.0 * PI - ang[-1] <= MERGE_TINY:
+        # the last run wraps across 0 into the first: the cycle starts at its head
+        wrap = len(ang) - int(heads[-1])
+        ang, cur, nxt, e = (np.roll(x, wrap, axis=0) for x in (ang, cur, nxt, e))
+        ang[:wrap] -= 2.0 * PI
+        heads = np.concatenate(([0], heads[1:-1] + wrap))
+    exact = _weight_free(v, P.n, starts, cur, nxt, e, ang, heads)
+    for x in (cur, nxt, heads):  # cached on immutable fans
+        x.setflags(write=False)
+    return MinkowskiPlan(P, Q, tuple(starts), cur, nxt, heads, wrap, exact)
+
+
+def _weight_free(v, split: int, starts, cur, nxt, e, ang, heads) -> bool:
+    """Whether the operands v[:split] and v[split:] scaled by any weights
+    in PLAN_WEIGHTS decide as the plan did on them unscaled: the same
+    starts, and the same runs in the same order, with the same wrap; e and
+    ang are the unscaled edges and angles in plan order.  Runs must have
+    one or two edges, as a run of two sums the same either way round (no
+    fan gap has a longer run: a section has one edge per direction).
+    Scaling rounds a coordinate x by at most u |x|, plus 2^-1075 / weight
+    in x's units where the product underflows (u = 2^-53), so with
+    r = 2^-50 |p| + 2^-560 for a vertex p (max-norm)
+    - a start stays the lexicographic minimum if every other vertex lies
+      above it, or level with it and to its right, by more than the larger
+      r of the two;
+    - an edge e from p to q turns by at most (r_p + r_q) / |e|, and both
+      arctan2 values are off by a few ulps of 2 pi, within 2^-46.  With
+      every angle in [ang - slack, ang + slack], the runs decide as here if
+      each spans at most MERGE_TINY and starts more than MERGE_TINY after
+      the previous one ends (the first one after the last one, across
+      2 pi).
+    Weights at most 2^500 on vertices below 2^500 do not overflow."""
+    r = np.maximum(np.abs(v[:, 0]), np.abs(v[:, 1]))
+    if not r.max() < 2.0 ** 500:  # also rejects NaN and infinities
+        return False
+    r = 2.0 ** -50 * r + 2.0 ** -560
+    base = np.repeat(starts, (split, len(v) - split))
+    d, m = v - v[base], np.maximum(r, r[base])
+    if np.count_nonzero((d[:, 1] <= m) & ((d[:, 1] != 0.0) | (d[:, 0] <= m))) > 2:
+        return False  # a vertex other than the starts
+    if len(ang) == 0:
+        return True
+    if len(ang) - heads[-1] > 2 or (heads[1:] - heads[:-1] > 2).any():
+        return False  # a run of three edges or more
+    with np.errstate(divide="ignore"):
+        slack = 2.0 ** -46 + (r[cur] + r[nxt]) / np.hypot(e[:, 0], e[:, 1])
+    lo, hi = ang - slack, ang + slack
+    run_lo, run_hi = np.minimum.reduceat(lo, heads), np.maximum.reduceat(hi, heads)
+    after = np.concatenate((run_lo[1:], run_lo[:1] + 2.0 * PI))  # the next run's start
+    return bool((run_hi - run_lo <= MERGE_TINY).all() and (after - run_hi > MERGE_TINY).all())
+
+
+def planned_sum(plan: MinkowskiPlan, a: float, b: float,
+                tol: Tolerances = DEFAULT_TOL) -> ConvexPolygon:
+    """a*P + b*Q for positive scalars from the plan of P and Q: the scaled
+    vertices, the edge vectors, the merge, the partial sums and the hull
+    certificate.  A plan that is not exact for these weights gives way to
+    the plan of the scaled operands, applied with weights 1."""
+    low, high = PLAN_WEIGHTS
+    if not (plan.exact and low <= min(a, b) and max(a, b) <= high):
+        plan, a, b = minkowski_plan(plan.P.scaled(a), plan.Q.scaled(b)), 1.0, 1.0
+    v = np.concatenate((plan.P.vertices * float(a), plan.Q.vertices * float(b)))
+    start = v[plan.starts[0]] + v[plan.starts[1]]
+    if len(plan.cur) == 0:
+        return ConvexPolygon(start)
+    edges = v[plan.nxt] - v[plan.cur]
+    if plan.wrap:
+        start = start - edges[:plan.wrap].sum(axis=0)
+    merged = np.add.reduceat(edges, plan.heads, axis=0)
+    pts = start + np.cumsum(merged[:-1], axis=0)
+    return convex_hull(np.vstack([start, pts]), tol)
+
+
 def minkowski_scaled_sum(a: float, P: ConvexPolygon, b: float, Q: ConvexPolygon,
                          tol: Tolerances = DEFAULT_TOL) -> ConvexPolygon:
     """Minkowski sum a*P + b*Q for nonnegative scalars, by edge merging (de
     Berg et al., *Computational Geometry*, section 13.3).
 
     Both operands' edges, sorted by angle from the sum's min-(y, x) vertex,
-    are summed up after each run of consecutive angles at most `tiny` apart
-    (also across 0 and 2 pi) is merged into one edge: adjacent fan sections
-    share edge normals, and an unmerged pair leaves a collinear vertex.  So
-    `_convex_cycle` can certify the sum; where it declines (a merged edge
-    within eps, say) the chain decides.  A run of r edges spans at most
-    (r - 1) * tiny radians, so the merge moves the boundary by at most that
-    times the run's length, far below the chain's eps_convex * scale merge.
+    are summed up after each run of consecutive angles at most MERGE_TINY
+    apart (also across 0 and 2 pi) is merged into one edge: adjacent fan
+    sections share edge normals, and an unmerged pair leaves a collinear
+    vertex.  So `_convex_cycle` can certify the sum; where it declines (a
+    merged edge within eps, say) the chain decides.  A run of r edges spans
+    at most (r - 1) * MERGE_TINY radians, so the merge moves the boundary by
+    at most that times the run's length, far below the chain's eps_convex *
+    scale merge.
+
+    Only the scaled vertices, the edge vectors, their sums and the
+    certificate depend on a and b (`planned_sum`).  The starts, the edge
+    order, the runs and the wrap depend on P and Q alone: `minkowski_plan`
+    finds them once, and a SectionFan keeps one plan per gap for every
+    theta in it.  The plan sorts the unscaled edges, which scaling turns by
+    rounding, so in most gaps of a fan its order is not that of the scaled
+    edges' angles: the parallel edge pairs of neighbouring sections tie up
+    to an ulp and swap.  The bits are those of sorting the scaled edges all
+    the same, as such a pair is one merge run and a run of two sums the
+    same either way round.  `_weight_free` certifies the plan's other
+    decisions for every weight in PLAN_WEIGHTS; where it cannot (an edge
+    short against its distance from the origin, a bottom edge tilted by an
+    ulp), the scaled operands are planned on every call instead.
     """
     if a < 0 or b < 0:
         raise ValueError("scalars must be nonnegative")
@@ -431,27 +547,7 @@ def minkowski_scaled_sum(a: float, P: ConvexPolygon, b: float, Q: ConvexPolygon,
         return Q.scaled(b) if b != 1.0 else Q
     if b == 0.0:
         return P.scaled(a) if a != 1.0 else P
-    vp, vq = (np.roll(v, -int(np.lexsort((v[:, 0], v[:, 1]))[0]), axis=0)
-              for v in (P.vertices * float(a), Q.vertices * float(b)))
-    start = vp[0] + vq[0]
-    edges = np.vstack([np.roll(v, -1, axis=0) - v for v in (vp, vq) if len(v) > 1]
-                      + [np.zeros((0, 2))])
-    if len(edges) == 0:
-        return ConvexPolygon(start)
-    tiny = 1e-12  # radians
-    ang = np.arctan2(edges[:, 1], edges[:, 0]) % (2.0 * PI)
-    order = np.argsort(ang, kind="stable")
-    ang, edges = ang[order], edges[order]
-    heads = np.flatnonzero(np.diff(ang, prepend=-np.inf) > tiny)
-    if len(heads) > 1 and ang[0] + 2.0 * PI - ang[-1] <= tiny:
-        # the last run wraps across 0 into the first: the cycle starts at its head
-        k = heads[-1]
-        start = start - edges[k:].sum(axis=0)
-        edges = np.roll(edges, len(edges) - k, axis=0)
-        heads = np.concatenate(([0], heads[1:-1] + (len(edges) - k)))
-    merged = np.add.reduceat(edges, heads, axis=0)
-    pts = start + np.cumsum(merged[:-1], axis=0)
-    return convex_hull(np.vstack([start, pts]), tol)
+    return planned_sum(minkowski_plan(P, Q), a, b, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -468,19 +564,22 @@ def stack_sections(polys) -> SectionStack:
     squared edge lengths ee (k, n), 1 where 0, the inside screen (k,),
     -1e-15 * scale**2 for a polygon and NaN for a point or segment, real
     (k, n), False at the padding, and the indices of the point sections."""
-    counts = np.array([p.n for p in polys])
     if len(polys) == 1:  # nothing to pad
-        v, real = polys[0].vertices[None], np.ones((1, counts[0]), dtype=bool)
+        n = polys[0].n
+        v, real = polys[0].vertices[None], np.ones((1, n), dtype=bool)
+        points = np.arange(int(n == 1))
     else:
+        counts = np.array([p.n for p in polys])
         j = np.arange(counts.max())
         real = j < counts[:, None]
         first = (np.cumsum(counts) - counts)[:, None]
         v = np.concatenate([p.vertices for p in polys])[first + np.where(real, j, 0)]
+        points = np.flatnonzero(counts == 1)
     e = np.concatenate((v[:, 1:], v[:, :1]), axis=1) - v
     ee = e[..., 0] * e[..., 0] + e[..., 1] * e[..., 1]
     ee[ee == 0.0] = 1.0
     screen = [-1e-15 * p.scale ** 2 if p.n >= 3 else np.nan for p in polys]
-    stack = SectionStack(v, e, ee, np.array(screen), real, np.flatnonzero(counts == 1))
+    stack = SectionStack(v, e, ee, np.array(screen), real, points)
     for a in stack:  # cached on immutable polygons, fans and charts
         a.setflags(write=False)
     return stack
@@ -496,7 +595,7 @@ def _edge_feet(p: np.ndarray, s: SectionStack):
     one-polygon computation."""
     rel = p[:, None, :] - s.v
     cross = s.e[..., 0] * rel[..., 1] - s.e[..., 1] * rel[..., 0]
-    inside = np.all(cross >= s.screen[:, None], axis=1)  # a padded cross is 0
+    inside = (cross >= s.screen[:, None]).all(axis=1)  # a padded cross is 0
     if inside.all():
         return inside, None, None
     t = np.clip((rel[..., 0] * s.e[..., 0] + rel[..., 1] * s.e[..., 1]) / s.ee, 0.0, 1.0)
@@ -523,7 +622,10 @@ def distance(p, poly: ConvexPolygon) -> float:
     Convex as a function of p.
     """
     p = np.asarray(p, dtype=float)
-    return float(section_distances(p[None], poly.section_stack)[0])
+    if poly.n == 1:  # the 1-D norm, as in section_distances
+        return float(np.linalg.norm(p - poly.vertices[0]))
+    inside, _, dists = _edge_feet(p[None], poly.section_stack)
+    return 0.0 if inside[0] else float(dists.min())
 
 
 def nearest_point(p, poly: ConvexPolygon) -> np.ndarray:

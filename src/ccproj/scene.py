@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, replace
 from functools import reduce
+from itertools import chain
 from operator import getitem
 
 import numpy as np
@@ -77,11 +78,13 @@ def parse(text: str) -> Scene:
     """Scene from its JSON text.
 
     Total: any document that is not a scene (bad JSON, a NaN or infinite
-    number, a missing key, a value of the wrong type or shape, fewer than 3
-    samples, a sample that is not a strictly convex counterclockwise
-    polygon, a non-orthonormal frame or one in neither space, validated not
-    a JSON boolean, seed neither an integer nor null, a JSON boolean among
-    the numbers of a frame vector or a vertex array) raises SceneFormatError."""
+    number, a missing key, a value of the wrong type or shape, a version
+    other than 1, fewer than 3 samples, a sample that is not a strictly
+    convex counterclockwise polygon, a sample chart that is not the
+    canonical unit chart of its plane within eps_incid, a non-orthonormal
+    frame or one in neither space, validated not a JSON boolean, seed
+    neither an integer nor null, a JSON boolean among the numbers of a
+    frame vector, a chart or a vertex array) raises SceneFormatError."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -150,7 +153,29 @@ def _samples(raw) -> list:
             for t, p, c, s in zip(thetas, polys, cw, raw)]
 
 
+def _check_charts(frame: PencilFrame, raw, thetas, eps: float) -> None:
+    """Raise unless every sample's chart (origin, u, v) is the canonical unit
+    chart of its plane, PencilFrame.origin(theta mod pi), g0 and g1, within
+    eps in max-norm: one comparison of the stacked (k, 12) charts.  The
+    charts' many zeros and ones make `_numbers`' JSON boolean test slow, so
+    the types of all entries are checked at once instead."""
+    vecs = [s["chart"][key] for s in raw for key in ("origin", "u", "v")]
+    flat = list(chain.from_iterable(vecs))
+    if set(map(len, vecs)) != {4} or not set(map(type, flat)) <= {int, float}:
+        raise SceneFormatError("a sample chart is not three 4-vectors origin, u, v")
+    th = np.array(thetas)[:, None] % PI
+    want = np.concatenate((-np.sin(th) * frame.h2 + np.cos(th) * frame.h3, np.broadcast_to(
+        np.concatenate((frame.g0, frame.g1)), (len(th), 8))), axis=1)
+    charts = np.array(flat, dtype=float).reshape(-1, 12)
+    ok = (np.abs(charts - want) <= eps).all(axis=1)  # False for NaN too
+    if not ok.all():
+        raise SceneFormatError("sample at theta=%s: chart is not the canonical unit chart "
+                               "of its plane" % thetas[int(np.argmin(ok))])
+
+
 def _scene_from_doc(doc: dict) -> Scene:
+    if type(doc["version"]) is not int or doc["version"] != 1:
+        raise SceneFormatError("version must be 1, got %s" % json.dumps(doc["version"])[:80])
     fr = doc["frame"]
     g0, g1, h2, h3 = _numbers([fr[key] for key in ("g0", "g1", "h2", "h3")], 2)
     if fr.get("space", "primal") not in ("primal", "dual"):
@@ -166,7 +191,9 @@ def _scene_from_doc(doc: dict) -> Scene:
     fan = SectionFan.create(frame, samples, validated=validated)
     tolerances = {k: float(_numbers(v, 0))
                   for k, v in dict(doc.get("tolerances", {})).items()}
-    replace(DEFAULT_TOL, **tolerances)  # TypeError for an unknown key, ValueError for a bad value
+    # TypeError for an unknown key, ValueError for a bad value
+    tol = replace(DEFAULT_TOL, **tolerances)
+    _check_charts(frame, doc["samples"], [t for t, _ in samples], tol.eps_incid)
     return Scene(fan, tolerances, seed)
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from ccproj import PencilFrame, SectionFan, convex_hull, gen_quadric
+from ccproj import DEFAULT_TOL, ConvexPolygon, PencilFrame, SectionFan, convex_hull, gen_quadric
 from ccproj.projcore import PI
 
 # print the reproduction blob of a failing example: a section's repr gives
@@ -15,6 +15,37 @@ def mgon(radius, m, center=(0.0, 0.0), phase=0.0):
     a = phase + 2 * np.pi * np.arange(m) / m
     return convex_hull(np.stack([center[0] + radius * np.cos(a),
                                  center[1] + radius * np.sin(a)], axis=1))
+
+
+def minkowski_oracle(a, P, b, Q, tol=DEFAULT_TOL):
+    """`planar.minkowski_scaled_sum` as it was before its plans: every
+    decision taken on the scaled operands, on every call."""
+    if a < 0 or b < 0:
+        raise ValueError("scalars must be nonnegative")
+    if a == 0.0:
+        return Q.scaled(b) if b != 1.0 else Q
+    if b == 0.0:
+        return P.scaled(a) if a != 1.0 else P
+    vp, vq = (np.roll(v, -int(np.lexsort((v[:, 0], v[:, 1]))[0]), axis=0)
+              for v in (P.vertices * float(a), Q.vertices * float(b)))
+    start = vp[0] + vq[0]
+    edges = np.vstack([np.roll(v, -1, axis=0) - v for v in (vp, vq) if len(v) > 1]
+                      + [np.zeros((0, 2))])
+    if len(edges) == 0:
+        return ConvexPolygon(start)
+    tiny = 1e-12  # radians
+    ang = np.arctan2(edges[:, 1], edges[:, 0]) % (2.0 * PI)
+    order = np.argsort(ang, kind="stable")
+    ang, edges = ang[order], edges[order]
+    heads = np.flatnonzero(np.diff(ang, prepend=-np.inf) > tiny)
+    if len(heads) > 1 and ang[0] + 2.0 * PI - ang[-1] <= tiny:
+        k = heads[-1]
+        start = start - edges[k:].sum(axis=0)
+        edges = np.roll(edges, len(edges) - k, axis=0)
+        heads = np.concatenate(([0], heads[1:-1] + (len(edges) - k)))
+    merged = np.add.reduceat(edges, heads, axis=0)
+    pts = start + np.cumsum(merged[:-1], axis=0)
+    return convex_hull(np.vstack([start, pts]), tol)
 
 
 def quadric_fan(k=12, m=64, mode="inscribed"):

@@ -1,3 +1,4 @@
+import functools
 import warnings
 
 import numpy as np
@@ -5,14 +6,15 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ccproj import (DEFAULT_TOL, ArcSegment, CenterNotOnL, SectionFan, Tolerances,
+from ccproj import (DEFAULT_TOL, ArcSegment, CenterNotOnL, PencilFrame, SectionFan, Tolerances,
                     convex_hull, gen_quadric, gen_random_fan, hausdorff, interior_margin,
                     is_pointed, l_dual, planar, pointify, project_from, section_at,
                     validate)
-from ccproj.fan import THETA_EPS, CenterCheck, event_angles, gap_coefficients, plane_margin
+from ccproj.fan import (THETA_EPS, CenterCheck, event_angles, gap_coefficients,
+                        in_unwrapped_chart, plane_margin, support_intervals)
 from ccproj.planar import ConvexPolygon, contains_polygon, tangent_quadrangle_corners
 from ccproj.projcore import PI, DegenerateInput
-from conftest import mgon, quadric_fan
+from conftest import mgon, minkowski_oracle, quadric_fan
 from test_surgery import hull_sections, pointing_arcs
 
 
@@ -98,6 +100,105 @@ def test_gap_coefficients_match_high_precision_reference():
                                 + 2 * big_a * big_b * mpmath.cos(mpmath.mpf(span)))
             err = max(abs(a - big_a / kappa), abs(b - big_b / kappa))
         assert err <= 1e-13 * max(1.0, a, b)
+
+
+# ---------------------------------------------------------------------------
+# Gap plans: section_at applies a plan built once per gap and has the bits of
+# the old body (conftest.minkowski_oracle) run on the gap's sections
+# ---------------------------------------------------------------------------
+
+def oracle_section_at(fan, theta):
+    """section_at as it was before the gap plans."""
+    hit = fan.sample_index_at(theta)
+    if hit is not None:
+        return fan.sections[hit]
+    i, j, ti, tj, tu = fan.gap_of(theta)
+    a, b = gap_coefficients(ti, tj, tu)
+    far = in_unwrapped_chart(fan.sections[j], tj)
+    out = minkowski_oracle(float(a), fan.sections[i], float(b), far)
+    return in_unwrapped_chart(out, tu)
+
+
+def wrap_run_fan():
+    """A fan whose wrap gap, from P to the negated first section Q, has a
+    merge run across angle 0: P's bottom edge enters its min-(y, x) vertex
+    at angle 2 pi - 1e-13, and Q's leaves its own at 0."""
+    P = convex_hull([[0.0, 0.0], [1.0, -1e-13], [1.5, 1.0], [0.0, 1.0]])
+    Q = convex_hull([[0.0, 0.0], [2.0, 0.0], [2.0, 3.0], [0.0, 3.0]])
+    return SectionFan(PencilFrame.standard(), np.array([0.3, 1.2, 2.5]),
+                      (Q.negated(), mgon(1.0, 8), P))
+
+
+@functools.lru_cache(maxsize=None)
+def oracle_fans():
+    fans = [gen_quadric(12, 64).fan] + [gen_random_fan(s).fan for s in range(3)]
+    return tuple(fans + [l_dual(fans[1]), wrap_run_fan()])
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(0, 5), st.sampled_from(["any", "before", "after"]),
+       st.floats(0.0, 1.0, exclude_max=True))
+def test_section_at_matches_the_old_body(i, where, x):
+    # "before" theta_0 the wrap gap is read in the chart of theta_0 + pi, so
+    # its slice is negated back; "after" theta_k-1 it is not
+    fan = oracle_fans()[i]
+    lo, hi = {"any": (0.0, PI), "before": (0.0, fan.thetas[0]),
+              "after": (fan.thetas[-1], PI)}[where]
+    theta = lo + x * (hi - lo)
+    assert np.array_equal(section_at(fan, theta).vertices, oracle_section_at(fan, theta).vertices)
+
+
+def test_wrap_gap_with_a_wrap_run_matches_the_old_body():
+    fan = wrap_run_fan()
+    thetas = np.r_[np.linspace(0.0, 0.3, 7)[1:-1], np.linspace(2.5, PI, 7)[1:-1]]
+    for theta in thetas:
+        assert np.array_equal(section_at(fan, theta).vertices,
+                              oracle_section_at(fan, theta).vertices)
+    plan = fan.gap_plans[fan.k - 1]
+    assert plan.exact and plan.wrap == 1 and list(fan.gap_plans) == [fan.k - 1]
+
+
+def test_gap_plans_are_built_once_per_gap_and_at_most_k(monkeypatch):
+    fan = gen_random_fan(5, k=10).fan
+    built = []
+    plan = planar.minkowski_plan
+    monkeypatch.setattr(planar, "minkowski_plan", lambda P, Q: built.append(1) or plan(P, Q))
+    t0, t1 = fan.thetas[4], fan.thetas[5]
+    first = section_at(fan, t0 + 0.3 * (t1 - t0))
+    second = section_at(fan, t0 + 0.7 * (t1 - t0))
+    assert len(built) == 1 and list(fan.gap_plans) == [4]
+    assert not np.array_equal(first.vertices, second.vertices)
+    for theta in np.random.default_rng(7).uniform(0.0, PI, 400):
+        section_at(fan, float(theta))
+        assert len(fan.gap_plans) <= fan.k
+    assert len(built) == len(fan.gap_plans) == fan.k
+
+
+def oracle_plane_margin(fan, xi):
+    """plane_margin as it was before the gap terms were cached on the fan."""
+    frame = fan.frame
+    nu = np.array([float(xi @ frame.g0), float(xi @ frame.g1)])
+    c2, c3 = float(xi @ frame.h2), float(xi @ frame.h3)
+    near = support_intervals(fan, nu)
+    far = np.roll(near, -1, axis=0)
+    far[-1] = -near[0, ::-1]
+    t0 = fan.thetas
+    span = np.diff(t0, append=t0[0] + PI)
+    slope = (far - near * np.cos(span)[:, None]) / np.sin(span)[:, None]
+    offs = -np.sin(t0) * c2 + np.cos(t0) * c3
+    doffs = -np.cos(t0) * c2 - np.sin(t0) * c3
+    alpha = np.stack([near[:, 0] + offs, -(near[:, 1] + offs)], axis=1)
+    beta = np.stack([slope[:, 0] + doffs, -(slope[:, 1] + doffs)], axis=1)
+    return t0, span, alpha, beta
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 5), st.lists(st.floats(-10.0, 10.0), min_size=4, max_size=4))
+def test_plane_margin_matches_the_old_formula(i, xi):
+    fan = oracle_fans()[i]
+    m = plane_margin(fan, np.array(xi))
+    for got, want in zip((m.t0, m.span, m.alpha, m.beta), oracle_plane_margin(fan, np.array(xi))):
+        assert np.array_equal(got, want)
 
 
 def test_section_at_skips_the_hull_chain_on_query_fans(monkeypatch):

@@ -8,7 +8,7 @@ from ccproj import (ConvexPolygon, RefNotInterior, chebyshev_center,
                     convex_hull, distance, hausdorff, minkowski_scaled_sum,
                     nearest_point, polar_dual)
 from ccproj.planar import interior_margin, intersect_polygons, tangent_quadrangle_corners
-from conftest import dir_normal, mgon
+from conftest import dir_normal, mgon, minkowski_oracle
 
 
 def brute_support(vertices, direction):
@@ -461,6 +461,97 @@ def test_merged_minkowski_sum_matches_unmerged_reference(operands, a, b):
     # parallel edges moves the support by rounding only
     assert (np.max(np.abs(out.support(dirs) - exact))
             <= np.max(np.abs(ref.support(dirs) - exact)) + 1e-12 * scale)
+
+
+# ---------------------------------------------------------------------------
+# Minkowski plans: the sum from a plan of the unscaled operands has the bits
+# of the old body (conftest.minkowski_oracle), which decides on the scaled
+# operands on every call.
+# ---------------------------------------------------------------------------
+
+@st.composite
+def planned_operands(draw):
+    """minkowski_operands, plus: a hull and a copy turned by at most
+    MERGE_TINY (every edge has a partner parallel within tiny), shrunk far
+    from the origin so that scaling turns short edges by more than tiny;
+    quadrilaterals with a bottom edge tilted by a few ulps; and pairs with
+    a merge run across angle 0 (a bottom edge entering its min-(y, x)
+    vertex just below angle 2 pi, the other leaving its own at 0)."""
+    kind = draw(st.sampled_from(["base", "turned", "tilted", "wrap"]))
+    if kind == "base":
+        return draw(minkowski_operands())
+    if kind == "turned":
+        center, size = np.array(draw(point)), 10.0 ** draw(st.floats(-6.0, 0.0))
+        pts = center + size * np.array(draw(clouds()))
+        d = draw(st.floats(-1e-12, 1e-12))
+        turn = np.array([[np.cos(d), -np.sin(d)], [np.sin(d), np.cos(d)]])
+        shift = np.array(draw(point)) * draw(st.sampled_from([0.0, 1e-3, 1.0]))
+        return convex_hull(pts), convex_hull((pts - center) @ turn.T + center + shift)
+    if kind == "tilted":
+        x0, y0 = draw(point)
+        w, h = (draw(st.floats(0.01, 20.0)) for _ in range(2))
+        ulps = draw(st.integers(-3, 3))
+        y1 = y0 + ulps * np.spacing(y0)
+        quad = lambda y: convex_hull([[x0, y0], [x0 + w, y], [x0 + 0.7 * w, y0 + h],  # noqa: E731
+                                      [x0 + 0.1 * w, y0 + 0.6 * h]])
+        return quad(y1), quad(y0 + draw(st.integers(-3, 3)) * np.spacing(y0))
+    w, h, drop = draw(st.floats(0.1, 5.0)), draw(st.floats(0.1, 5.0)), draw(st.floats(0.0, 2e-12))
+    P = convex_hull([[0.0, 0.0], [w, -drop * w], [1.5 * w, h], [0.0, h]])
+    size = draw(st.floats(0.1, 5.0))
+    Q = convex_hull(np.array([[0.0, 0.0], [2.0, 0.0], [2.0, 3.0], [0.0, 3.0]]) * size)
+    return P, Q
+
+
+plan_weight = st.one_of(weight, st.sampled_from([1e-11, 1e10, 2.0 ** -510, 2.0 ** 501]))
+
+
+@settings(max_examples=600, deadline=None)
+@given(planned_operands(), plan_weight, plan_weight)
+def test_minkowski_sum_matches_the_old_body(operands, a, b):
+    P, Q = operands
+    plan = planar.minkowski_plan(P, Q)
+    event("exact plan" if plan.exact else "plan of the scaled operands")
+    event("wrap run" if plan.wrap else "no wrap run")
+    assert np.array_equal(minkowski_scaled_sum(a, P, b, Q).vertices,
+                          minkowski_oracle(a, P, b, Q).vertices)
+
+
+def test_plan_with_a_wrap_run_matches_the_old_body():
+    # P's bottom edge enters its min-(y, x) vertex at angle 2 pi - 1e-13 and
+    # Q's leaves its own at 0: the plan moves that run to the front
+    P = convex_hull([[0.0, 0.0], [1.0, -1e-13], [1.5, 1.0], [0.0, 1.0]])
+    Q = convex_hull([[0.0, 0.0], [2.0, 0.0], [2.0, 3.0], [0.0, 3.0]])
+    plan = planar.minkowski_plan(P, Q)
+    assert plan.exact and plan.wrap == 1 and plan.heads[0] == 0
+    for a, b in [(1.0, 1.0), (0.3, 2.5), (1e-11, 7.0), (2.0, 1e-9)]:
+        assert np.array_equal(planar.planned_sum(plan, a, b).vertices,
+                              minkowski_oracle(a, P, b, Q).vertices)
+
+
+def test_inexact_plan_gives_way_to_the_plan_of_the_scaled_operands(monkeypatch):
+    # the bottom edge rises by one ulp to its left end: scaled by 0.8 both
+    # ends round to one level, and the scaled start is the left end
+    y = np.nextafter(3.0, 4.0)
+    P = convex_hull([[0.0, y], [5.0, 3.0], [4.0, 5.0], [1.0, 4.0]])
+    Q = convex_hull([[0.0, 0.0], [1.0, 0.0], [0.5, 1.0]])
+    assert not planar.minkowski_plan(P, Q).exact
+    scaled = P.vertices * 0.8
+    assert scaled[0, 1] == scaled[1, 1]
+    built = []
+    plan = planar.minkowski_plan
+    monkeypatch.setattr(planar, "minkowski_plan", lambda *ops: built.append(ops) or plan(*ops))
+    out = minkowski_scaled_sum(0.8, P, 0.7, Q)
+    assert len(built) == 2 and np.array_equal(built[1][0].vertices, scaled)
+    assert np.array_equal(out.vertices, minkowski_oracle(0.8, P, 0.7, Q).vertices)
+
+
+def test_plan_of_points_and_segments():
+    pt, seg = convex_hull([[1.0, 2.0]]), convex_hull([[0.0, 0.0], [3.0, 1.0]])
+    for P, Q in [(pt, pt), (pt, seg), (seg, pt), (seg, seg)]:
+        plan = planar.minkowski_plan(P, Q)
+        assert plan.exact and len(plan.cur) == (P.n == 2) * 2 + (Q.n == 2) * 2
+        assert np.array_equal(planar.planned_sum(plan, 0.5, 2.0).vertices,
+                              minkowski_oracle(0.5, P, 2.0, Q).vertices)
 
 
 @settings(max_examples=300, deadline=None)

@@ -11,9 +11,10 @@ from hypothesis import strategies as st
 
 from ccproj import scene
 from ccproj import (DEFAULT_TOL, ConvexPolygon, PencilFrame, SceneFormatError, Scene, SectionFan,
-                    convex_hull, export_mesh, gen_quadric, gen_random_fan, hausdorff,
-                    parse, serialize, validate)
+                    Tolerances, convex_hull, export_mesh, gen_quadric, gen_random_fan,
+                    hausdorff, parse, serialize, validate)
 from ccproj.planar import _roll_to_min
+from ccproj.projcore import PI
 
 
 def run_cli(args, stdin=None, env_extra=None):
@@ -105,6 +106,18 @@ def _swapped(vertices, i, j):
     lambda d: _put(d, [True, 0, 0, 0], "frame", "g0"),
     lambda d: _put(d, [[0.0, 0.0], [2.0, 0.0], [0.0, True]], "samples", 0, "vertices"),
     lambda d: [_put(d, d["frame"][k] + [0.0], "frame", k) for k in ("g0", "g1", "h2", "h3")],
+    lambda d: _put(d, 2, "version"),
+    lambda d: _put(d, True, "version"),
+    lambda d: _put(d, "1", "version"),
+    lambda d: _drop(d, "version"),
+    lambda d: _put(d, [9, 9, 9, 9], "samples", 0, "chart", "origin"),
+    lambda d: _put(d, "chart", "samples", 1, "chart"),
+    lambda d: _drop(d, "samples", 2, "chart"),
+    lambda d: _drop(d, "samples", 2, "chart", "u"),
+    lambda d: _put(d, [True, 0, 0, 0], "samples", 0, "chart", "u"),
+    lambda d: _put(d, [0.0, 1.0, 0.0, 0.0, 0.0], "samples", 0, "chart", "v"),
+    lambda d: _put(d, float("nan"), "samples", 3, "chart", "origin", 2),
+    lambda d: _put(d, d["samples"][0]["chart"], "samples", 3, "chart"),
 ], ids=["no-frame", "no-samples", "no-theta", "no-vertices", "samples-int",
         "two-samples", "empty-vertices", "frame-int", "sample-int", "short-g0",
         "tolerances-int", "tolerance-str", "nan-theta", "nan-str-theta",
@@ -113,7 +126,9 @@ def _swapped(vertices, i, j):
         "seed-float", "seed-str", "clockwise", "two-vertices-swapped",
         "tolerance-method", "tolerance-dunder", "tolerance-unknown",
         "tolerance-quote", "tolerance-zero", "tolerance-negative", "bool-in-frame",
-        "bool-in-vertices", "frame-5-vectors"])
+        "bool-in-vertices", "frame-5-vectors", "version-2", "version-bool", "version-str",
+        "no-version", "chart-origin-off", "chart-str", "no-chart", "no-chart-u",
+        "bool-in-chart", "chart-5-vector", "nan-in-chart", "chart-of-another-sample"])
 def test_malformed_scene_exits_2(edit, monkeypatch, capsys):
     import io
     from ccproj import cli
@@ -125,6 +140,38 @@ def test_malformed_scene_exits_2(edit, monkeypatch, capsys):
     monkeypatch.setattr("sys.stdin", io.StringIO(text))
     assert cli.main(["validate", "--in", "-"]) == 2
     assert capsys.readouterr().err.startswith("error=")
+
+
+# a scene written in other charts used to be read in the canonical ones
+CHART_EDITS = [lambda d: _put(d, [9, 9, 9, 9], "samples", 0, "chart", "origin"),
+               lambda d: _put(d, "canonical", "samples", 1, "chart"),
+               lambda d: _drop(d, "samples", 2, "chart")]
+
+
+@pytest.mark.parametrize("edits", [[0], [1], [2], [0, 1, 2]])
+def test_scene_in_edited_charts_exits_2(edits, monkeypatch, capsys):
+    import io
+    from ccproj import cli
+    doc = json.loads(serialize(gen_quadric(6, 16)))
+    for i in edits:
+        CHART_EDITS[i](doc)
+    text = json.dumps(doc)
+    with pytest.raises(SceneFormatError):
+        parse(text)
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    assert cli.main(["section", "--theta", "0.5", "--in", "-"]) == 2
+    assert capsys.readouterr().err.startswith("error=")
+
+
+def test_chart_within_eps_incid_parses_to_the_same_scene():
+    scene_ = gen_quadric(6, 16)
+    doc = json.loads(serialize(scene_))
+    doc["samples"][0]["chart"]["origin"][0] += 0.5e-9
+    doc["samples"][4]["chart"]["u"][1] = -0.5e-9
+    assert serialize(parse(json.dumps(doc))) == serialize(scene_)
+    doc["tolerances"] = {"eps_incid": 1e-10}
+    with pytest.raises(SceneFormatError, match="chart is not the canonical"):
+        parse(json.dumps(doc))
 
 
 def test_counterclockwise_sample_with_another_start_parses():
@@ -474,7 +521,10 @@ def test_vertex_text_matches_generic_emitter(pairs):
 
 def _oracle_scene_from_doc(doc):
     """parse's document reader as it was before the stacked pass: one
-    _numbers call and one convex_hull per sample."""
+    _numbers call and one convex_hull per sample, then one chart
+    comparison per sample."""
+    if type(doc["version"]) is not int or doc["version"] != 1:
+        raise SceneFormatError("version must be 1, got %s" % json.dumps(doc["version"])[:80])
     fr = doc["frame"]
     frame = PencilFrame(*(scene._numbers(fr[key], 1) for key in ("g0", "g1", "h2", "h3")),
                         fr.get("space", "primal"))
@@ -499,6 +549,18 @@ def _oracle_scene_from_doc(doc):
     fan = SectionFan.create(frame, samples, validated=validated)
     tolerances = {k: float(scene._numbers(v, 0))
                   for k, v in dict(doc.get("tolerances", {})).items()}
+    charts = [[s["chart"][key] for key in ("origin", "u", "v")] for s in doc["samples"]]
+    for chart in charts:
+        for vec in chart:
+            if not (isinstance(vec, list) and len(vec) == 4
+                    and all(type(x) in (int, float) for x in vec)):
+                raise SceneFormatError("a sample chart is not three 4-vectors origin, u, v")
+    eps = Tolerances(**tolerances).eps_incid
+    for (theta, _), chart in zip(samples, charts):
+        want = (frame.origin(theta % PI), frame.g0, frame.g1)
+        if not all(abs(x - w) <= eps for vec, ref in zip(chart, want) for x, w in zip(vec, ref)):
+            raise SceneFormatError("sample at theta=%s: chart is not the canonical unit chart "
+                                   "of its plane" % theta)
     return Scene(fan, tolerances, seed)
 
 
