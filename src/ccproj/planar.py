@@ -262,14 +262,18 @@ def _hull_cycle(points: np.ndarray, eps: float) -> np.ndarray:
     # chain on the points scaled by 2^k, largest coordinate near 2^500: a
     # cross product of subnormal differences would round to 0 and pop a
     # point that sticks out; scaling up by a power of two is exact both
-    # ways and leaves every sign test that does not underflow as it was
-    k = max(0, 500 - math.frexp(float(np.abs(keep).max()))[1])
+    # ways and leaves every sign test that does not underflow as it was.
+    # Above 2^500, k < 0 scales down so that no product overflows, and the
+    # merge runs on the scaled cycle with eps 2^k, in the same decisions
+    k = 500 - math.frexp(float(np.abs(keep).max()))[1]
     scaled = np.ldexp(keep, k).tolist()
     lower = _chain(scaled)
     upper = _chain(scaled[::-1])
     cycle = lower[:-1] + upper[:-1]
     if len(cycle) < 3:
         out = np.ldexp([lower[0], lower[-1]], -k)
+    elif k < 0:
+        out = np.ldexp(_merge_collinear(np.array(cycle), math.ldexp(eps, k)), -k)
     else:
         out = _merge_collinear(np.ldexp(cycle, -k), eps)
     if len(out) == 2 and np.max(np.abs(out[1] - out[0])) <= eps:
@@ -684,33 +688,35 @@ def contains_polygon(P: ConvexPolygon, Q: ConvexPolygon, eps: float = 0.0) -> bo
 
 def halfplane_clip(vertices: np.ndarray, normal, offset: float,
                    eps: float = 1e-12) -> np.ndarray:
-    """Clip a convex ccw vertex cycle to the halfplane {x : n.x <= offset}."""
+    """Clip a convex ccw vertex cycle to the halfplane {x : n.x <= offset}.
+
+    The signed values n.v - offset come from one numpy product (a BLAS
+    kernel may fuse its multiply and add, which Python floats cannot
+    reproduce); the walk along the edges and each crossing point
+    a + t (b - a) run on Python floats, in the IEEE operations numpy's
+    elementwise ones make.  A cycle inside the halfplane is returned as
+    it came."""
     v = np.asarray(vertices, dtype=float).reshape(-1, 2)
     n = np.asarray(normal, dtype=float)
     if len(v) == 0:
         return v
     if len(v) == 1:
         return v if float(v[0] @ n) <= offset + eps else v[:0]
-    out = []
     vals = v @ n - offset
-    m = len(v)
-    for i in range(m):
-        j = (i + 1) % m
-        if m == 2 and i == 1:
-            break
-        a, b = v[i], v[j]
-        fa, fb = vals[i], vals[j]
+    if (vals <= eps).all():
+        return v
+    vals, pts = vals.tolist(), v.tolist()
+    wrap = len(pts) > 2  # a segment has no closing edge
+    out = []
+    for a, b, fa, fb in zip(pts, pts[1:] + pts[:wrap], vals, vals[1:] + vals[:wrap]):
         if fa <= eps:
             out.append(a)
         if (fa < -eps and fb > eps) or (fa > eps and fb < -eps):
             t = fa / (fa - fb)
-            out.append(a + t * (b - a))
-    if m == 2:
-        if vals[1] <= eps:
-            out.append(v[1])
-    if not out:
-        return np.zeros((0, 2))
-    return np.array(out)
+            out.append([a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1])])
+    if not wrap and vals[1] <= eps:
+        out.append(pts[1])
+    return np.array(out) if out else np.zeros((0, 2))
 
 
 def intersect_halfplanes(halfplanes, seed_vertices: np.ndarray,
@@ -752,21 +758,103 @@ def intersect_polygons(P: ConvexPolygon, Q: ConvexPolygon,
 # Chebyshev center (largest inscribed disk)
 # ---------------------------------------------------------------------------
 
-def chebyshev_center(poly: ConvexPolygon):
-    """Center of the largest inscribed disk, via a small LP."""
-    from scipy.optimize import linprog
+LP_TIE = 2.0 ** -40  # relative size below which chebyshev_center counts a change as 0
 
-    if poly.n <= 2:
-        return poly.centroid()
+
+def _times3(m, v):
+    """The 3x3 matrix m (nested lists) times the 3-vector v."""
+    return [r0 * v[0] + r1 * v[1] + r2 * v[2] for r0, r1, r2 in m]
+
+
+def _gain(d) -> int:
+    """What the move d = (dx, dy, dr) gains: 2 if it raises r, 1 if it keeps
+    r and lowers x, or keeps x and lowers y, else 0.  Components within
+    LP_TIE of the move's largest count as zero, so a move and its reverse
+    never both gain."""
+    tie = LP_TIE * max(map(abs, d))
+    if abs(d[2]) > tie:
+        return 2 if d[2] > 0.0 else 0
+    return int(d[0] < -tie or (d[0] <= tie and d[1] < -tie))
+
+
+def _inverse3(m):
+    """Inverse of a 3x3 matrix (nested lists) by cofactors; None if singular."""
+    (a, b, c), (d, e, f), (g, h, i) = m
+    A, B, C = e * i - f * h, f * g - d * i, d * h - e * g
+    det = a * A + b * B + c * C
+    if det == 0.0:
+        return None
+    r = 1.0 / det
+    return [[A * r, (c * h - b * i) * r, (b * f - c * e) * r],
+            [B * r, (a * i - c * g) * r, (c * d - a * f) * r],
+            [C * r, (b * g - a * h) * r, (a * e - b * d) * r]]
+
+
+def _largest_disk(poly: ConvexPolygon):
+    """(centre, r) of `chebyshev_center`'s LP at the basis its simplex
+    stops at, or None for a singular or endless pivot sequence."""
     nrm, b = _edge_halfplanes(poly.vertices)
     good = ~np.isnan(b)  # zero-length edges skipped, as in interior_margin
-    nrm, b = nrm[good], b[good]
-    a_ub = np.hstack([nrm, np.ones((len(b), 1))])
-    res = linprog(c=[0.0, 0.0, -1.0], A_ub=a_ub, b_ub=b,
-                  bounds=[(None, None), (None, None), (0.0, None)], method="highs")
-    if not res.success:
-        return poly.centroid()
-    return np.array(res.x[:2])
+    m = int(good.sum())
+    a = np.empty((m + 1, 3))
+    a[:m, :2], a[:m, 2], a[m] = nrm[good], 1.0, (0.0, 0.0, -1.0)
+    b = np.append(b[good], 0.0)
+    rows, rhs = a.tolist(), b.tolist()
+    basis = [m - 1, 0, m]  # the edges into and out of vertex 0, and r >= 0
+    zero_slack = LP_TIE * poly.scale
+    for _ in range(10 * m + 50):
+        basis_rows = [rows[k] for k in basis]
+        inv = _inverse3(basis_rows)
+        if inv is None:
+            return None
+        # a solve and one refinement: at a sliver's sharp vertex the
+        # cofactor solve alone leaves the tight rows off by cond * ulp
+        x = _times3(inv, [rhs[k] for k in basis])
+        res = [rhs[k] - t for k, t in zip(basis, _times3(basis_rows, x))]
+        x = [xi + ci for xi, ci in zip(x, _times3(inv, res))]
+        # leaving basis row j moves (x, y, r) along d = -inv[:, j], which
+        # opens row j's slack at unit rate and keeps the other two tight
+        j, d = max(((j, [-inv[0][j], -inv[1][j], -inv[2][j]])
+                    for j in sorted(range(3), key=basis.__getitem__)),
+                   key=lambda move: _gain(move[1]))
+        if _gain(d) == 0:
+            return np.array(x[:2]), x[2]
+        rate = a @ d
+        rate[basis] = 0.0
+        slack = b - a @ x
+        slack[slack <= zero_slack] = 0.0
+        ahead = rate > LP_TIE * max(map(abs, d))
+        if not ahead.any():
+            return None
+        step = np.full(m + 1, np.inf)
+        step[ahead] = slack[ahead] / rate[ahead]
+        basis[j] = int(np.argmin(step))
+    return None
+
+
+def chebyshev_center(poly: ConvexPolygon):
+    """Center of the largest inscribed disk.
+
+    Solves the LP max r subject to n_i·x + r <= b_i over the unit edge rows
+    of `_edge_halfplanes` (zero-length edges skipped) and r >= 0 with a
+    dense primal simplex on its vertices (x, r): three tight rows make a
+    basis, solved anew at every step.  It starts at vertex 0 (on a
+    canonical polygon the lexicographically smallest) with r = 0 and
+    pivots by Bland's rule, first on r and then, once no move raises r, on
+    (x, y) among the moves that keep r: of the moves that gain most
+    (`_gain`), the one off the basis row of least index, onto the row of
+    least index among the nearest ones in the ratio test.  Neither phase
+    can cycle in exact arithmetic (at most 10 m + 50 pivots for m edges).
+
+    Tie rule: the objective is lexicographic (largest r, then least x, then
+    least y), so where the largest disks form a segment of centres the
+    lexicographically smallest maximiser is returned, a point that depends
+    on the polygon alone.  A move's components within LP_TIE of its
+    largest, and slacks within LP_TIE of the scale, count as zero: radii
+    that differ by rounding are tied.  Polygons with n <= 2, and a
+    singular or endless pivot sequence, give the centroid."""
+    disk = None if poly.n <= 2 else _largest_disk(poly)
+    return poly.centroid() if disk is None else disk[0]
 
 
 # ---------------------------------------------------------------------------

@@ -101,10 +101,20 @@ class SolverChart:
         """Least interior margin of the hit points over the sections.
 
         Positive when the line passes through the interior of every
-        section; zero or negative otherwise.
+        section; zero or negative otherwise.  One stacked pass over
+        `margin_rows`: numpy hands each section's normals-times-point
+        product, one item of the stacked matmul, to the matrix-vector
+        kernel that `planar.interior_margin`'s product runs, so every
+        margin has its bits (a fused multiply-add there rounds unlike
+        elementwise products; `test_stacked_depth_matches_per_section_loop`
+        compares the two).
         """
         xs = self.hit_points(q)
-        return min(planar.interior_margin(p, x) for p, x in zip(self.polys, xs))
+        nrm, b, flat = self.margin_rows
+        margins = np.min(b - (nrm @ xs[:, :, None])[..., 0], axis=1)
+        for i in flat:
+            margins[i] = -planar.distance(xs[i], self.polys[i])
+        return float(margins.min())
 
     def lift(self, y1: float, y2: float, y3: float) -> np.ndarray:
         """Homogeneous 4-vector of the chart point (y1, y2, y3)."""
@@ -142,6 +152,20 @@ class SolverChart:
     def section_stack(self) -> planar.SectionStack:
         """The chart's sections as one padded stack, in height order."""
         return planar.stack_sections(self.polys)
+
+    @cached_property
+    def margin_rows(self):
+        """(nrm, b, flat): every section's edge half-planes
+        (`planar._edge_halfplanes` of the section stack), unit normals
+        (k, n, 2) and offsets (k, n), with 0 and +inf on the padding and on
+        zero-length edges, and the indices of the point and segment
+        sections, whose margin is minus the distance."""
+        nrm, b = planar._edge_halfplanes(self.section_stack.v)
+        skip = np.isnan(b)
+        nrm[skip], b[skip] = 0.0, np.inf
+        for a in (nrm, b):  # cached on immutable charts
+            a.setflags(write=False)
+        return nrm, b, [i for i, p in enumerate(self.polys) if p.n <= 2]
 
     def _distances(self, q) -> np.ndarray:
         """Distance from each hit point to its section, in height order."""
@@ -423,8 +447,13 @@ def browder_four_sections(fan: SectionFan, indices=(0, 1, 2, 3),
 
     From a point a1 of the first section, choose the line through a1
     meeting sections 2 and 3 (selection: Chebyshev center of the admissible
-    hit-point set), then the line through its third-section hit meeting
-    sections 4 and 1 (selection: return point nearest to a1).  Stops when
+    hit-point set, `planar.chebyshev_center`'s exact simplex; where the
+    largest inscribed disks tie along a segment, its lexicographically
+    smallest centre), then the line through its third-section hit meeting
+    sections 4 and 1 (selection: return point nearest to a1).  The start
+    a1 is the Chebyshev center of the first section, by the same rule.  The
+    admissible sets are clipped out edge by edge on Python floats
+    (`planar.halfplane_clip`); no step calls scipy.  Stops when
     the return point moves at most tol.tol_fp times the chart's scale or
     after BROWDER_MAX_ITER steps;
     non-convergence is a legal outcome and the caller falls back to

@@ -66,7 +66,7 @@ GOLDEN = {
         "find-line":
             "0:5a41d2f072e5a0e784adccbc52a272069420fc867e56a70c88d6505858960b62",
         "find-line-browder":
-            "0:507f0e62da21525bb58225ded9cd17ad5693d0751a1365e4ba3f205b5e23bcbd",
+            "0:9ad87ed138ba6f5b0d94d6615bd672a2149d16dd81036324e73d3dc8b6a4e7ee",
         "find-line-dual":
             "0:47226702d0e5c42b4c930ca51e140bc60f3040668a684f0442d8b666b4e78a46",
         "find-line-subset":
@@ -98,7 +98,7 @@ GOLDEN = {
         "find-line":
             "0:2bb6c4439bdb26b67af4a70d45da39ea9bb5c9e03a3dbf0d8cc7a9e6354647c8",
         "find-line-browder":
-            "0:67beb81463183b82ee63a5517557dbbcb0bc4a2bb54a5463b83e032d2c8de5b8",
+            "0:448c0e648bf43051c04bc88661b86661486757e84842ecb880116ba1df7ad31c",
         "find-line-dual":
             "0:c0a0032c021498d93ca9ee1c724b98432af1bce12650d078b1f6618a3eb14d37",
         "find-line-subset":
@@ -130,7 +130,7 @@ GOLDEN = {
         "find-line":
             "0:c03ab1a272dadf92589a398ec41ca48026c243fee52996ec40f7c163ea089f7e",
         "find-line-browder":
-            "0:5e16e4851895ccd5cba73c497e2d281c794c87e8961db8595c1b94202ddb61b1",
+            "0:9b1fea8e85380cc9e6b2ae467481d8f6764425b0213c4062b9198f1e73f14234",
         "find-line-dual":
             "0:f82071cd9d51094f7d2a1c656f0a28e6b0ca17862c4e0abe99bc96cb0de75cfc",
         "find-line-subset":
@@ -162,7 +162,7 @@ GOLDEN = {
         "find-line":
             "0:e8862cefd8ddd94fc3beb6c1f4a21252d9a5684336413cc93b0e29a889adba0a",
         "find-line-browder":
-            "0:d99a06c6d79452d5ca01d18690f0e3af43b4c761a039a0433f52d383bf674ea3",
+            "0:6ee889b43fa6dd28c3f40d8314f96a3e05abebb3f2272bbfb5c1383ebd841743",
         "find-line-dual":
             "0:7212d4b99507d7685bf527424b5bc1a71909e8332a9f5ad17db8f71e97abd9a6",
         "find-line-subset":
@@ -194,7 +194,7 @@ GOLDEN = {
         "find-line":
             "0:e90ed0f19ffb23d9455f412432e228b29f276ebffa1f26c74cbf2e6d0655dddf",
         "find-line-browder":
-            "0:13a7f5fb4b7b90144bef0bf7357e24294cb271e4ba7f586ba18216843fa12848",
+            "0:3f3c6483691c62893b48b1d312f4c8721ea4985c68fb42c686a4de37e16e869e",
         "find-line-dual":
             "0:acbf3621dc8569d8b7c3db894da850f6c45877a925ae95aa79e1ff3fb6108e43",
         "find-line-subset":
@@ -226,7 +226,7 @@ GOLDEN = {
         "find-line":
             "0:00b8a2b0e58edf217b40980017fbf4a097b3089e36c7791b097bf2d04d70d3bf",
         "find-line-browder":
-            "0:53a003eec7b035f64d57e1b690f944cb09b0ae87e48cfe6ba037cc2c8d094f8a",
+            "0:08fab7a7949c9e44a4d5e4057a6bd45350773d8cb97f85ece9050f7147cb60af",
         "find-line-dual":
             "0:385fef3e3f5a5669550388783c44fb1480203b2c5d9977a05008266fd6b5c509",
         "find-line-subset":
@@ -258,7 +258,7 @@ GOLDEN = {
         "find-line":
             "0:c5a955fe3629d702d53fee31ee69fca6cad2be0063ee1b6c9164282cca724b7a",
         "find-line-browder":
-            "0:11bfe401638534943e6cc03ef7c76f58177544b26b2cf292e18f11b134bfb5b6",
+            "0:8f3af672f75eb18d579fe329bc63638a019b539210bc401a5f63ba3182b196ed",
         "find-line-dual":
             "0:28cd9440e65d3699501a220039c86fdef0032049544ac2a5d84b43be68b17e02",
         "find-line-subset":

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import event, example, given, settings
+from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
 from ccproj import planar
@@ -1025,26 +1025,178 @@ def test_edge_halfplanes_match_chebyshev_and_dual_rows(poly):
                           equal_nan=True)
 
 
-def ref_chebyshev_center(poly):
+def lp_oracle(poly):
+    """The centre scipy's linprog (HiGHS) finds for chebyshev_center's LP,
+    on a polygon with n >= 3: the test oracle."""
     from scipy.optimize import linprog
 
     nrm, b = ref_chebyshev_rows(poly)
-    a_ub = np.hstack([nrm, np.ones((len(b), 1))])
-    res = linprog(c=[0.0, 0.0, -1.0], A_ub=a_ub, b_ub=b,
-                  bounds=[(None, None), (None, None), (0.0, None)], method="highs")
-    if not res.success:
-        return poly.centroid()
-    return np.array(res.x[:2])
+    good = ~np.isnan(b)
+    res = linprog(c=[0.0, 0.0, -1.0], A_ub=np.hstack([nrm[good], np.ones((good.sum(), 1))]),
+                  b_ub=b[good], bounds=[(None, None), (None, None), (0.0, None)],
+                  method="highs")
+    assert res.success
+    return res.x[:2]
+
+
+def assert_optimal_center(poly):
+    """chebyshev_center solves its LP: the interior margin of its centre
+    equals the simplex's optimal r within 1e-12 * scale, so the centre
+    carries a disk of that radius, and no smaller than the margin of
+    linprog's centre.  linprog's own r is not the reference: HiGHS drops
+    matrix entries of at most 1e-9 and accepts rows violated by up to
+    1e-7, so its r is 8.6e-11 short on the triangle (0, 1e-9), (1, 0),
+    (0, 1) and 1.7e-9 over on the quadrilateral (-0.999999996,
+    -2.000000002), (2, 2), (1, 2), (0, 0), where the simplex's r is the
+    exact optimum to 1e-16.  n <= 2 gives the centroid."""
+    centre = chebyshev_center(poly)
+    if poly.n <= 2:
+        assert np.array_equal(centre, poly.centroid())
+        return
+    bound = 1e-12 * poly.scale
+    got, r = planar._largest_disk(poly)
+    assert np.array_equal(centre, got)
+    assert abs(interior_margin(poly, centre) - r) <= bound
+    assert r >= interior_margin(poly, lp_oracle(poly)) - bound
+
+
+@settings(max_examples=300, deadline=None)
+@given(kernel_polygons())
+# a sliver whose cofactor solves alone leave the centre 1.5e-8 off its rows,
+# a sliver on which one lexicographic pass with absolute thresholds cycled,
+# and the polygons on which linprog's own r is off
+@example(ConvexPolygon([[0.0, 1.0], [2.0, 2.0], [0.999999999, 1.500000002]]))
+@example(ConvexPolygon([[0.0, 1.0], [1e-15, 0.0], [1e-6, 1.0]]))
+@example(ConvexPolygon([[0.0, 1e-9], [1.0, 0.0], [0.0, 1.0]]))
+@example(ConvexPolygon([[-0.999999996, -2.000000002], [2.0, 2.0], [1.0, 2.0], [0.0, 0.0]]))
+def test_chebyshev_center_solves_the_lp(poly):
+    assert_optimal_center(poly)
+
+
+@st.composite
+def browder_polygons(draw):
+    """An X2 or X1 polygon of a browder_four_sections run: the admissible
+    hit-point sets it intersects, takes the centre of, and projects onto."""
+    from unittest import mock
+
+    from ccproj import browder_four_sections, gen_random_fan
+    from ccproj.transversal import EmptySelection
+
+    fan = gen_random_fan(draw(st.integers(0, 10 ** 6)), k=6,
+                         complexity=draw(st.integers(0, 2)), m=32).fan
+    assume(fan.k >= 4)
+    idx = sorted(draw(st.sets(st.integers(0, fan.k - 1), min_size=4, max_size=4)))
+    seen = []
+
+    def record(P, Q, tol=planar.DEFAULT_TOL):
+        seen.append(intersect_polygons(P, Q, tol))
+        return seen[-1]
+
+    with mock.patch.object(planar, "intersect_polygons", record):
+        try:
+            browder_four_sections(fan, idx)
+        except EmptySelection:
+            pass
+    seen = [X for X in seen if X is not None]
+    assume(seen)
+    return draw(st.sampled_from(seen))
 
 
 @settings(max_examples=100, deadline=None)
-@given(kernel_polygons())
-def test_chebyshev_center_matches_reference(poly):
-    if poly.n < 3:
-        assert np.array_equal(chebyshev_center(poly), poly.centroid())
-    elif np.all(np.any(poly.edges() != 0.0, axis=1)):
-        assert np.array_equal(chebyshev_center(poly), ref_chebyshev_center(poly))
-    else:  # a zero-length edge gives a NaN row: the cycle without the repeat
-        keep = np.any(poly.edges() != 0.0, axis=1)
-        assert np.array_equal(chebyshev_center(poly),
-                              ref_chebyshev_center(ConvexPolygon(poly.vertices[keep])))
+@given(browder_polygons())
+def test_chebyshev_center_solves_the_lp_of_browder_steps(poly):
+    assert_optimal_center(poly)
+
+
+def test_chebyshev_center_tie_rule():
+    # the lexicographically smallest maximiser: least x, then least y
+    assert np.array_equal(chebyshev_center(convex_hull([[0, 0], [4, 0], [4, 2], [0, 2]])),
+                          [1.0, 1.0])
+    assert np.array_equal(chebyshev_center(convex_hull([[0, 0], [2, 0], [2, 4], [0, 4]])),
+                          [1.0, 1.0])
+    # radius-1 centres (c, 1) for c in [sqrt 2 - 1, 7 - sqrt 2]
+    hexagon = convex_hull([[0, 0], [6, 0], [7, 1], [6, 2], [0, 2], [-1, 1]])
+    assert np.allclose(chebyshev_center(hexagon), [np.sqrt(2.0) - 1.0, 1.0],
+                       rtol=0.0, atol=1e-14)
+    # a turned 4 x 2 rectangle: the end of its axis segment with least x
+    polys = [hexagon]
+    for th in (0.5, -0.5, 1.2, np.pi / 2):
+        rot = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
+        rect = convex_hull(np.array([[0, 0], [4, 0], [4, 2], [0, 2]], dtype=float) @ rot.T)
+        ends = np.array([[1.0, 1.0], [3.0, 1.0]]) @ rot.T
+        assert np.allclose(chebyshev_center(rect), min(ends.tolist()), rtol=0.0, atol=1e-14)
+        polys.append(rect)
+    # the rule picks a point of the polygon, not of its vertex order: the
+    # simplex starts at vertex 0, and from most other vertices it would
+    # meet the far end of the segment first
+    for poly in polys:
+        for k in range(1, poly.n):
+            turned = ConvexPolygon(np.roll(poly.vertices, k, axis=0))
+            assert np.allclose(chebyshev_center(turned), chebyshev_center(poly),
+                               rtol=0.0, atol=1e-14)
+
+
+def test_chebyshev_center_of_points_segments_and_repeated_vertices():
+    assert np.array_equal(chebyshev_center(convex_hull([[1.5, -2.0]])), [1.5, -2.0])
+    assert np.array_equal(chebyshev_center(convex_hull([[0.0, 0.0], [2.0, 3.0]])), [1.0, 1.5])
+    tri = convex_hull([[0.0, 0.0], [3.0, 0.0], [0.0, 4.0]])
+    assert np.allclose(chebyshev_center(tri), [1.0, 1.0], rtol=0.0, atol=1e-15)
+    # a repeated vertex is a zero-length edge, skipped: the rows, and so
+    # the pivots and the centre, of the cycle without it
+    for i in range(tri.n):
+        rep = ConvexPolygon(np.insert(tri.vertices, i, tri.vertices[i], axis=0))
+        assert np.array_equal(chebyshev_center(rep), chebyshev_center(tri))
+
+
+def ref_halfplane_clip(vertices, normal, offset, eps=1e-12):
+    """halfplane_clip as it was, indexing numpy arrays vertex by vertex."""
+    v = np.asarray(vertices, dtype=float).reshape(-1, 2)
+    n = np.asarray(normal, dtype=float)
+    if len(v) == 0:
+        return v
+    if len(v) == 1:
+        return v if float(v[0] @ n) <= offset + eps else v[:0]
+    out = []
+    vals = v @ n - offset
+    m = len(v)
+    for i in range(m):
+        j = (i + 1) % m
+        if m == 2 and i == 1:
+            break
+        a, b = v[i], v[j]
+        fa, fb = vals[i], vals[j]
+        if fa <= eps:
+            out.append(a)
+        if (fa < -eps and fb > eps) or (fa > eps and fb < -eps):
+            t = fa / (fa - fb)
+            out.append(a + t * (b - a))
+    if m == 2:
+        if vals[1] <= eps:
+            out.append(v[1])
+    if not out:
+        return np.zeros((0, 2))
+    return np.array(out)
+
+
+@settings(max_examples=400, deadline=None)
+@given(kernel_polygons(), point, st.data())
+def test_halfplane_clip_matches_the_old_body(poly, normal, data):
+    # lines through a vertex, shifted by 0, by eps either way, or anywhere
+    # across the polygon; every clipped vertex keeps its bits
+    v, n = poly.vertices, np.array(normal)
+    eps = data.draw(st.sampled_from([0.0, 1e-12, 1e-9 * poly.scale]))
+    offset = float(v[data.draw(st.integers(0, poly.n - 1))] @ n) + data.draw(
+        st.sampled_from([0.0, eps, -eps, 2 * eps]) | st.floats(-50.0, 50.0))
+    assert np.array_equal(planar.halfplane_clip(v, n, offset, eps),
+                          ref_halfplane_clip(v, n, offset, eps))
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_hull_commutes_with_power_of_two_scaling(seed):
+    # above 2^500 the chain and the merge run on the points scaled down,
+    # with eps scaled alike: the same decisions as at any smaller scale
+    pts = np.random.default_rng(seed).uniform(-50.0, 50.0, size=(30, 2))
+    base = convex_hull(pts).vertices
+    with np.errstate(over="raise"):
+        for j in range(521):
+            assert np.array_equal(convex_hull(np.ldexp(pts, j)).vertices, np.ldexp(base, j))

@@ -7,12 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ccproj import (ConvexPolygon, EmptySelection, NotSupporting, ProjLine,
+from ccproj import (ConvexPolygon, EmptySelection, NotSupporting, PencilFrame, ProjLine,
                     SectionFan, TooManyDirections, browder_four_sections, build_solver_chart,
                     certify_line, chebyshev_line, convex_hull, helly_verify,
                     section_at, support_halfplane_transversal, validate)
 from ccproj.projcore import DEFAULT_TOL, PI, cached_method
-from ccproj.planar import distance
+from ccproj.planar import distance, interior_margin
 from ccproj.transversal import (N_SEED_POINTS, HellyReport, SolverChart, _depth_rows,
                                 _five_subsets, _unrank_combination)
 from conftest import mgon
@@ -544,6 +544,12 @@ def ref_certify_line(fan, line, tol=DEFAULT_TOL):
 
 
 @functools.cache
+def point_segment_fan():
+    return sections_around_line(PencilFrame.standard(), ((-1.5, "disk"), (-0.5, "point"),
+                                                         (0.5, "segment"), (1.5, "disk")))
+
+
+@functools.cache
 def oracle_fans():
     from ccproj import gen_quadric, gen_random_fan
     return ([gen_random_fan(s).fan for s in range(20)]
@@ -586,6 +592,37 @@ def test_chart_distances_match_per_section_oracle(data):
     q = lo + np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4))) * (hi - lo)
     ref = [ref_distance(x, p) for x, p in zip(chart.hit_points(q), chart.polys)]
     assert np.array_equal(chart._distances(q), ref)
+
+
+def per_section_depth(chart, q):
+    """SolverChart.depth as it was: one interior_margin call per section."""
+    return min(interior_margin(p, x) for p, x in zip(chart.polys, chart.hit_points(q)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_stacked_depth_matches_per_section_loop(data):
+    # random subsets of the golden and random fans 0-19, and point and
+    # segment sections; lines anywhere in the box and near its centre line
+    fan = data.draw(st.sampled_from(oracle_fans() + [point_segment_fan()]))
+    subset = data.draw(st.lists(st.integers(0, fan.k - 1), min_size=2, max_size=fan.k,
+                                unique=True))
+    chart = build_solver_chart(fan, subset)
+    lo, hi = chart.box[:, 0], chart.box[:, 1]
+    t = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4)))
+    shrink = data.draw(st.sampled_from([1.0, 0.1, 1e-3]))
+    q = (lo + hi) / 2.0 + shrink * (t - 0.5) * (hi - lo)
+    assert np.array_equal(chart.depth(q), per_section_depth(chart, q))
+
+
+def test_stacked_depth_of_solver_lines():
+    # the depth find-line prints: every fan's deepest line, on the full fan
+    # and on every third section
+    for fan in oracle_fans() + [point_segment_fan()]:
+        for subset in (None, list(range(0, fan.k, 3))):
+            r = chebyshev_line(fan, subset=subset)
+            chart = build_solver_chart(fan, subset)
+            assert np.array_equal(r.depth, per_section_depth(chart, r.q))
 
 
 def test_certify_line_reads_cached_fan_invariants(monkeypatch):
