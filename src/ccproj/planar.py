@@ -416,18 +416,18 @@ def polar_dual(poly: ConvexPolygon, ref, tol: Tolerances = DEFAULT_TOL) -> Conve
 # ---------------------------------------------------------------------------
 
 MERGE_TINY = 1e-12  # radians: sorted edges of a sum at most this far apart merge
-PLAN_WEIGHTS = 2.0 ** -500, 2.0 ** 500  # the weights an exact plan holds for
-MinkowskiPlan = namedtuple("MinkowskiPlan", "P Q starts cur nxt heads wrap exact")
+MinkowskiPlan = namedtuple("MinkowskiPlan", "P Q starts cur nxt heads wrap")
 
 
 def minkowski_plan(P: ConvexPolygon, Q: ConvexPolygon) -> MinkowskiPlan:
     """What a*P + b*Q takes from P and Q alone (see `minkowski_scaled_sum`):
     each operand's min-(y, x) vertex (starts, rows of the concatenated
     vertices of P and Q), the (current, next) vertex rows of every edge in
-    sorted-angle order (cur, nxt), the heads of the merge runs, the length
-    of the wrap run, moved to the front (wrap, 0 for none), and whether the
-    operands scaled by any weights in PLAN_WEIGHTS make the same decisions
-    (exact, `_weight_free`)."""
+    the angle order of the unscaled edges (cur, nxt), the heads of the
+    merge runs, and the length of the wrap run, moved to the front (wrap, 0
+    for none).  A positive weight does not turn an edge, so this order is
+    the sum's for all weights: the plan is the definition, and sorting the
+    scaled edges differs from it only in how near-ties round."""
     v = np.concatenate((P.vertices, Q.vertices))
     starts, cur, nxt = [], [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)]
     for first, w in ((0, P.vertices), (P.n, Q.vertices)):
@@ -439,71 +439,28 @@ def minkowski_plan(P: ConvexPolygon, Q: ConvexPolygon) -> MinkowskiPlan:
     cur, nxt = np.concatenate(cur), np.concatenate(nxt)
     e = v[nxt] - v[cur]
     ang = np.arctan2(e[:, 1], e[:, 0]) % (2.0 * PI)
+    # a falling edge whose arctan2 underflows to -0 enters its start: last
+    ang[(e[:, 1] < 0.0) & (ang == 0.0)] = 2.0 * PI
     order = np.argsort(ang, kind="stable")
-    ang, cur, nxt, e = ang[order], cur[order], nxt[order], e[order]
+    ang, cur, nxt = ang[order], cur[order], nxt[order]
     heads = np.flatnonzero(np.diff(ang, prepend=-np.inf) > MERGE_TINY)
     wrap = 0
     if len(heads) > 1 and ang[0] + 2.0 * PI - ang[-1] <= MERGE_TINY:
         # the last run wraps across 0 into the first: the cycle starts at its head
         wrap = len(ang) - int(heads[-1])
-        ang, cur, nxt, e = (np.roll(x, wrap, axis=0) for x in (ang, cur, nxt, e))
-        ang[:wrap] -= 2.0 * PI
+        cur, nxt = np.roll(cur, wrap), np.roll(nxt, wrap)
         heads = np.concatenate(([0], heads[1:-1] + wrap))
-    exact = _weight_free(v, P.n, starts, cur, nxt, e, ang, heads)
     for x in (cur, nxt, heads):  # cached on immutable fans
         x.setflags(write=False)
-    return MinkowskiPlan(P, Q, tuple(starts), cur, nxt, heads, wrap, exact)
-
-
-def _weight_free(v, split: int, starts, cur, nxt, e, ang, heads) -> bool:
-    """Whether the operands v[:split] and v[split:] scaled by any weights
-    in PLAN_WEIGHTS decide as the plan did on them unscaled: the same
-    starts, and the same runs in the same order, with the same wrap; e and
-    ang are the unscaled edges and angles in plan order.  Runs must have
-    one or two edges, as a run of two sums the same either way round (no
-    fan gap has a longer run: a section has one edge per direction).
-    Scaling rounds a coordinate x by at most u |x|, plus 2^-1075 / weight
-    in x's units where the product underflows (u = 2^-53), so with
-    r = 2^-50 |p| + 2^-560 for a vertex p (max-norm)
-    - a start stays the lexicographic minimum if every other vertex lies
-      above it, or level with it and to its right, by more than the larger
-      r of the two;
-    - an edge e from p to q turns by at most (r_p + r_q) / |e|, and both
-      arctan2 values are off by a few ulps of 2 pi, within 2^-46.  With
-      every angle in [ang - slack, ang + slack], the runs decide as here if
-      each spans at most MERGE_TINY and starts more than MERGE_TINY after
-      the previous one ends (the first one after the last one, across
-      2 pi).
-    Weights at most 2^500 on vertices below 2^500 do not overflow."""
-    r = np.maximum(np.abs(v[:, 0]), np.abs(v[:, 1]))
-    if not r.max() < 2.0 ** 500:  # also rejects NaN and infinities
-        return False
-    r = 2.0 ** -50 * r + 2.0 ** -560
-    base = np.repeat(starts, (split, len(v) - split))
-    d, m = v - v[base], np.maximum(r, r[base])
-    if np.count_nonzero((d[:, 1] <= m) & ((d[:, 1] != 0.0) | (d[:, 0] <= m))) > 2:
-        return False  # a vertex other than the starts
-    if len(ang) == 0:
-        return True
-    if len(ang) - heads[-1] > 2 or (heads[1:] - heads[:-1] > 2).any():
-        return False  # a run of three edges or more
-    with np.errstate(divide="ignore"):
-        slack = 2.0 ** -46 + (r[cur] + r[nxt]) / np.hypot(e[:, 0], e[:, 1])
-    lo, hi = ang - slack, ang + slack
-    run_lo, run_hi = np.minimum.reduceat(lo, heads), np.maximum.reduceat(hi, heads)
-    after = np.concatenate((run_lo[1:], run_lo[:1] + 2.0 * PI))  # the next run's start
-    return bool((run_hi - run_lo <= MERGE_TINY).all() and (after - run_hi > MERGE_TINY).all())
+    return MinkowskiPlan(P, Q, tuple(starts), cur, nxt, heads, wrap)
 
 
 def planned_sum(plan: MinkowskiPlan, a: float, b: float,
                 tol: Tolerances = DEFAULT_TOL) -> ConvexPolygon:
     """a*P + b*Q for positive scalars from the plan of P and Q: the scaled
     vertices, the edge vectors, the merge, the partial sums and the hull
-    certificate.  A plan that is not exact for these weights gives way to
-    the plan of the scaled operands, applied with weights 1."""
-    low, high = PLAN_WEIGHTS
-    if not (plan.exact and low <= min(a, b) and max(a, b) <= high):
-        plan, a, b = minkowski_plan(plan.P.scaled(a), plan.Q.scaled(b)), 1.0, 1.0
+    certificate.  The plan's starts, edge order, runs and wrap hold for
+    every a and b as they are."""
     v = np.concatenate((plan.P.vertices * float(a), plan.Q.vertices * float(b)))
     start = v[plan.starts[0]] + v[plan.starts[1]]
     if len(plan.cur) == 0:
@@ -534,16 +491,14 @@ def minkowski_scaled_sum(a: float, P: ConvexPolygon, b: float, Q: ConvexPolygon,
     Only the scaled vertices, the edge vectors, their sums and the
     certificate depend on a and b (`planned_sum`).  The starts, the edge
     order, the runs and the wrap depend on P and Q alone: `minkowski_plan`
-    finds them once, and a SectionFan keeps one plan per gap for every
-    theta in it.  The plan sorts the unscaled edges, which scaling turns by
-    rounding, so in most gaps of a fan its order is not that of the scaled
-    edges' angles: the parallel edge pairs of neighbouring sections tie up
-    to an ulp and swap.  The bits are those of sorting the scaled edges all
-    the same, as such a pair is one merge run and a run of two sums the
-    same either way round.  `_weight_free` certifies the plan's other
-    decisions for every weight in PLAN_WEIGHTS; where it cannot (an edge
-    short against its distance from the origin, a bottom edge tilted by an
-    ulp), the scaled operands are planned on every call instead.
+    finds them once on the unscaled operands, and a SectionFan keeps one
+    plan per gap for every theta in it.  A positive weight does not turn an
+    edge, so the plan's order of the unscaled edges is the definition of
+    the sum.  Sorting the scaled edges instead differs only in the rounding
+    of near-ties: scaling rounds every vertex, so two edges parallel up to
+    an ulp can swap, a bottom edge tilted by an ulp can move a start to its
+    other end, and an edge at the MERGE_TINY boundary of a run can leave or
+    join it.
     """
     if a < 0 or b < 0:
         raise ValueError("scalars must be nonnegative")

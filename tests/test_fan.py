@@ -155,7 +155,7 @@ def test_wrap_gap_with_a_wrap_run_matches_the_old_body():
         assert np.array_equal(section_at(fan, theta).vertices,
                               oracle_section_at(fan, theta).vertices)
     plan = fan.gap_plans[fan.k - 1]
-    assert plan.exact and plan.wrap == 1 and list(fan.gap_plans) == [fan.k - 1]
+    assert plan.wrap == 1 and list(fan.gap_plans) == [fan.k - 1]
 
 
 def test_gap_plans_are_built_once_per_gap_and_at_most_k(monkeypatch):

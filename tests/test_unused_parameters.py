@@ -1,14 +1,16 @@
-"""Every parameter of every function in the library is read, and every
-name a library module imports is used.
+"""Every parameter of every function in the library is read, every name a
+library module imports is used, and every module-level constant is read.
 
 A parameter no body reads is an option that changes nothing: callers can
 set it and see no effect.  An import no line uses is a dependency that does
-nothing.  The checks parse the sources with `ast`; `self`, `cls` and
-parameter names starting with `_` are exempt, and so is the package's
-`__init__`, whose imports are its exports.
+nothing, and a constant no line reads is a setting that does nothing.  The
+checks parse the sources with `ast`; `self`, `cls` and parameter names
+starting with `_` are exempt, and so is the package's `__init__`, whose
+imports are its exports.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import ccproj
@@ -77,3 +79,36 @@ def test_guard_flags_an_unread_parameter():
                      "    return a + d + g(kw, 0)\n")
     assert _unread_parameters(tree) == [("f", 1, "b"), ("f", 1, "rest"),
                                         ("<lambda>", 2, "y")]
+
+
+def _unread_constants(trees: dict) -> list:
+    """(module, line, name) for each module-level UPPER_CASE name that a
+    module of trees (name -> tree) binds and no module loads, by name or as
+    a module attribute."""
+    loaded = {n.id if isinstance(n, ast.Name) else n.attr
+              for tree in trees.values() for n in ast.walk(tree)
+              if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load)}
+    return [(module, node.lineno, n.id) for module, tree in trees.items()
+            for node in tree.body if isinstance(node, (ast.Assign, ast.AnnAssign))
+            for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+            for n in ast.walk(target)
+            if isinstance(n, ast.Name) and re.fullmatch(r"[A-Z][A-Z0-9_]*", n.id)
+            and n.id not in loaded]
+
+
+def test_every_constant_is_read():
+    trees = {path.name: ast.parse(path.read_text()) for path in SOURCES}
+    assert _unread_constants(trees) == []
+
+
+def test_guard_flags_an_unread_constant():
+    trees = {"a.py": ast.parse("LIMIT = 3\n"
+                               "LOW, HIGH = 1, 2\n"
+                               "SCALE: float = 2.0\n"
+                               "Point = tuple\n"
+                               "def f(x):\n"
+                               "    TINY = 1e-9\n"
+                               "    return x * SCALE + TINY\n"),
+             "b.py": ast.parse("import a\n"
+                               "print(a.LIMIT)\n")}
+    assert _unread_constants(trees) == [("a.py", 2, "LOW"), ("a.py", 2, "HIGH")]
