@@ -514,6 +514,9 @@ def minkowski_scaled_sum(a: float, P: ConvexPolygon, b: float, Q: ConvexPolygon,
 # ---------------------------------------------------------------------------
 
 SectionStack = namedtuple("SectionStack", "v e ee screen real points")
+SectionStack.__doc__ = """k sections padded to one vertex count (`stack_sections`), for
+`_edge_feet`: query point i against section i, or every query point against
+the one section of a 1-stack (a polygon's `section_stack`)."""
 
 
 def stack_sections(polys) -> SectionStack:
@@ -522,7 +525,9 @@ def stack_sections(polys) -> SectionStack:
     entry repeats the first vertex (it closes the cycle; its edge is 0),
     squared edge lengths ee (k, n), 1 where 0, the inside screen (k,),
     -1e-15 * scale**2 for a polygon and NaN for a point or segment, real
-    (k, n), False at the padding, and the indices of the point sections."""
+    (k, n), False at the padding, and the indices of the point sections.
+    `_edge_feet` takes query point i against section i, or every query
+    point against the one section when k = 1."""
     if len(polys) == 1:  # nothing to pad
         n = polys[0].n
         v, real = polys[0].vertices[None], np.ones((1, n), dtype=bool)
@@ -545,31 +550,48 @@ def stack_sections(polys) -> SectionStack:
 
 
 def _edge_feet(p: np.ndarray, s: SectionStack):
-    """(inside, feet, dists) of the query points p (k, 2), p[i] against
-    section i of s: whether p[i] passes the inside screen (cross >= screen
-    on every edge), and the nearest point of every edge to p[i] with its
-    distance (None when every p[i] is inside).  The distance is +inf at the
-    padding, whose foot, vertex 0, can come out an ulp nearer than the true
-    one.  Elementwise throughout, so every entry has the bits of the
-    one-polygon computation."""
-    rel = p[:, None, :] - s.v
-    cross = s.e[..., 0] * rel[..., 1] - s.e[..., 1] * rel[..., 0]
-    inside = (cross >= s.screen[:, None]).all(axis=1)  # a padded cross is 0
+    """(inside, t, dists) of the query points p (m, 2): p[i] against
+    section i of s, or every p[i] against the one section of a 1-stack.
+    inside[i]: p[i] passes the inside screen (cross >= screen on every
+    edge).  Edge j's nearest point to p[i] is v[j] + t[i, j] * e[j], at
+    distance dists[i, j], +inf at the padding, whose foot (vertex 0) can
+    come out an ulp nearer than the true one; t and dists are None when
+    every p[i] is inside.  Four (m, n) buffers of x and y components are
+    reused in place; every entry has the bits of the one-point computation."""
+    vx, vy, ex, ey = s.v[..., 0], s.v[..., 1], s.e[..., 0], s.e[..., 1]
+    px, py = p[:, :1], p[:, 1:]
+    rx, ry = px - vx, py - vy
+    a, b = ex * ry, ey * rx
+    a -= b  # the cross products; a padded one is 0
+    inside = (a >= s.screen[:, None]).all(axis=1)
     if inside.all():
         return inside, None, None
-    t = np.clip((rel[..., 0] * s.e[..., 0] + rel[..., 1] * s.e[..., 1]) / s.ee, 0.0, 1.0)
-    feet = s.v + t[..., None] * s.e
-    d = p[:, None, :] - feet
-    dists = np.sqrt(d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1])
-    return inside, feet, np.where(s.real, dists, np.inf)
+    t = np.multiply(rx, ex, out=a)
+    t += np.multiply(ry, ey, out=b)
+    t /= s.ee
+    np.clip(t, 0.0, 1.0, out=t)
+    for r, q, w, e in ((rx, px, vx, ex), (ry, py, vy, ey)):  # r = (p - (v + t e))**2
+        np.multiply(t, e, out=b)
+        b += w
+        np.subtract(q, b, out=r)
+        r *= r
+    rx += ry
+    dists = np.sqrt(rx, out=rx)
+    np.copyto(dists, np.inf, where=~s.real)
+    return inside, t, dists
+
+
+def _distances(pts: np.ndarray, s: SectionStack) -> np.ndarray:
+    """The least of `_edge_feet`'s distances for each query point; 0 inside."""
+    inside, _, dists = _edge_feet(pts, s)
+    return np.zeros(len(pts)) if dists is None else np.where(inside, 0.0, dists.min(axis=1))
 
 
 def section_distances(pts: np.ndarray, s: SectionStack) -> np.ndarray:
     """Distance from pts[i] (k, 2) to section i of s; 0 inside or on it.  A
     point section takes the 1-D `np.linalg.norm`: a stacked norm rounds
     differently."""
-    inside, _, dists = _edge_feet(pts, s)
-    out = np.zeros(len(pts)) if dists is None else np.where(inside, 0.0, dists.min(axis=1))
+    out = _distances(pts, s)
     for i in s.points:
         out[i] = np.linalg.norm(pts[i] - s.v[i, 0])
     return out
@@ -580,11 +602,7 @@ def distance(p, poly: ConvexPolygon) -> float:
 
     Convex as a function of p.
     """
-    p = np.asarray(p, dtype=float)
-    if poly.n == 1:  # the 1-D norm, as in section_distances
-        return float(np.linalg.norm(p - poly.vertices[0]))
-    inside, _, dists = _edge_feet(p[None], poly.section_stack)
-    return 0.0 if inside[0] else float(dists.min())
+    return float(section_distances(np.asarray(p, dtype=float)[None], poly.section_stack)[0])
 
 
 def nearest_point(p, poly: ConvexPolygon) -> np.ndarray:
@@ -592,49 +610,24 @@ def nearest_point(p, poly: ConvexPolygon) -> np.ndarray:
     p = np.asarray(p, dtype=float)
     if poly.n == 1:
         return poly.vertices[0].copy()
-    inside, feet, dists = _edge_feet(p[None], poly.section_stack)
-    return p.copy() if inside[0] else feet[0, int(np.argmin(dists[0]))]
-
-
-def distance_many(pts, poly: ConvexPolygon) -> np.ndarray:
-    """Vectorized distance for an (k,2) array of query points.
-
-    Works on (k, n) arrays of x and y differences to the n vertices: points
-    inside the polygon are screened out first, and the rest take the
-    nearest foot on each edge, the least squared distance and one square
-    root (correctly rounded and monotone, so the same as the least root).
-    """
-    pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    v = poly.vertices
-    px, py = pts[:, :1], pts[:, 1:]
-    rx, ry = px - v[:, 0], py - v[:, 1]
-    if poly.n == 1:
-        return np.sqrt(rx * rx + ry * ry)[:, 0]
-    e = np.roll(v, -1, axis=0) - v
-    ex, ey = e[:, 0], e[:, 1]
-    d = np.zeros(len(pts))
-    out = slice(None)
-    if poly.n >= 3:
-        out = ~np.all(ex * ry - ey * rx >= -1e-15 * poly.scale ** 2, axis=1)
-        px, py, rx, ry = px[out], py[out], rx[out], ry[out]
-    ee = ex * ex + ey * ey
-    ee[ee == 0.0] = 1.0
-    t = np.clip((rx * ex + ry * ey) / ee, 0.0, 1.0)
-    dx, dy = px - (v[:, 0] + t * ex), py - (v[:, 1] + t * ey)
-    d[out] = np.sqrt(np.min(dx * dx + dy * dy, axis=1))
-    return d
+    s = poly.section_stack
+    inside, t, dists = _edge_feet(p[None], s)
+    if inside[0]:
+        return p.copy()
+    j = int(np.argmin(dists[0]))
+    return s.v[0, j] + t[0, j] * s.e[0, j]
 
 
 def hausdorff(P: ConvexPolygon, Q: ConvexPolygon) -> float:
-    """Hausdorff distance between two compact convex polygons."""
-    d1 = float(np.max(distance_many(P.vertices, Q)))
-    d2 = float(np.max(distance_many(Q.vertices, P)))
-    return max(d1, d2)
+    """Hausdorff distance between two compact convex polygons: the largest
+    `_edge_feet` distance of a vertex of either to the other."""
+    return float(max(_distances(P.vertices, Q.section_stack).max(),
+                     _distances(Q.vertices, P.section_stack).max()))
 
 
 def contains_polygon(P: ConvexPolygon, Q: ConvexPolygon, eps: float = 0.0) -> bool:
     """True if Q is contained in P within eps."""
-    return float(np.max(distance_many(Q.vertices, P))) <= eps
+    return float(_distances(Q.vertices, P.section_stack).max()) <= eps
 
 
 # ---------------------------------------------------------------------------

@@ -52,12 +52,14 @@ def surgery_s(fan: SectionFan, arc: ArcSegment, tol: Tolerances = DEFAULT_TOL) -
     """
     if arc.length >= PI - THETA_EPS:
         raise DegenerateInput("surgery arc must be proper")
-    keep = [(float(t), s) for t, s in zip(fan.thetas, fan.sections)
+    kept = [i for i, t in enumerate(fan.thetas)
             if not arc.contains(float(t), closed=False, slack=THETA_EPS * 10)]
-    # a removed sample is farther than THETA_EPS * 10 from both endpoints,
-    # so an endpoint at a sample is at a kept one
-    new = keep + [(e, section_at(fan, e, tol)) for e in (arc.start, arc.end)
-                  if fan.sample_index_at(e) is None]
+    # by the arc's measure a removed sample lies more than THETA_EPS * 10
+    # inside, but sample_index_at rounds differently and can still name it
+    # at an endpoint: only a kept sample stands for the endpoint
+    new = [(float(fan.thetas[i]), fan.sections[i]) for i in kept]
+    new += [(e, section_at(fan, e, tol)) for e in (arc.start, arc.end)
+            if fan.sample_index_at(e) not in kept]
     if len(new) < 3:
         raise DegenerateInput("surgery would leave fewer than 3 samples")
     return SectionFan.create(fan.frame, new, validated=fan.validated)

@@ -6,8 +6,11 @@ from ccproj import DEFAULT_TOL, ConvexPolygon, PencilFrame, SectionFan, convex_h
 from ccproj.projcore import PI
 
 # print the reproduction blob of a failing example: a section's repr gives
-# only its vertex count, so the falsifying example alone cannot be replayed
-settings.register_profile("replayable", print_blob=True)
+# only its vertex count, so the falsifying example alone cannot be replayed.
+# The default profile draws the same examples on every run; the "search"
+# profile (pytest --hypothesis-profile=search) draws fresh ones
+settings.register_profile("replayable", print_blob=True, derandomize=True)
+settings.register_profile("search", print_blob=True)
 settings.load_profile("replayable")
 
 
