@@ -41,7 +41,7 @@ from .projcore import (PI, DEFAULT_TOL, ArcSegment, DegenerateInput, GeometryErr
                        PencilFrame, Tolerances, cached_method, wrap_angle)
 
 THETA_EPS = 1e-12
-SUPPORT_BLOCK = 1 << 16  # most vertex-functional products support_intervals holds at once
+SUPPORT_BLOCK = 1 << 16  # most products support_intervals or a depth LP's offsets hold at once
 POINTED_EPS = 1e-7       # how far (times its scale) a pointed section's corners may lie outside
 
 

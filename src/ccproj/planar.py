@@ -524,10 +524,9 @@ def stack_sections(polys) -> SectionStack:
     vertex cycles: vertices v and edge vectors e (k, n, 2), where a padded
     entry repeats the first vertex (it closes the cycle; its edge is 0),
     squared edge lengths ee (k, n), 1 where 0, the inside screen (k,),
-    -1e-15 * scale**2 for a polygon and NaN for a point or segment, real
-    (k, n), False at the padding, and the indices of the point sections.
-    `_edge_feet` takes query point i against section i, or every query
-    point against the one section when k = 1."""
+    -1e-15 * max|v|**2 for a polygon (unclamped: s·p screens against s·P as p
+    against P) and NaN for a point or segment, real (k, n), False at the
+    padding, and the indices of the point sections."""
     if len(polys) == 1:  # nothing to pad
         n = polys[0].n
         v, real = polys[0].vertices[None], np.ones((1, n), dtype=bool)
@@ -542,8 +541,8 @@ def stack_sections(polys) -> SectionStack:
     e = np.concatenate((v[:, 1:], v[:, :1]), axis=1) - v
     ee = e[..., 0] * e[..., 0] + e[..., 1] * e[..., 1]
     ee[ee == 0.0] = 1.0
-    screen = [-1e-15 * p.scale ** 2 if p.n >= 3 else np.nan for p in polys]
-    stack = SectionStack(v, e, ee, np.array(screen), real, points)
+    screen = np.where([p.n >= 3 for p in polys], -1e-15 * np.abs(v).max(axis=(1, 2)) ** 2, np.nan)
+    stack = SectionStack(v, e, ee, screen, real, points)
     for a in stack:  # cached on immutable polygons, fans and charts
         a.setflags(write=False)
     return stack

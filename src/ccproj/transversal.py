@@ -26,13 +26,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
 
 from . import planar
 from .dualize import dual_of_found_line, l_dual
-from .fan import SectionFan, event_angles, in_unwrapped_chart, section_at, validate
+from .fan import SUPPORT_BLOCK, SectionFan, event_angles, in_unwrapped_chart, section_at, validate
 from .planar import ConvexPolygon, chebyshev_center, nearest_point, section_distances
 from .projcore import (PI, DEFAULT_TOL, DegenerateInput, GeometryError, PencilFrame,
                        ProjLine, Tolerances, cached_method, wrap_angle)
@@ -163,9 +163,31 @@ class SolverChart:
         nrm, b = planar._edge_halfplanes(self.section_stack.v)
         skip = np.isnan(b)
         nrm[skip], b[skip] = 0.0, np.inf
-        for a in (nrm, b):  # cached on immutable charts
-            a.setflags(write=False)
+        nrm.flags.writeable = b.flags.writeable = False  # cached on immutable charts
         return nrm, b, [i for i, p in enumerate(self.polys) if p.n <= 2]
+
+    @cached_property
+    def depth_lp(self):
+        """(a_ub, b_ub): `_depth_rows`' rows (1 - beta) n, beta n, -1 and offsets c, bit
+        for bit, from a padded stack not kept beside linprog's copies of the rows: c is the
+        largest n·v over the padded vertices, in blocks of at most SUPPORT_BLOCK products."""
+        v = planar.stack_sections(self.polys).v
+        nrm, b = planar._edge_halfplanes(v)
+        step = max(1, SUPPORT_BLOCK // v.shape[1] ** 2)
+        c = np.concatenate([np.max(nrm[a:a + step] @ v[a:a + step].transpose(0, 2, 1), axis=2)
+                            for a in range(0, self.m, step)])
+        flat = [i for i, p in enumerate(self.polys) if p.n <= 2]
+        keep = ~np.isnan(b)  # no zero-length edge, no padding
+        keep[flat] = False
+        nrm, c, sec = nrm[keep], c[keep], np.nonzero(keep)[0]
+        for i in flat:  # points and segments: `_depth_rows`' caps, in their place
+            fn, fc = _depth_rows(self.polys[i])
+            nrm, c, sec = np.vstack([nrm, fn]), np.append(c, fc), np.append(sec, [i] * len(fc))
+        order = np.argsort(sec, kind="stable")
+        nrm, c, w = nrm[order], c[order], self.betas()[sec[order], None]
+        a_ub = np.hstack([(1.0 - w) * nrm, w * nrm, -np.ones((len(c), 1))])
+        a_ub.flags.writeable = c.flags.writeable = False  # cached on immutable charts
+        return a_ub, c
 
     def _distances(self, q) -> np.ndarray:
         """Distance from each hit point to its section, in height order."""
@@ -266,13 +288,9 @@ def _transversal_line(chart: SolverChart, q, residuals: np.ndarray, value: float
 
 
 def _depth_rows(poly: ConvexPolygon):
-    """Unit normals n and offsets c whose half-planes {x : n·x <= c}
-    intersect exactly in poly.
-
-    A polygon gives its outward edge normals (zero-length edges skipped).
-    A segment gives its two normals and two end caps, a point four axis
-    caps.
-    """
+    """Unit normals n and offsets c whose half-planes {x : n·x <= c} intersect
+    exactly in poly: its outward edge normals (zero-length edges skipped), and
+    for a segment two end caps, for a point four axis caps."""
     e = poly.edges()
     nrm = np.stack([e[:, 1], -e[:, 0]], axis=1)
     if poly.n <= 2:
@@ -288,42 +306,39 @@ def solve_minimax(chart: SolverChart, target: float = None, seed: int = 0,
     """Minimizer of the minimax objective: one LP model, Kelley's
     cutting-plane method.
 
-    The model minimizes a free t over (q, t), q in the search box, and each
-    row bounds the objective from below: the depth rows n·x_i(q) - c <= t of
-    every section (unit n: at most the hit point's distance) from the start,
-    and a cut f(p) + g·(q - p) <= t at each evaluated point p.  The first
-    solve, the depth rows alone, is the depth LP.  Its point is evaluated
-    first, then (unless that stops the search) N_SEED_POINTS random box
-    points, with the box centre in its place when the solve fails.  The
-    search stops as soon as the best value reaches target or comes within
-    tol.tol_solver times the chart's scale of the lower bound (the largest
-    of 0 and every solve's t), when a solve fails, or after MAX_ITER solves.
-    Returns (q_best, value, gap, iterations).
+    The model minimizes a free t over (q, t), q in the search box, and each row
+    bounds the objective from below: the depth rows n·x_i(q) - c <= t of every
+    section (unit n: at most the hit point's distance) from the start,
+    `SolverChart.depth_lp`, bit-identical to `_depth_rows`, and a cut
+    f(p) + g·(q - p) <= t at each evaluated point p.  HiGHS runs without
+    presolve: 5 columns leave it nothing to remove.  The first solve, the depth
+    rows alone, is the depth LP.  Its point is evaluated first, then (unless
+    that stops the search) N_SEED_POINTS random box points, with the box centre
+    in its place when the solve fails.  The search stops as soon as the best
+    value reaches target or comes within tol.tol_solver times the chart's scale
+    of the lower bound (the largest of 0 and every solve's t), when a solve
+    fails, or after MAX_ITER solves.  Returns (q_best, value, gap, iterations).
     """
     from scipy.optimize import linprog
 
-    a_ub, b_ub = [], []
-    for b, poly in zip(chart.betas(), chart.polys):
-        nrm, c = _depth_rows(poly)
-        a_ub.append(np.hstack([(1.0 - b) * nrm, b * nrm, -np.ones((len(c), 1))]))
-        b_ub.append(c)
-    a_ub, b_ub = np.vstack(a_ub), np.concatenate(b_ub)
+    a_ub, b_ub = chart.depth_lp
     bounds = [tuple(chart.box[i]) for i in range(4)] + [(None, None)]
     stop_gap = tol.tol_solver * chart.scale()
     lo, hi = chart.box[:, 0], chart.box[:, 1]
-    rng = np.random.default_rng(seed)
-    seeds = [lo + rng.random(4) * (hi - lo) for _ in range(N_SEED_POINTS)]
+    def seed_points():  # drawn only when needed, from a fresh generator: the same points
+        rng = np.random.default_rng(seed)
+        yield from (lo + rng.random(4) * (hi - lo) for _ in range(N_SEED_POINTS))
     best_q, best_f, lb, it = None, np.inf, 0.0, 0
     while it < MAX_ITER:
         it += 1
         res = linprog(np.array([0.0, 0.0, 0.0, 0.0, 1.0]), A_ub=a_ub, b_ub=b_ub,
-                      bounds=bounds, method="highs")
+                      bounds=bounds, method="highs", options={"presolve": False})
         if res.success:
             lb = max(lb, float(res.x[4]))
             points = [np.array(res.x[:4])]
         else:
             points = [(lo + hi) / 2.0] if it == 1 else []
-        for p in points + (seeds if it == 1 else []):
+        for p in chain(points, seed_points() if it == 1 else ()):
             f, g = chart.objective_grad(p)
             if f < best_f:
                 best_f, best_q = f, p

@@ -865,7 +865,7 @@ def einsum_distances(pts, poly):
     d = np.min(np.linalg.norm(pts[:, None, :] - foot, axis=2), axis=1)
     if poly.n >= 3:
         cross = e[None, :, 0] * rel[:, :, 1] - e[None, :, 1] * rel[:, :, 0]
-        inside = np.all(cross >= -1e-15 * poly.scale ** 2, axis=1)
+        inside = np.all(cross >= -1e-15 * np.abs(v).max() ** 2, axis=1)
         d[inside] = 0.0
     return d
 
@@ -923,7 +923,7 @@ def ref_distance(p, poly):
     rel = p[None, :] - v
     if poly.n >= 3:
         cross = e[:, 0] * rel[:, 1] - e[:, 1] * rel[:, 0]
-        if np.all(cross >= -1e-15 * poly.scale ** 2):
+        if np.all(cross >= -1e-15 * np.abs(v).max() ** 2):
             return 0.0
     ee = np.sum(e * e, axis=1)
     ee[ee == 0.0] = 1.0
@@ -941,7 +941,7 @@ def ref_nearest_point(p, poly):
     rel = p[None, :] - v
     if poly.n >= 3:
         cross = e[:, 0] * rel[:, 1] - e[:, 1] * rel[:, 0]
-        if np.all(cross >= -1e-15 * poly.scale ** 2):
+        if np.all(cross >= -1e-15 * np.abs(v).max() ** 2):
             return p.copy()
     ee = np.sum(e * e, axis=1)
     ee[ee == 0.0] = 1.0
@@ -1026,11 +1026,10 @@ def test_stacked_kernel_masks_the_padding():
     assert got[0] == ref_distance(p, tri) == 4.4113597066528545
 
 
-# The inside screen, cross >= -1e-15 * scale**2 with scale clamped to >= 1,
-# is absolute: on a polygon of size 1e-6 or less a point outside an edge
-# reads as inside.  ROADMAP item 6 makes it relative.
+# The inside screen, cross >= -1e-15 * max|v|**2, is relative: with scale
+# clamped to >= 1 (the old screen) a point outside an edge of a polygon of
+# size 1e-6 or less read as inside.
 
-@pytest.mark.xfail(strict=True, reason="absolute inside screen (ROADMAP item 6)")
 def test_distance_sees_a_point_outside_a_small_triangle():
     from ccproj.transversal import _depth_rows
     tri = convex_hull([[-1e-06, 1.195e-07], [-5.276e-07, -2.5e-07], [-6.03e-10, 8.61e-10]])
@@ -1040,13 +1039,34 @@ def test_distance_sees_a_point_outside_a_small_triangle():
     assert distance(x, tri) >= row > 1e-9
 
 
-@pytest.mark.xfail(strict=True, reason="absolute inside screen (ROADMAP item 6)")
 def test_hausdorff_separates_small_triangles():
     P = convex_hull([[-7.2e-10, -6e-11], [9e-11, -1.08e-9], [7.2e-10, 0.0]])
     Q = convex_hull([[-7.2e-10, -6e-11], [9e-11, -1.08e-9], [3.6e-10, 1.9e-10]])
     # 3.92e-10, as the pair scaled by 1e3 shows
     assert hausdorff(P, Q) == pytest.approx(1e-3 * hausdorff(P.scaled(1e3), Q.scaled(1e3)),
                                             rel=1e-9, abs=0.0)
+
+
+# coordinates 0 or at least 1e-100 in size: every product the kernel takes
+# (of coordinates or of their differences) stays a normal float after a
+# scaling by 2^-40, where an underflowed one would break the scaling of any
+# float kernel, screen or no screen
+scalable = st.one_of(st.just(0.0), st.floats(1e-100, 50.0), st.floats(-50.0, -1e-100))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(scalable, scalable), min_size=1, max_size=12),
+       st.lists(st.tuples(scalable, scalable), min_size=1, max_size=6),
+       st.sampled_from([0.5, 0.999, 1.0, 1.001, 2.0]), st.integers(-40, 40))
+def test_distance_scales_with_the_polygon(pts, queries, spread, j):
+    # distance(s p, s P) = s distance(p, P) for s = 2^j: the inside screen
+    # scales with the polygon.  Queries anywhere, and inside, on and
+    # outside the hull on rays from its centroid through its vertices
+    poly, s = convex_hull(pts), 2.0 ** j
+    c = poly.centroid()
+    for p in np.vstack([np.array(queries), c + spread * (poly.vertices - c)]):
+        d = distance(p, poly)
+        assert distance(s * p, poly.scaled(s)) == pytest.approx(s * d, rel=1e-12, abs=0.0)
 
 
 @settings(max_examples=300, deadline=None)

@@ -173,11 +173,12 @@ def test_kelley_path_matches_reference_kernels(quad12, monkeypatch):
 def test_depth_rows_bound_the_distance(poly, queries, spread):
     # every row of the solver's LP is a lower bound on the minimax
     # objective: n·x - c <= distance(x, poly) for unit n.  distance reads
-    # x as inside when every edge's cross product is >= -1e-15 scale^2,
+    # x as inside when every edge's cross product is >= -1e-15 max|v|^2,
     # where an edge's row is -cross / |e|; the rest is rounding
     nrm, c = _depth_rows(poly)
     ln = np.linalg.norm(poly.edges(), axis=1)
-    screen = 1e-15 * poly.scale ** 2 / np.min(ln[ln > 0.0]) if poly.n >= 3 else 0.0
+    big = np.abs(poly.vertices).max()
+    screen = 1e-15 * big ** 2 / np.min(ln[ln > 0.0]) if poly.n >= 3 else 0.0
     ctr = poly.centroid()
     for x in np.vstack([np.array(queries, dtype=float), poly.vertices,
                         ctr + spread * (poly.vertices - ctr)]):
@@ -623,6 +624,93 @@ def test_stacked_depth_of_solver_lines():
             r = chebyshev_line(fan, subset=subset)
             chart = build_solver_chart(fan, subset)
             assert np.array_equal(r.depth, per_section_depth(chart, r.q))
+
+
+# ---------------------------------------------------------------------------
+# The depth LP: its stacked rows and HiGHS without presolve
+# ---------------------------------------------------------------------------
+
+def per_section_rows(chart):
+    """The depth rows as solve_minimax once built them: one `_depth_rows`
+    call per section, then hstack and vstack."""
+    a_ub, b_ub = [], []
+    for b, poly in zip(chart.betas(), chart.polys):
+        nrm, c = _depth_rows(poly)
+        a_ub.append(np.hstack([(1.0 - b) * nrm, b * nrm, -np.ones((len(c), 1))]))
+        b_ub.append(c)
+    return np.vstack(a_ub), np.concatenate(b_ub)
+
+
+@functools.cache
+def shifted_quad12():
+    """test_one_solve_per_chebyshev_line's fan with no common transversal:
+    quadric (12, 64) with section 3 moved by (2.5, 0)."""
+    from ccproj import gen_quadric
+    fan = gen_quadric(12, 64).fan
+    shifted = list(fan.sections)
+    shifted[3] = shifted[3].translated((2.5, 0.0))
+    return fan.with_sections(shifted)
+
+
+def depth_lp_fans():
+    """The golden fans, random fans 0-19 and quadric (48, 256) (whose
+    256-vertex sections take one block of offsets each), quadric (6, 16), a
+    fan with a point and a segment section, and the shifted quad12."""
+    from ccproj import gen_quadric
+    return oracle_fans() + [gen_quadric(6, 16).fan, point_segment_fan(), shifted_quad12()]
+
+
+def test_depth_lp_matches_per_section_rows():
+    # on the full fan and on every third section: same rows, same order,
+    # same bits
+    from ccproj.fan import SUPPORT_BLOCK
+    assert SUPPORT_BLOCK // 256 ** 2 == 1
+    for fan in depth_lp_fans():
+        for subset in (None, list(range(0, fan.k, 3))):
+            chart = build_solver_chart(fan, subset)
+            a_ub, b_ub = chart.depth_lp
+            ref_a, ref_b = per_section_rows(chart)
+            assert a_ub.shape == ref_a.shape
+            assert np.array_equal(a_ub, ref_a) and np.array_equal(b_ub, ref_b)
+
+
+def test_presolve_leaves_every_solve_unchanged(monkeypatch):
+    # every LP solve_minimax makes on these fans (depth LPs and the shifted
+    # quad12's Kelley solves), captured by a linprog wrapper, gives the same
+    # x with HiGHS presolve on as without it.  On subsets the optimal face
+    # of a Kelley model can be more than a point, and the two runs may pick
+    # different points of it (3 of the 4 solves on the shifted quad12's
+    # every third section): there only the optimal t must agree
+    import scipy.optimize
+    linprog, calls = scipy.optimize.linprog, []
+    monkeypatch.setattr(scipy.optimize, "linprog",
+                        lambda *a, **kw: calls.append((subset, kw)) or linprog(*a, **kw))
+    for fan in depth_lp_fans():
+        for subset in (None, list(range(0, fan.k, 3))):
+            chebyshev_line(fan, subset=subset)
+    assert len(calls) > 2 * len(depth_lp_fans())  # the shifted quad12 adds Kelley solves
+    cost = np.array([0.0, 0.0, 0.0, 0.0, 1.0])
+    for subset, kw in calls:
+        assert kw["options"] == {"presolve": False}
+        off, on = linprog(cost, **kw), linprog(cost, **{**kw, "options": {}})
+        assert off.status == on.status == 0
+        if subset is None:
+            assert np.array_equal(off.x, on.x)
+        assert off.x[4] == pytest.approx(on.x[4], rel=0.0, abs=1e-12 * max(1.0, abs(on.x[4])))
+
+
+def test_seed_points_drawn_only_past_the_first_point(monkeypatch):
+    # the depth LP's point stops the search on random fan 0, so no
+    # generator is made; the shifted quad12 draws its seed points once
+    from ccproj import gen_random_fan
+    fan, rngs = gen_random_fan(0).fan, []
+    default_rng = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng",
+                        lambda *a: rngs.append(a) or default_rng(*a))
+    assert chebyshev_line(fan).iterations == 1
+    assert rngs == []
+    assert chebyshev_line(shifted_quad12(), seed=7).iterations > 1
+    assert rngs == [(7,)]
 
 
 def test_certify_line_reads_cached_fan_invariants(monkeypatch):
