@@ -374,7 +374,6 @@ class ValidationReport:
     """Outcome of the convex-concavity checks on a fan."""
 
     sections_ok: bool
-    solver_ready: bool
     disjoint_ok: bool
     concave_ok: bool
     centers: tuple
@@ -525,7 +524,6 @@ def validate(fan: SectionFan, tol: Tolerances = DEFAULT_TOL) -> ValidationReport
     messages = ["section %d has non-finite vertices" % i
                 for i, s in enumerate(fan.sections) if not np.all(np.isfinite(s.vertices))]
     sections_ok = not messages
-    solver_ready = sum(not s.degenerate for s in fan.sections) >= 3
 
     vmax = fan.scale()
     disjoint_ok = vmax < tol.radius_cap
@@ -536,8 +534,7 @@ def validate(fan: SectionFan, tol: Tolerances = DEFAULT_TOL) -> ValidationReport
     centers = _center_checks(fan, tol)
     messages += _failure_messages(centers)
     concave_ok = all(chk.ok for chk in centers)
-    return ValidationReport(sections_ok, solver_ready, disjoint_ok, concave_ok,
-                            tuple(centers), tuple(messages))
+    return ValidationReport(sections_ok, disjoint_ok, concave_ok, tuple(centers), tuple(messages))
 
 
 # ---------------------------------------------------------------------------

@@ -59,8 +59,7 @@ def _pairs(v: np.ndarray) -> str:
 def serialize(scene: Scene) -> str:
     f, fr = scene.fan, scene.fan.frame
     u, v = _VEC4 % tuple(fr.g0.tolist()), _VEC4 % tuple(fr.g1.tolist())
-    th = f.thetas[:, None]  # chart origins as PencilFrame.origin computes them
-    origins = (-np.sin(th) * fr.h2 + np.cos(th) * fr.h3).tolist()
+    origins = f.plane_rows[1].tolist()
     samples = ", ".join(_SAMPLE % (t, *o, u, v, _pairs(s.vertices))
                         for t, o, s in zip(f.thetas.tolist(), origins, f.sections))
     tolerances = ", ".join('"%s": %.17g' % (k, float(x))
@@ -87,7 +86,7 @@ def parse(text: str) -> Scene:
     frame vector, a chart or a vertex array) raises SceneFormatError."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # too deep a nesting
         raise SceneFormatError("not valid JSON: %s" % exc) from exc
     if not isinstance(doc, dict) or doc.get("format") != "ccproj-scene":
         raise SceneFormatError("missing ccproj-scene format marker")
@@ -163,9 +162,8 @@ def _check_charts(frame: PencilFrame, raw, thetas, eps: float) -> None:
     flat = list(chain.from_iterable(vecs))
     if set(map(len, vecs)) != {4} or not set(map(type, flat)) <= {int, float}:
         raise SceneFormatError("a sample chart is not three 4-vectors origin, u, v")
-    th = np.array(thetas)[:, None] % PI
-    want = np.concatenate((-np.sin(th) * frame.h2 + np.cos(th) * frame.h3, np.broadcast_to(
-        np.concatenate((frame.g0, frame.g1)), (len(th), 8))), axis=1)
+    want = np.concatenate((frame.plane_rows(np.array(thetas) % PI)[1], np.broadcast_to(
+        np.concatenate((frame.g0, frame.g1)), (len(thetas), 8))), axis=1)
     charts = np.array(flat, dtype=float).reshape(-1, 12)
     ok = (np.abs(charts - want) <= eps).all(axis=1)  # False for NaN too
     if not ok.all():

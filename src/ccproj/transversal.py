@@ -32,7 +32,7 @@ import numpy as np
 
 from . import planar
 from .dualize import dual_of_found_line, l_dual
-from .fan import SUPPORT_BLOCK, SectionFan, event_angles, in_unwrapped_chart, section_at, validate
+from .fan import SUPPORT_BLOCK, SectionFan, event_angles, in_unwrapped_chart, section_at
 from .planar import ConvexPolygon, chebyshev_center, nearest_point, section_distances
 from .projcore import (PI, DEFAULT_TOL, DegenerateInput, GeometryError, PencilFrame,
                        ProjLine, Tolerances, cached_method, wrap_angle)
@@ -141,9 +141,8 @@ class SolverChart:
         while the line through the box centre (c, c) comes within (sqrt 2 / 2) D
         of every section, so no minimizer lies on the box.
         """
-        all_v = np.vstack([p.vertices for p in self.polys])
-        lo = np.min(all_v, axis=0)
-        hi = np.max(all_v, axis=0)
+        v = self.section_stack.v  # the padding repeats vertex 0
+        lo, hi = v.min(axis=(0, 1)), v.max(axis=(0, 1))
         box_pad = float(np.max(hi - lo)) + 1.0
         return np.array([[lo[0] - box_pad, hi[0] + box_pad],
                          [lo[1] - box_pad, hi[1] + box_pad]] * 2)
@@ -159,7 +158,8 @@ class SolverChart:
         (`planar._edge_halfplanes` of the section stack), unit normals
         (k, n, 2) and offsets (k, n), with 0 and +inf on the padding and on
         zero-length edges, and the indices of the point and segment
-        sections, whose margin is minus the distance."""
+        sections, whose margin is minus the distance.  `depth` and
+        `depth_lp` both read it."""
         nrm, b = planar._edge_halfplanes(self.section_stack.v)
         skip = np.isnan(b)
         nrm[skip], b[skip] = 0.0, np.inf
@@ -169,15 +169,14 @@ class SolverChart:
     @cached_property
     def depth_lp(self):
         """(a_ub, b_ub): `_depth_rows`' rows (1 - beta) n, beta n, -1 and offsets c, bit
-        for bit, from a padded stack not kept beside linprog's copies of the rows: c is the
-        largest n·v over the padded vertices, in blocks of at most SUPPORT_BLOCK products."""
-        v = planar.stack_sections(self.polys).v
-        nrm, b = planar._edge_halfplanes(v)
+        for bit, from `section_stack` and `margin_rows`: c is the largest n·v over the
+        padded vertices, in blocks of at most SUPPORT_BLOCK products."""
+        v = self.section_stack.v
+        nrm, b, flat = self.margin_rows
         step = max(1, SUPPORT_BLOCK // v.shape[1] ** 2)
         c = np.concatenate([np.max(nrm[a:a + step] @ v[a:a + step].transpose(0, 2, 1), axis=2)
                             for a in range(0, self.m, step)])
-        flat = [i for i, p in enumerate(self.polys) if p.n <= 2]
-        keep = ~np.isnan(b)  # no zero-length edge, no padding
+        keep = np.isfinite(b)  # no zero-length edge, no padding
         keep[flat] = False
         nrm, c, sec = nrm[keep], c[keep], np.nonzero(keep)[0]
         for i in flat:  # points and segments: `_depth_rows`' caps, in their place
@@ -379,7 +378,6 @@ class HellyReport:
     full_residual: float
     tol_resid: float
     consistent: bool
-    in_scope: bool
 
 
 def _unrank_combination(rank: int, n: int, r: int) -> tuple:
@@ -440,9 +438,7 @@ def helly_verify(fan: SectionFan, tol: Tolerances = DEFAULT_TOL,
     max_sub = max(results.values())
     thr = tol_resid * scale
     consistent = not (max_sub <= thr and full.value > thr)
-    in_scope = fan.validated or validate(fan, tol).ok
-    return HellyReport(results, float(max_sub), float(full.value), thr,
-                       consistent, in_scope)
+    return HellyReport(results, float(max_sub), float(full.value), thr, consistent)
 
 
 # ---------------------------------------------------------------------------

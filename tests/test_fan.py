@@ -292,7 +292,6 @@ def test_interval_interpolation_matches_sections(quad12):
 def test_validate_quadric(quad12):
     rep = validate(quad12)
     assert rep.ok and rep.sections_ok and rep.disjoint_ok and rep.concave_ok
-    assert rep.solver_ready
 
 
 def test_validate_concavity_failure(quad12):
@@ -550,7 +549,6 @@ def test_validate_degenerate_sections(frame):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         reports = [validate(SectionFan.create(frame, list(zip(thetas, c)))) for c in cases]
-    assert [r.solver_ready for r in reports] == [False, False, False, False, True, False]
     for r in reports[2:]:
         assert not r.concave_ok
         assert all(not c.straddle_ok or not c.ok for c in r.centers)

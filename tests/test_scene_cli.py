@@ -41,6 +41,8 @@ def test_parse_rejects_garbage():
         parse("not json at all")
     with pytest.raises(SceneFormatError):
         parse(json.dumps({"format": "something-else"}))
+    with pytest.raises(SceneFormatError, match="not valid JSON"):  # json.loads recurses
+        parse("[" * 100_000)
 
 
 def test_parse_rejects_nonconvex_sample():
@@ -435,6 +437,11 @@ def test_cli_exit_codes(tmp_path):
     bad.write_text("{ not json")
     r = run_cli(["validate", "--in", str(bad)])
     assert r.returncode == 2
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000)
+    r = run_cli(["validate", "--in", str(deep)])
+    assert r.returncode == 2
+    assert "error=not valid JSON: " in r.stderr
     # invalid fan: exit code 1
     fan = gen_quadric(8, 24).fan
     secs = list(fan.sections)

@@ -416,9 +416,7 @@ def helly_reference(fan, tol_resid=1e-6, subset_cap=200, seed=0):
     full = chebyshev_line(fan, target=0.25 * tol_resid * scale, seed=seed)
     thr = tol_resid * scale
     consistent = not (max_sub <= thr and full.value > thr)
-    in_scope = fan.validated or validate(fan).ok
-    return HellyReport(results, float(max_sub), float(full.value), thr,
-                       consistent, in_scope)
+    return HellyReport(results, float(max_sub), float(full.value), thr, consistent)
 
 
 @pytest.mark.parametrize("case", ["random-%d" % s for s in range(3000, 3005)]
@@ -461,7 +459,6 @@ def test_helly_quadric(quad8, monkeypatch):
     assert rep.max_subset_residual <= 1e-6
     assert rep.full_residual <= 1e-6
     assert rep.consistent
-    assert rep.in_scope  # generated fans carry the validated flag
 
 
 @pytest.mark.parametrize("k", [8, 12, 20])
@@ -492,13 +489,15 @@ def test_helly_subset_cap(quad12):
 
 
 def test_helly_invalid_fan_flagged(frame):
-    # five far-apart sections: no common transversal and fan is not valid
+    # five far-apart sections: no common transversal and fan is not valid;
+    # helly_verify reports on it without a validity check, validate flags it
     fan = SectionFan.create(frame, [
         (0.3, mgon(0.2, 12, (4.0, 0))), (0.9, mgon(0.2, 12, (-4.0, 0))),
         (1.5, mgon(0.2, 12, (0.0, 4.0))), (2.1, mgon(0.2, 12, (0.0, -4.0))),
         (2.7, mgon(0.2, 12, (3.0, 3.0)))])
     rep = helly_verify(fan)
-    assert not rep.in_scope
+    assert rep.full_residual > rep.tol_resid and rep.consistent
+    assert not validate(fan).ok
 
 
 def test_certify_shifted_line_fails(quad12):
@@ -672,6 +671,32 @@ def test_depth_lp_matches_per_section_rows():
             ref_a, ref_b = per_section_rows(chart)
             assert a_ub.shape == ref_a.shape
             assert np.array_equal(a_ub, ref_a) and np.array_equal(b_ub, ref_b)
+
+
+def test_one_section_stack_per_chart(monkeypatch):
+    # one chebyshev_line on random fan 0: the depth LP, `depth` and the
+    # residuals all read the chart's one stack and one set of edge normals
+    from ccproj import gen_random_fan, planar
+    fan, calls = gen_random_fan(0).fan, []
+    for name in ("stack_sections", "_edge_halfplanes"):
+        inner = getattr(planar, name)
+        monkeypatch.setattr(planar, name, lambda *a, name=name, inner=inner:
+                            calls.append(name) or inner(*a))
+    chebyshev_line(fan)
+    assert sorted(calls) == ["_edge_halfplanes", "stack_sections"]
+
+
+def test_box_matches_vertex_bounds():
+    # the box from the padded stack's bounds equals the one from every
+    # polygon's vertices stacked, as it was built, on full and subset charts
+    for fan in depth_lp_fans():
+        for subset in (None, list(range(0, fan.k, 3))):
+            chart = build_solver_chart(fan, subset)
+            all_v = np.vstack([p.vertices for p in chart.polys])
+            lo, hi = np.min(all_v, axis=0), np.max(all_v, axis=0)
+            pad = float(np.max(hi - lo)) + 1.0
+            want = np.array([[lo[0] - pad, hi[0] + pad], [lo[1] - pad, hi[1] + pad]] * 2)
+            assert np.array_equal(chart.box, want)
 
 
 def test_presolve_leaves_every_solve_unchanged(monkeypatch):
